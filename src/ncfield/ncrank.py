@@ -388,6 +388,9 @@ def _confirm_full_exact(pencil: LinearPencil, seed: int, tries: int = 3) -> bool
 
     Starred slots receive the conjugate transpose of the base letter's
     substitution, so the check is also valid over the doubled alphabet.
+    ``rank_exact`` reads the blow-up's rank mod p first: reduction mod p
+    never raises rank, so rank n * d mod p is already a proof, and any
+    other reading is settled by exact elimination over Q(i).
     False only means the random draws missed full rank, never nonfullness.
     """
     n = pencil.rows

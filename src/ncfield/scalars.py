@@ -15,6 +15,8 @@ import re
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 Rationalish = Union[int, Fraction]
 Scalarish = Union["GaussianRational", int, Fraction]
 
@@ -231,7 +233,63 @@ def colspace_exact(rows: list) -> list:
 
 
 def rank_exact(rows: list) -> int:
-    """Rank of a matrix with GaussianRational entries, by Gaussian elimination."""
+    """Exact rank over Q(i) of a matrix with GaussianRational entries.
+
+    The rank is read mod p first.  Reduction mod p is a ring homomorphism
+    on the Gaussian rationals whose denominators are prime to p, so every
+    minor maps to the reduced minor and the rank mod p is never above the
+    rank over Q(i).  Rank mod p equal to min(rows, cols) therefore
+    certifies full rank.  Otherwise (a smaller rank mod p, or a
+    denominator divisible by p) exact elimination decides, so the result is
+    always the exact rank.
+    """
     if not rows:
         return 0
+    full = min(len(rows), len(rows[0]))
+    if _rank_mod_p(rows) == full:
+        return full
     return len(rref_exact(rows)[1])
+
+
+# A prime with p = 1 (mod 4), so -1 has the square root _IOTA in F_p and
+# i reduces entrywise.  p < 2^31 keeps every product of residues below 2^62.
+_P = 2147483629
+_IOTA = 1518275076
+
+
+def _rank_mod_p(rows: list):
+    """Rank mod _P by int64 elimination, or None if it is not defined.
+
+    None means a ragged input or a denominator divisible by _P.
+    """
+    n_cols = len(rows[0])
+    flat = []
+    for row in rows:
+        if len(row) != n_cols:
+            return None
+        for x in row:
+            x = GaussianRational.coerce(x)
+            re, im = x.re, x.im
+            if re.denominator % _P == 0 or im.denominator % _P == 0:
+                return None
+            flat.append(
+                (re.numerator * pow(re.denominator, -1, _P)
+                 + _IOTA * im.numerator * pow(im.denominator, -1, _P)) % _P
+            )
+    m = np.array(flat, dtype=np.int64).reshape(len(rows), n_cols)
+    rank = 0
+    for col in range(n_cols):
+        if rank == len(rows):
+            break
+        nonzero = np.flatnonzero(m[rank:, col])
+        if nonzero.size == 0:
+            continue
+        pivot = rank + int(nonzero[0])
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        row = m[rank, col:] * pow(int(m[rank, col]), -1, _P) % _P
+        below = m[rank + 1:, col:]
+        below -= np.outer(below[:, 0], row)
+        below %= _P
+        rank += 1
+    return rank

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import random
+import time
 
 import numpy as np
 import pytest
@@ -188,6 +189,15 @@ def test_rank_is_invariant_under_exact_invertible_factors():
         u = invertible_scalar_matrix(3, rng, 2)
         v = invertible_scalar_matrix(3, rng, 2)
         assert ncrank(u @ m @ v, seed=trial).rho == base, trial
+
+
+def test_cubic_with_four_words_has_rank_one():
+    # Linearized size N = 9; exact confirmation works on a 72 x 72 blow-up.
+    m = NcMatrix([[poly_from_string("1 + x1*x2*x1 + x2*x1*x2 + x1*x1*x2 + x2*x2*x1")]], 2)
+    start = time.perf_counter()
+    result = ncrank(m, seed=3)
+    assert result.rho == 1
+    assert time.perf_counter() - start < 5.0
 
 
 def test_zero_and_identity_matrices():

@@ -9,7 +9,16 @@ import pytest
 
 from ncfield import GaussianRational
 from ncfield.errors import InputError
-from ncfield.scalars import I, ONE, ZERO, rank_exact, snap_to_gaussian_rational
+from ncfield.scalars import (
+    _P,
+    I,
+    ONE,
+    ZERO,
+    _rank_mod_p,
+    rank_exact,
+    rref_exact,
+    snap_to_gaussian_rational,
+)
 
 
 def _random_scalar(rng: random.Random) -> GaussianRational:
@@ -100,6 +109,7 @@ def test_rank_exact_known_cases():
     assert rank_exact([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     assert rank_exact([[ONE, ZERO], [ZERO, ONE]]) == 2
     assert rank_exact([[ZERO, ZERO], [ZERO, ZERO]]) == 0
+    assert rank_exact([]) == 0
     # i * first row equals second row, so the rank drops.
     rows = [[ONE, I], [I, GaussianRational(-1)]]
     assert rank_exact(rows) == 1
@@ -123,3 +133,53 @@ def test_rank_exact_matches_float_rank_on_random_integer_matrices():
         floats = np.array([[float(v) for v in row] for row in prod])
         assert exact == np.linalg.matrix_rank(floats), f"trial {trial}"
         assert exact <= r
+
+
+def _planted(rng: random.Random, n: int, m: int, r: int) -> list:
+    """An n x m product through r columns, with fractional complex entries."""
+    left = [[_random_scalar(rng) for _ in range(r)] for _ in range(n)]
+    right = [[_random_scalar(rng) for _ in range(m)] for _ in range(r)]
+    return [
+        [sum((left[i][k] * right[k][j] for k in range(r)), ZERO) for j in range(m)]
+        for i in range(n)
+    ]
+
+
+def test_rank_exact_matches_elimination_on_planted_ranks():
+    rng = random.Random(20261018)
+    full = deficient = 0
+    for trial in range(80):
+        n = rng.randint(1, 8)
+        m = rng.randint(1, 8)
+        r = rng.randint(0, min(n, m))
+        rows = _planted(rng, n, m, r)
+        expected = len(rref_exact(rows)[1])
+        assert rank_exact(rows) == expected, f"trial {trial}"
+        assert expected <= r
+        if expected == min(n, m):
+            full += 1
+        else:
+            deficient += 1
+    assert full >= 10 and deficient >= 10
+
+
+@pytest.mark.parametrize(
+    "rows, rank_mod_p, rank",
+    [
+        # det = p: the rank drops mod p, so exact elimination decides.
+        ([[_P, 0], [0, 1]], 1, 2),
+        ([[1, 1], [1, 1 + _P]], 1, 2),
+        # A denominator divisible by p has no residue.
+        ([[Fraction(1, _P), 0], [0, 1]], None, 2),
+        ([[Fraction(1, _P), Fraction(2, _P)], [1, 2]], None, 1),
+        # i maps to a square root of -1 mod p: the second row is i times the first.
+        ([[ONE, I], [I, GaussianRational(-1)]], 1, 1),
+        ([[ONE, I], [ONE, -I]], 2, 2),
+        ([[ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]], 0, 0),
+        ([[]], 0, 0),
+    ],
+)
+def test_rank_exact_falls_back_where_the_prime_is_unlucky(rows, rank_mod_p, rank):
+    assert _rank_mod_p(rows) == rank_mod_p
+    assert rank_exact(rows) == rank
+    assert len(rref_exact(rows)[1]) == rank
