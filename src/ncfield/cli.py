@@ -26,7 +26,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -215,15 +214,6 @@ def _policy(args) -> TolerancePolicy:
     )
 
 
-def _workers() -> int:
-    raw = os.environ.get("NCFIELD_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"NCFIELD_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
 def _parse_dims(text: str) -> Tuple[int, ...]:
     try:
         dims = tuple(int(part) for part in text.split(","))
@@ -297,7 +287,6 @@ def cmd_rank(args) -> int:
         trials=args.trials,
         seed=args.seed,
         policy=_policy(args),
-        workers=_workers(),
     )
     report = _report_skeleton(args, "rank", dims=dims, trials=args.trials)
     report["input"] = label

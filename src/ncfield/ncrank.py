@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -51,10 +50,6 @@ SCALING_BUDGET_FACTOR = 200
 # and the doubly-stochasticity defect stops being trustworthy evidence.
 DEGENERACY_FLOOR = 1e-10
 
-# When set, every homogenize() call is checked against the substitution
-# engine.  The test suite turns this on.
-VALIDATE_HOMOGENIZE = False
-
 
 def quantum_op_apply(pencil: LinearPencil, b: np.ndarray) -> np.ndarray:
     """Apply L(B) = sum Ai B Ai* for the homogeneous coefficients."""
@@ -73,30 +68,19 @@ def _apply_cp(mats: Sequence[np.ndarray], b: np.ndarray) -> np.ndarray:
     return out
 
 
-def homogenize(pencil: LinearPencil, validate: Optional[bool] = None) -> LinearPencil:
+def homogenize(pencil: LinearPencil) -> LinearPencil:
     """Move the constant term onto a fresh variable.
 
     The result is a homogeneous pencil in n+1 variables with the same inner
-    rank, hence the same fullness.  With validation on, both sides are checked
-    against the substitution engine.
+    rank, hence the same fullness.
     """
     if pencil.star_letters:
         raise StarredLetterError("homogenization needs a plain alphabet")
-    out = LinearPencil(
+    return LinearPencil(
         [_zero_like(pencil)] + list(pencil.coeffs[1:]) + [pencil.coeffs[0]],
         pencil.n_vars + 1,
         star_letters=False,
     )
-    if validate is None:
-        validate = VALIDATE_HOMOGENIZE
-    if validate:
-        before = rank_by_substitution(pencil.to_matrix(), seed=20_000)
-        after = rank_by_substitution(out.to_matrix(), seed=20_001)
-        if before.rho != after.rho:
-            raise MethodDisagreement(
-                f"homogenization changed the rank: {before.rho} vs {after.rho}"
-            )
-    return out
 
 
 def _zero_like(pencil: LinearPencil):
@@ -138,7 +122,6 @@ def rank_by_substitution(
     seed: int = 0,
     kind: Optional[str] = None,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    workers: int = 1,
     shift: complex = 0,
 ) -> RankResult:
     """Inner rank via random matrix substitution.
@@ -149,38 +132,30 @@ def rank_by_substitution(
     if dims is None:
         base = max(matrix.rows, matrix.cols) + 1
         dims = (base, 2 * base)
+    if len(dims) == 0:
+        raise InputError("need at least one dimension")
     if trials < 1:
         raise InputError("need at least one trial")
     if kind is None:
         kind = "ginibre" if matrix.has_star() else "gue"
-    jobs = [
-        (d, t, seed + i)
-        for i, (d, t) in enumerate(
-            (d, t) for d in dims for t in range(trials)
-        )
-    ]
-
-    def run(job):
-        d, t, s = job
+    estimates = []
+    pairs = ((d, t) for d in dims for t in range(trials))
+    for s, (d, t) in enumerate(pairs, start=seed):
         model = sample(kind, d, matrix.n_vars, s)
         report = empirical_rank(matrix.evaluate(model, shift=shift), policy)
         ratio = report.rank / d
-        return {
-            "d": d,
-            "trial": t,
-            "seed": s,
-            "rank": report.rank,
-            "rank_over_d": ratio,
-            "rho_hat": int(math.floor(ratio + 0.5)),
-            "gap": report.gap,
-            "clean": report.clean,
-        }
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(run, jobs))
-    else:
-        estimates = [run(job) for job in jobs]
+        estimates.append(
+            {
+                "d": d,
+                "trial": t,
+                "seed": s,
+                "rank": report.rank,
+                "rank_over_d": ratio,
+                "rho_hat": int(math.floor(ratio + 0.5)),
+                "gap": report.gap,
+                "clean": report.clean,
+            }
+        )
 
     unclean = [e for e in estimates if not e["clean"]]
     if unclean:
@@ -531,10 +506,10 @@ def _collapse_witness(
 
 
 def _search_witness(mats, n, policy, seed, scaled, l_cum, r_cum, exact_pencil=None):
-    """Hunt for a PSD argument where the quantum operator drops rank."""
-    pattern = _zero_pattern_witness(mats, n, policy)
-    if pattern is not None:
-        return pattern
+    """Hunt for a PSD argument where the quantum operator drops rank.
+
+    The caller has already tried the zero pattern of the same tuple.
+    """
     adj = [a.conj().T for a in mats]
     if exact_pencil is not None:
         coeffs = [[list(row) for row in mat] for mat in exact_pencil.coeffs[1:]]
@@ -791,35 +766,45 @@ def ncrank(
     seed: int = 0,
     policy: TolerancePolicy = DEFAULT_POLICY,
     cross_check: bool = True,
-    workers: int = 1,
+    shift: complex = 0,
 ) -> RankResult:
-    """Inner rank with cross-validation between the two engines.
+    """Inner rank of matrix - shift*1 with cross-validation between the engines.
 
     Rectangular input is padded square.  The substitution engine supplies the
     value; for star-free matrices the scaling engine independently decides
     fullness and any contradiction raises MethodDisagreement.  An
-    inconclusive scaling run defers to substitution.
+    inconclusive scaling run defers to substitution.  A nonzero shift has no
+    exact form, so scaling then runs on the numerically shifted coefficients
+    and confirms fullness numerically; pass exact shifts through
+    ``matrix.shift`` instead.
     """
+    if shift != 0 and not matrix.is_square():
+        raise NonSquareError("shift needs a square matrix")
     matrix = matrix.pad_to_square()
     n = matrix.rows
-    if matrix.is_zero():
+    if shift == 0 and matrix.is_zero():
         return RankResult(0, n, n, method="trivial", kind="none", seed=seed)
     sub = rank_by_substitution(
-        matrix, dims=dims, trials=trials, seed=seed, policy=policy, workers=workers
+        matrix, dims=dims, trials=trials, seed=seed, policy=policy, shift=shift
     )
     if not cross_check or matrix.has_star():
         return sub
-    degree = matrix.degree
     cross: dict = {}
-    if degree <= 1:
+    if matrix.degree <= 1:
         pencil = matrix.to_pencil()
-        offset = 0
     else:
-        pencil, offset = linearize_matrix(matrix)
-        cross["border"] = offset
-    target = pencil if pencil.is_homogeneous() else homogenize(pencil)
+        pencil, cross["border"] = linearize_matrix(matrix)
     try:
-        cert = fullness_scaling(target, policy=policy, seed=seed)
+        if shift == 0:
+            target = pencil if pencil.is_homogeneous() else homogenize(pencil)
+            cert = fullness_scaling(target, policy=policy, seed=seed)
+        else:
+            coeffs = pencil.numeric_coeffs()
+            coeffs[0][:n, :n] -= shift * np.eye(n)
+            # the shifted constant moves onto a fresh variable, as in homogenize
+            cert = _scaling_verdict(
+                coeffs[1:] + coeffs[:1], pencil.rows, None, policy, seed
+            )
     except Inconclusive as exc:
         cross["scaling"] = "inconclusive"
         cross["diagnostics"] = exc.diagnostics

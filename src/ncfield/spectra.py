@@ -27,17 +27,11 @@ from .errors import (
     Inconclusive,
     InputError,
     InvariantViolation,
-    MethodDisagreement,
     NoConsensus,
     NonSquareError,
 )
 from .ncpoly import LinearPencil, NcMatrix
-from .ncrank import (
-    _scaling_verdict,
-    linearize_matrix,
-    ncrank,
-    rank_by_substitution,
-)
+from .ncrank import ncrank
 from .randmat import DEFAULT_POLICY, TolerancePolicy, sample
 from .scalars import GaussianRational, snap_to_gaussian_rational
 
@@ -105,55 +99,24 @@ def _rho_of_shift(
     dims=None,
     trials: int = 2,
 ) -> Tuple[Optional[int], bool]:
-    """Rank of matrix - lam*1, cross-checked.
+    """Rank of matrix - lam*1, cross-checked by the orchestrated rank.
 
-    Exact shifts go through the full orchestrated rank.  Numeric shifts run
-    the substitution engine with a spectral shift and the scaling engine on
-    numerically shifted coefficients.  Returns (rho, certified); rho is None
-    when nothing could be decided.
+    Exact shifts are applied to the matrix itself, so the scaling engine gets
+    exact coefficients; numeric shifts are handed to ``ncrank`` as its
+    spectral shift.  Returns (rho, certified); rho is None when nothing could
+    be decided.
     """
-    n = matrix.rows
     if isinstance(lam, (int, Fraction, GaussianRational)):
-        shifted = matrix.shift(GaussianRational.coerce(lam))
-        try:
-            result = ncrank(shifted, dims=dims, trials=trials, seed=seed, policy=policy)
-        except (NoConsensus, Inconclusive):
-            return None, False
-        return result.rho, True
-    # numeric shift
-    lam = complex(lam)
-    try:
-        sub = rank_by_substitution(
-            matrix, dims=dims, trials=trials, seed=seed, policy=policy, shift=lam
-        )
-    except NoConsensus:
-        return None, False
-    if matrix.has_star():
-        return sub.rho, True
-    if matrix.degree <= 1:
-        pencil = matrix.to_pencil()
-        numeric = pencil.numeric_coeffs()
-        shifted0 = numeric[0] - lam * np.eye(n)
-        hom = numeric[1:] + [shifted0]
-        hom_size = n
+        matrix, shift = matrix.shift(lam), 0
     else:
-        pencil, border = linearize_matrix(matrix)
-        numeric = pencil.numeric_coeffs()
-        shifted0 = numeric[0].copy()
-        shifted0[:n, :n] -= lam * np.eye(n)
-        hom = numeric[1:] + [shifted0]
-        hom_size = pencil.rows
+        shift = complex(lam)
     try:
-        cert = _scaling_verdict(hom, hom_size, None, policy, seed)
-    except Inconclusive:
-        return sub.rho, True
-    scaling_full = cert.verdict == "full"
-    if scaling_full != (sub.rho == n):
-        raise MethodDisagreement(
-            f"shifted rank: substitution says rho={sub.rho} of {n}, "
-            f"scaling says {cert.verdict}"
+        result = ncrank(
+            matrix, dims=dims, trials=trials, seed=seed, policy=policy, shift=shift
         )
-    return sub.rho, True
+    except (NoConsensus, Inconclusive):
+        return None, False
+    return result.rho, True
 
 
 def central_eigs_pencil(

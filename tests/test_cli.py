@@ -231,16 +231,6 @@ def test_out_file_holds_the_report(capsys, tmp_path):
     assert report["rho"] == 1
 
 
-def test_worker_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("NCFIELD_THREADS", "2")
-    code, _, _ = _run(capsys, ["rank", "--expr", "x1*x2"])
-    assert code == 0
-    monkeypatch.setenv("NCFIELD_THREADS", "many")
-    code, _, err = _run(capsys, ["rank", "--expr", "x1*x2"])
-    assert code == 1
-    assert "NCFIELD_THREADS" in err
-
-
 def test_tolerance_must_be_positive(capsys):
     code, _, err = _run(capsys, ["rank", "--expr", "x1", "--tol", "-1"])
     assert code == 1

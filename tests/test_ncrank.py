@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import importlib
+import math
 import random
 import time
 
@@ -11,11 +11,10 @@ import pytest
 
 from conftest import conjugated_hollow_matrix, hollow_matrix, invertible_scalar_matrix
 
-# the package re-exports a function named ncrank, so fetch the module itself
-ncrank_mod = importlib.import_module("ncfield.ncrank")
 from ncfield import (
     LinearPencil,
     NcMatrix,
+    NcPoly,
     fullness_scaling,
     homogenize,
     linearize_matrix,
@@ -27,7 +26,7 @@ from ncfield import (
     rank_by_substitution,
     verify_nonfull_witness,
 )
-from ncfield.errors import Inconclusive, NonSquareError
+from ncfield.errors import Inconclusive, InputError, NonSquareError
 
 
 def _pencil(coeff_lists, n_vars):
@@ -141,17 +140,45 @@ def test_linearization_preserves_rank_on_random_inputs():
         assert lifted.rho - border == flat.rho, seed
 
 
-def test_homogenize_cross_validation_flag():
-    previous = ncrank_mod.VALIDATE_HOMOGENIZE
-    ncrank_mod.VALIDATE_HOMOGENIZE = True
-    try:
-        for seed in range(3):
-            pencil = random_pencil(2, 3, seed=400 + seed, homogeneous=False)
-            hom = homogenize(pencil)
-            assert hom.is_homogeneous()
-            assert hom.n_vars == pencil.n_vars + 1
-    finally:
-        ncrank_mod.VALIDATE_HOMOGENIZE = previous
+def test_homogenize_preserves_rank():
+    for seed in range(3):
+        pencil = random_pencil(2, 3, seed=400 + seed, homogeneous=False)
+        hom = homogenize(pencil)
+        assert hom.is_homogeneous()
+        assert hom.n_vars == pencil.n_vars + 1
+        before = rank_by_substitution(pencil.to_matrix(), seed=20_000)
+        after = rank_by_substitution(hom.to_matrix(), seed=20_001)
+        assert before.rho == after.rho, seed
+
+
+def test_empty_dims_is_bad_input():
+    m = NcMatrix.identity(2, 1)
+    with pytest.raises(InputError):
+        rank_by_substitution(m, dims=())
+    with pytest.raises(InputError):
+        ncrank(m, dims=[])
+
+
+def _golden_matrix() -> NcMatrix:
+    """[[0, 1, 0], [1, 1, 0], [0, 0, x1]]: rho drops to 2 at (1 +- sqrt 5)/2."""
+    z, one, x1 = NcPoly.zero(1), NcPoly.const(1, 1), NcPoly.var(1, 1)
+    return NcMatrix([[z, one, z], [one, one, z], [z, z, x1]])
+
+
+def test_numeric_shift_runs_both_engines():
+    result = ncrank(_golden_matrix(), seed=0, shift=(1 + math.sqrt(5)) / 2)
+    assert result.rho == 2
+    assert result.cross["scaling"] == "nonfull"
+    assert ncrank(_golden_matrix(), seed=0, shift=0.5).rho == 3
+
+
+def test_shifted_zero_matrix_is_full():
+    assert ncrank(NcMatrix.zero(2, 2, 1), seed=0, shift=1.5).rho == 2
+
+
+def test_shift_needs_square_input():
+    with pytest.raises(NonSquareError):
+        ncrank(NcMatrix.zero(2, 3, 1), seed=0, shift=1.5)
 
 
 def test_ncrank_requires_no_square_input():

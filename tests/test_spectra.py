@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,24 @@ def test_affine_diagonal_atom_sits_at_the_constant():
     assert complex(atom.lam) == 3 + 0j
     assert atom.mass == Fraction(1, 2)
     assert report.dimension == Fraction(3, 4)
+
+
+def test_irrational_atoms_are_certified_at_numeric_shifts():
+    # A0 = [[0, 1], [1, 1]] (+) [0] and A1 = e33: the atoms sit at the
+    # eigenvalues (1 +- sqrt 5)/2, which no Gaussian rational matches.
+    z, one, x1 = NcPoly.zero(1), NcPoly.const(1, 1), NcPoly.var(1, 1)
+    matrix = NcMatrix([[z, one, z], [one, one, z], [z, z, x1]])
+    report = central_eigs_pencil(matrix.to_pencil(), seed=0)
+    assert report.uncertified == []
+    root5 = math.sqrt(5)
+    lams = sorted(complex(a.lam).real for a in report.atoms)
+    assert len(lams) == 2
+    assert abs(lams[0] - (1 - root5) / 2) < 1e-9
+    assert abs(lams[1] - (1 + root5) / 2) < 1e-9
+    for atom in report.atoms:
+        assert (atom.rho, atom.mass) == (2, Fraction(1, 3))
+        assert not atom.exact and atom.certified
+    assert report.dimension == Fraction(7, 9)
 
 
 def test_full_homogeneous_part_rules_out_atoms():
