@@ -11,10 +11,13 @@ The fullness engine runs operator scaling on a homogeneous square pencil.
 Let L(B) be the sum of Ai B Ai*.  The pencil is full exactly when L never
 decreases rank on positive semidefinite arguments, and once the
 doubly-stochasticity defect of the scaled tuple drops below 1/(N+1) that
-property is certified.  When scaling stalls, a rank-decreasing witness is
-extracted from the collapsing structure (zero pattern, common kernels, or a
-shrunk subspace located by a Wong sequence from a generic point of the span)
-and re-verified before the nonfull verdict is issued.
+property is certified.  A hollow zero pattern settles nonfullness before any
+iteration.  Otherwise, when scaling collapses, fails its confirmation or runs
+out of budget, one witness search runs, chosen by the kind of input: exact
+coefficients get the exact second Wong sequence (on the tuple, then on its
+adjoint), and numerically shifted coefficients get the collapse directions
+of the scaled tuple.  Every witness is re-verified before the nonfull
+verdict is issued.
 
 Affine pencils are homogenized first; matrices of higher degree are rewritten
 as enlarged pencils with a known rank offset.  The two engines cross-check
@@ -187,7 +190,9 @@ class FullnessCertificate:
     size: int
     defect: float
     iterations: int
-    witness: object = None  # final defect, hollow block, or a PSD matrix
+    witness: object = None  # the PSD matrix B of a nonfull verdict
+    # what decided: the defect criterion, "zero pattern", "exact Wong",
+    # "exact Wong (adjoint)" or "collapse directions"
     detail: str = ""
 
 
@@ -236,10 +241,7 @@ def _scaling_verdict(
     r_cum = np.eye(n, dtype=complex)
     eye = np.eye(n, dtype=complex)
     defect = math.inf
-    clean = True
-    next_extraction = 0
-
-    it = 0
+    reason = "scaling budget exhausted without certificate"
     for it in range(budget):
         s_mat = sum(a @ a.conj().T for a in live)
         t_mat = sum(a.conj().T @ a for a in live)
@@ -248,21 +250,10 @@ def _scaling_verdict(
         floor_s = DEGENERACY_FLOOR * max(s_eigs[-1], 1e-300)
         floor_t = DEGENERACY_FLOOR * max(t_eigs[-1], 1e-300)
         if s_eigs[0] <= floor_s or t_eigs[0] <= floor_t:
-            # The orbit is collapsing; the defect criterion is no longer
-            # numerically faithful, but the collapse directions point at a
-            # shrunk subspace.
-            clean = False
-            if it >= next_extraction:
-                next_extraction = it + 25
-                witness = _collapse_witness(
-                    mats, policy, s_eigs, s_vecs, t_eigs, t_vecs,
-                    l_cum, r_cum, floor_s, floor_t,
-                )
-                if witness is not None:
-                    return FullnessCertificate(
-                        "nonfull", "scaling", n, defect, it, witness,
-                        "kernel collapse",
-                    )
+            # The orbit is collapsing: the defect criterion is no longer
+            # numerically faithful, so fullness can no longer be certified.
+            reason = "the scaling orbit collapsed without a witness"
+            break
         defect = float(
             np.linalg.norm(s_mat - eye) ** 2 + np.linalg.norm(t_mat - eye) ** 2
         )
@@ -271,49 +262,34 @@ def _scaling_verdict(
             # roundoff can dissolve an exact obstruction over many steps
             # without ever tripping the eigenvalue floor.  Confirm fullness
             # by an independent substitution rank before certifying.
-            if clean and _confirm_full(mats, n, policy, seed, exact_pencil):
+            if _confirm_full(mats, n, policy, seed, exact_pencil):
                 return FullnessCertificate(
                     "full", "scaling", n, defect, it, None,
                     "defect below 1/(N+1), confirmed by substitution",
                 )
-            # Either degenerate steps or a failed confirmation; the defect
-            # alone proves nothing, so settle by witness hunt or give up.
-            witness = _search_witness(
-                mats, n, policy, seed, live, l_cum, r_cum, exact_pencil
-            )
-            if witness is not None:
-                b, how = witness
-                return FullnessCertificate(
-                    "nonfull", how, n, defect, it, b, "witness search"
-                )
-            raise Inconclusive(
-                "scaling crossed the defect target without a sound certificate",
-                {"defect": defect, "iterations": it, "size": n, "clean": clean},
-            )
+            reason = "scaling crossed the defect target without a sound certificate"
+            break
         if it % 2 == 0:
-            half = _inv_sqrt(s_eigs, s_vecs, floor_s)
+            half = _inv_sqrt(s_eigs, s_vecs)
             live = [half @ a for a in live]
             l_cum = half @ l_cum
         else:
-            half = _inv_sqrt(t_eigs, t_vecs, floor_t)
+            half = _inv_sqrt(t_eigs, t_vecs)
             live = [a @ half for a in live]
             r_cum = r_cum @ half
+    else:
+        it = budget
 
-    witness = _search_witness(
-        mats, n, policy, seed, live, l_cum, r_cum, exact_pencil
-    )
+    witness = _search_witness(mats, n, policy, seed, live, l_cum, r_cum, exact_pencil)
     if witness is not None:
-        b, how = witness
-        return FullnessCertificate("nonfull", how, n, defect, it, b, "witness search")
-    raise Inconclusive(
-        "scaling budget exhausted without certificate",
-        {"defect": defect, "iterations": budget, "size": n, "clean": clean},
-    )
+        b, detail = witness
+        return FullnessCertificate("nonfull", "scaling", n, defect, it, b, detail)
+    raise Inconclusive(reason, {"defect": defect, "iterations": it, "size": n})
 
 
-def _inv_sqrt(eigs: np.ndarray, vecs: np.ndarray, floor: float) -> np.ndarray:
-    clamped = np.maximum(eigs, max(floor, 1e-300))
-    return (vecs * (1.0 / np.sqrt(clamped))) @ vecs.conj().T
+def _inv_sqrt(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    # the caller has checked that every eigenvalue clears DEGENERACY_FLOOR
+    return (vecs * (1.0 / np.sqrt(eigs))) @ vecs.conj().T
 
 
 def _orthonormal(cols: np.ndarray) -> np.ndarray:
@@ -440,9 +416,18 @@ def _confirm_full_numeric(mats, n, policy, seed, tries: int = 2) -> bool:
 def _verify_witness(
     mats: Sequence[np.ndarray], b: np.ndarray, policy: TolerancePolicy
 ) -> bool:
-    """Re-check that rank L(B) < rank B with independent thresholding."""
+    """Re-check that rank L(B) < rank B with independent thresholding.
+
+    L(B) is bounded a priori by sum ||Ai||^2 ||B||; at roundoff level of that
+    bound it reads as rank 0, as it must for an exact common-kernel witness.
+    Otherwise its rank is read relative to its own largest singular value.
+    """
     rank_b = empirical_rank(b, policy)
-    rank_lb = empirical_rank(_apply_cp(mats, b), policy)
+    lb = _apply_cp(mats, b)
+    bound = sum(np.linalg.norm(a, 2) ** 2 for a in mats) * np.linalg.norm(b, 2)
+    if np.linalg.norm(lb, 2) <= policy.threshold(b.shape[0], bound):
+        return rank_b.clean and rank_b.rank > 0
+    rank_lb = empirical_rank(lb, policy)
     return rank_b.clean and rank_lb.clean and rank_lb.rank < rank_b.rank
 
 
@@ -476,41 +461,16 @@ def _left_to_right_witness(mats, v_basis, policy):
     return w @ w.conj().T
 
 
-def _collapse_witness(
-    mats, policy, s_eigs, s_vecs, t_eigs, t_vecs, l_cum, r_cum, floor_s, floor_t
-):
-    """Witness candidates from the collapsing directions of the scaled tuple.
-
-    Right collapse (tiny eigenvalues of L*(I)) pulls back through the
-    accumulated right transforms; left collapse works on the adjoint tuple
-    through the accumulated left transforms and is then converted.
-    """
-    adj = [a.conj().T for a in mats]
-    k_t = int(np.count_nonzero(t_eigs <= floor_t))
-    for k in range(max(k_t, 1), 0, -1):
-        v0 = _orthonormal(r_cum @ t_vecs[:, :k])
-        v = _refine_shrunk(mats, v0, policy) if v0.shape[1] else None
-        if v is not None:
-            b = v @ v.conj().T
-            if _verify_witness(mats, b, policy):
-                return b
-    k_s = int(np.count_nonzero(s_eigs <= floor_s))
-    for k in range(max(k_s, 1), 0, -1):
-        v0 = _orthonormal(l_cum.conj().T @ s_vecs[:, :k])
-        v = _refine_shrunk(adj, v0, policy) if v0.shape[1] else None
-        if v is not None:
-            b = _left_to_right_witness(mats, v, policy)
-            if b is not None and _verify_witness(mats, b, policy):
-                return b
-    return None
-
-
 def _search_witness(mats, n, policy, seed, scaled, l_cum, r_cum, exact_pencil=None):
     """Hunt for a PSD argument where the quantum operator drops rank.
 
-    The caller has already tried the zero pattern of the same tuple.
+    Returns (B, detail) or None; detail names the path that found B.  Exact
+    input runs only the exact Wong sequence, on the coefficients and then on
+    their adjoints, so no float threshold decides where the subspace lies.
+    Numeric input (a shifted tuple with no exact form) refines the collapse
+    directions of the scaled tuple, mapped back through the accumulated
+    transforms on either side.  Every candidate is re-verified.
     """
-    adj = [a.conj().T for a in mats]
     if exact_pencil is not None:
         coeffs = [[list(row) for row in mat] for mat in exact_pencil.coeffs[1:]]
         coeffs_adj = [
@@ -521,42 +481,29 @@ def _search_witness(mats, n, policy, seed, scaled, l_cum, r_cum, exact_pencil=No
         if v is not None:
             b = v @ v.conj().T
             if _verify_witness(mats, b, policy):
-                return b, "scaling"
+                return b, "exact Wong"
         v = _exact_wong_shrunk(coeffs_adj, n, seed + 303)
         if v is not None:
             b = _left_to_right_witness(mats, v, policy)
             if b is not None and _verify_witness(mats, b, policy):
-                return b, "scaling"
-    rng = np.random.default_rng(seed + 77)
-    v = _wong_shrunk_subspace(mats, n, policy, rng)
-    if v is not None:
-        b = v @ v.conj().T
-        if _verify_witness(mats, b, policy):
-            return b, "scaling"
-    v = _wong_shrunk_subspace(adj, n, policy, rng)
-    if v is not None:
-        b = _left_to_right_witness(mats, v, policy)
-        if b is not None and _verify_witness(mats, b, policy):
-            return b, "scaling"
-    # collapse directions of the scaled tuple, mapped back through the
-    # accumulated transforms on either side
-    s_mat = sum(a @ a.conj().T for a in scaled)
-    t_mat = sum(a.conj().T @ a for a in scaled)
-    s_eigs, s_vecs = np.linalg.eigh(s_mat)
-    t_eigs, t_vecs = np.linalg.eigh(t_mat)
+                return b, "exact Wong (adjoint)"
+        return None
+    adj = [a.conj().T for a in mats]
+    _, s_vecs = np.linalg.eigh(sum(a @ a.conj().T for a in scaled))
+    _, t_vecs = np.linalg.eigh(sum(a.conj().T @ a for a in scaled))
     for k in range(1, n):
         v0 = _orthonormal(r_cum @ t_vecs[:, :k])
         v_ref = _refine_shrunk(mats, v0, policy) if v0.shape[1] else None
         if v_ref is not None:
             b = v_ref @ v_ref.conj().T
             if _verify_witness(mats, b, policy):
-                return b, "scaling"
+                return b, "collapse directions"
         v0 = _orthonormal(l_cum.conj().T @ s_vecs[:, :k])
         v_ref = _refine_shrunk(adj, v0, policy) if v0.shape[1] else None
         if v_ref is not None:
             b = _left_to_right_witness(mats, v_ref, policy)
             if b is not None and _verify_witness(mats, b, policy):
-                return b, "scaling"
+                return b, "collapse directions"
     return None
 
 
@@ -638,48 +585,6 @@ def _exact_wong_shrunk(coeffs, n, seed, tries: int = 4):
                     return _orthonormal(arr)
                 break
             w_cols = w_next
-    return None
-
-
-def _wong_shrunk_subspace(mats, n, policy, rng, tries: int = 6):
-    """Shrunk subspace from a generic point of the coefficient span.
-
-    Starting from W = 0, alternate preimage under the point and image under
-    the whole span.  If the sequence stabilizes inside the column space of
-    the point, the final preimage is strictly shrunk.
-    """
-    for _ in range(tries):
-        coeff = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-        point = sum(c * a for c, a in zip(coeff, mats))
-        u, s, vh = np.linalg.svd(point)
-        if len(s) == 0 or s[0] == 0.0:
-            continue
-        r = int(np.count_nonzero(s > policy.threshold(n, float(s[0]))))
-        if r == n:
-            continue
-        im_basis = u[:, :r]
-        w = np.zeros((n, 0), dtype=complex)
-        ok = True
-        for _ in range(n + 1):
-            if w.shape[1] > 0:
-                leak = np.linalg.norm(w - im_basis @ (im_basis.conj().T @ w))
-                if leak > 1e-7 * math.sqrt(max(w.shape[1], 1)):
-                    ok = False
-                    break
-            proj = np.eye(n, dtype=complex) - w @ w.conj().T
-            v = _kernel(proj @ point, policy)
-            w_next = _colspace(
-                np.hstack([a @ v for a in mats]) if v.shape[1] else np.zeros((n, 0)),
-                policy,
-            )
-            if w_next.shape[1] == w.shape[1]:
-                if v.shape[1] > w.shape[1]:
-                    return v
-                ok = False
-                break
-            w = w_next
-        if not ok:
-            continue
     return None
 
 
@@ -765,7 +670,6 @@ def ncrank(
     trials: int = 2,
     seed: int = 0,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    cross_check: bool = True,
     shift: complex = 0,
 ) -> RankResult:
     """Inner rank of matrix - shift*1 with cross-validation between the engines.
@@ -787,7 +691,7 @@ def ncrank(
     sub = rank_by_substitution(
         matrix, dims=dims, trials=trials, seed=seed, policy=policy, shift=shift
     )
-    if not cross_check or matrix.has_star():
+    if matrix.has_star():
         return sub
     cross: dict = {}
     if matrix.degree <= 1:

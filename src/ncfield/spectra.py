@@ -37,6 +37,9 @@ from .scalars import GaussianRational, snap_to_gaussian_rational
 
 LambdaLike = Union[GaussianRational, complex, int, Fraction]
 
+WINDOW_FACTOR = 4.0
+COUNT_FACTOR = 0.6
+
 
 @dataclass
 class SpectralAtom:
@@ -160,13 +163,11 @@ def central_eigs_polymatrix(
     kind: str = "gue",
     policy: TolerancePolicy = DEFAULT_POLICY,
     certify: bool = True,
-    window_factor: float = 4.0,
-    count_factor: float = 0.6,
 ) -> SpectrumReport:
     """Central eigenvalues of a polynomial matrix from one spectral sample.
 
-    Atom candidates are windows of width window_factor/sqrt(d) holding at
-    least count_factor*d/N eigenvalues.  With certification on, each
+    Atom candidates are windows of width WINDOW_FACTOR/sqrt(d) holding at
+    least COUNT_FACTOR*d/N eigenvalues.  With certification on, each
     candidate must pass a rank decision on the shifted matrix.
     """
     if not matrix.is_square():
@@ -186,8 +187,8 @@ def central_eigs_polymatrix(
     hermitian = scale == 0.0 or float(
         np.linalg.norm(value - value.conj().T)
     ) <= 1e-10 * scale
-    window = window_factor / math.sqrt(d)
-    min_count = count_factor * d / n
+    window = WINDOW_FACTOR / math.sqrt(d)
+    min_count = COUNT_FACTOR * d / n
     if hermitian:
         eigs = np.linalg.eigvalsh((value + value.conj().T) / 2)
         raw = _real_atom_clusters(eigs, window, min_count)
@@ -229,8 +230,10 @@ def _certify_candidates(report, matrix, candidates, seed, policy, dims, trials):
                 matrix, snapped, seed + 100 + 7 * k, policy, dims, trials
             )
             exact = rho is not None
-        if rho is None or rho == n:
-            # retry at the raw numeric location before discarding
+        same_point = snapped is not None and complex(snapped) == complex(z)
+        if rho is None or (rho == n and not same_point):
+            # retry at the raw numeric location before discarding, unless
+            # that is the point just decided
             rho_num, cert_num = _rho_of_shift(
                 matrix, complex(z), seed + 500 + 7 * k, policy, dims, trials
             )

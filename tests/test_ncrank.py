@@ -27,6 +27,7 @@ from ncfield import (
     verify_nonfull_witness,
 )
 from ncfield.errors import Inconclusive, InputError, NonSquareError
+from ncfield.ncrank import _exact_wong_shrunk
 
 
 def _pencil(coeff_lists, n_vars):
@@ -87,6 +88,7 @@ def test_hidden_hollow_matrices_are_caught():
         assert m.hollow_block() is None, seed
         cert = fullness_scaling(m.to_pencil(), seed=seed)
         assert cert.verdict == "nonfull", seed
+        assert cert.detail.startswith("exact Wong"), (seed, cert.detail)
         assert verify_nonfull_witness(m.to_pencil(), cert.witness), seed
         sub = rank_by_substitution(m, seed=seed)
         assert sub.rho < 4, seed
@@ -95,6 +97,21 @@ def test_hidden_hollow_matrices_are_caught():
 def test_witness_rejected_on_full_pencil():
     pencil = random_pencil(2, 3, seed=41, homogeneous=True)
     assert not verify_nonfull_witness(pencil, np.eye(3, dtype=complex))
+    rng = np.random.default_rng(41)
+    v = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    assert not verify_nonfull_witness(pencil, v @ v.conj().T)
+
+
+def test_exact_common_kernel_witness_is_accepted():
+    # The exact Wong sequence finds a vector v with Ai v = 0 for every i, so
+    # L(vv*) is pure roundoff and must read as rank 0, not as rank 1.
+    pencil = conjugated_hollow_matrix(4, 2, seed=19).to_pencil()
+    coeffs = [[list(row) for row in mat] for mat in pencil.coeffs[1:]]
+    v = _exact_wong_shrunk(coeffs, 4, seed=101)
+    assert v is not None and v.shape == (4, 1)
+    b = v @ v.conj().T
+    assert np.linalg.norm(quantum_op_apply(pencil, b)) < 1e-8
+    assert verify_nonfull_witness(pencil, b)
 
 
 def test_scaling_with_no_budget_is_inconclusive_not_full():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from ncfield import (
     central_eigs_polymatrix,
     entropy_dimension,
     esd,
+    ncrank,
     random_pencil,
     sample,
 )
@@ -85,6 +87,23 @@ def test_affine_diagonal_atom_sits_at_the_constant():
     assert complex(atom.lam) == 3 + 0j
     assert atom.mass == Fraction(1, 2)
     assert report.dimension == Fraction(3, 4)
+
+
+def test_full_exact_candidate_is_decided_once(monkeypatch):
+    # [[x1, 0], [0, 0]] + diag(0, 1): candidate 0 is full, candidate 1 an atom.
+    spectra = importlib.import_module("ncfield.spectra")
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(ncrank(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(spectra, "ncrank", counted)
+    z, one, x1 = NcPoly.zero(1), NcPoly.const(1, 1), NcPoly.var(1, 1)
+    report = central_eigs_pencil(NcMatrix([[x1, z], [z, one]]).to_pencil(), seed=0)
+    assert [complex(a.lam) for a in report.atoms] == [1 + 0j]
+    # the homogeneous part and candidate 1 have rho 1; only candidate 0 is full
+    assert sorted(r.rho for r in results) == [1, 1, 2]
 
 
 def test_irrational_atoms_are_certified_at_numeric_shifts():
