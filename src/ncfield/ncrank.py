@@ -300,16 +300,6 @@ def _orthonormal(cols: np.ndarray) -> np.ndarray:
     return q[:, keep]
 
 
-def _colspace(m: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(m)
-    if len(s) == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
-    r = int(np.count_nonzero(s > policy.threshold(max(m.shape), float(s[0]))))
-    return u[:, :r]
-
-
 def _kernel(m: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
     if m.size == 0:
         return np.eye(m.shape[1], dtype=complex)
@@ -418,17 +408,22 @@ def _verify_witness(
 ) -> bool:
     """Re-check that rank L(B) < rank B with independent thresholding.
 
-    L(B) is bounded a priori by sum ||Ai||^2 ||B||; at roundoff level of that
-    bound it reads as rank 0, as it must for an exact common-kernel witness.
-    Otherwise its rank is read relative to its own largest singular value.
+    With B = GG* on its numeric range, L(B) = KK* for K = [A1 G, ..., Am G],
+    which is linear in the Ai.  K below the threshold of its a-priori bound
+    sqrt(sum ||Ai||^2 ||B||) reads as rank 0, as for an exact common-kernel
+    witness; otherwise rank L(B) is read against its own largest value.
     """
     rank_b = empirical_rank(b, policy)
-    lb = _apply_cp(mats, b)
-    bound = sum(np.linalg.norm(a, 2) ** 2 for a in mats) * np.linalg.norm(b, 2)
-    if np.linalg.norm(lb, 2) <= policy.threshold(b.shape[0], bound):
-        return rank_b.clean and rank_b.rank > 0
-    rank_lb = empirical_rank(lb, policy)
-    return rank_b.clean and rank_lb.clean and rank_lb.rank < rank_b.rank
+    if not rank_b.clean or rank_b.rank == 0:
+        return False
+    eigs, vecs = np.linalg.eigh(b)
+    g = vecs[:, -rank_b.rank:] * np.sqrt(eigs[-rank_b.rank:])
+    k = np.hstack([a @ g for a in mats])
+    bound = math.sqrt(sum(np.linalg.norm(a, 2) ** 2 for a in mats) * rank_b.sigma_max)
+    if np.linalg.norm(k, 2) <= policy.threshold(b.shape[0], bound):
+        return True
+    rank_lb = empirical_rank(_apply_cp(mats, b), policy)
+    return rank_lb.clean and rank_lb.rank < rank_b.rank
 
 
 def verify_nonfull_witness(
@@ -596,8 +591,7 @@ def _refine_shrunk(mats, v0, policy, rounds: int = 8):
         if s == 0:
             return None
         stacked = np.hstack([a @ v for a in mats])
-        image = _colspace(stacked, policy)
-        if image.shape[1] < s:
+        if empirical_rank(stacked, policy).rank < s:
             return v
         u, _, _ = np.linalg.svd(stacked)
         w = u[:, : s - 1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +101,13 @@ def test_witness_rejected_on_full_pencil():
     rng = np.random.default_rng(41)
     v = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
     assert not verify_nonfull_witness(pencil, v @ v.conj().T)
+    # x1 * diag(1, eps) is full; e2 is only a near kernel: L(e2 e2*) has norm
+    # eps^2, far below roundoff of sum ||Ai||^2 for eps = 1e-9, but A1 e2 has
+    # norm eps, which clears the threshold.
+    e22 = np.diag([0.0, 1.0]).astype(complex)
+    for eps in (Fraction(1, 10**6), Fraction(1, 10**9)):
+        pencil = _pencil([[[0, 0], [0, 0]], [[1, 0], [0, eps]]], 1)
+        assert not verify_nonfull_witness(pencil, e22), eps
 
 
 def test_exact_common_kernel_witness_is_accepted():
