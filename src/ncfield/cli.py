@@ -73,6 +73,9 @@ def scalar_from_json(value, path: str) -> GaussianRational:
     if isinstance(value, int):
         return GaussianRational(value)
     if isinstance(value, float):
+        # JSON NaN and Infinity parse to floats that have no exact value
+        if not math.isfinite(value):
+            raise InputError(f"{path}: not a finite number")
         return GaussianRational(Fraction(value))
     if isinstance(value, str):
         try:

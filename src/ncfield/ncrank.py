@@ -44,7 +44,14 @@ from .errors import (
 )
 from .ncpoly import LinearPencil, Letter, NcMatrix, NcPoly
 from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_rank, sample
-from .scalars import GaussianRational, colspace_exact, kernel_exact, rank_exact
+from .scalars import (
+    _P,
+    GaussianRational,
+    colspace_exact,
+    kernel_exact,
+    rank_mod_p,
+    residues_mod_p,
+)
 
 SCALING_BUDGET_FACTOR = 200
 
@@ -317,70 +324,55 @@ def _confirm_full(mats, n, policy, seed, exact_pencil):
     inner factorization through rho columns evaluates to a factorization
     through rho * d columns.  A substitution of full rank n * d therefore
     proves rho = n, and d = n - 1 is large enough for some substitution to
-    reach that rank whenever the pencil is full.
+    reach that rank whenever the pencil is full (Derksen-Makam).  Exact
+    coefficients are checked at an integer substitution by rank mod p, so
+    the proof needs no float threshold.
     """
     if exact_pencil is not None:
         return _confirm_full_exact(exact_pencil, seed)
     return _confirm_full_numeric(mats, n, policy, seed)
 
 
-def _confirm_full_exact(pencil: LinearPencil, seed: int, tries: int = 3) -> bool:
-    """Exact substitution rank check; True rigorously certifies fullness.
+def _confirm_full_exact(pencil: LinearPencil, seed: int) -> bool:
+    """Blow-up rank check over F_p; True rigorously certifies fullness.
 
-    Starred slots receive the conjugate transpose of the base letter's
-    substitution, so the check is also valid over the doubled alphabet.
-    ``rank_exact`` reads the blow-up's rank mod p first: reduction mod p
-    never raises rank, so rank n * d mod p is already a proof, and any
-    other reading is settled by exact elimination over Q(i).
-    False only means the random draws missed full rank, never nonfullness.
+    Each Xi is one d x d matrix drawn uniformly from F_p, lifted to the
+    integer matrix of its residues.  Over Q(i) the lifted blow-up
+    A0 (x) I + sum Ai (x) Xi reduces entrywise to the int64 blow-up built
+    here, and reduction mod p is a ring homomorphism (i maps to a square
+    root of -1), so every minor maps to the reduced minor and rank mod p
+    never exceeds the rank of the lifted substitution.  Rank n * d mod p
+    therefore proves fullness.  The lift is real, so a starred slot takes
+    its adjoint Xi^T.  When det of the blow-up is nonzero as a polynomial
+    mod p, of degree n * d in the entries of the Xi, one uniform draw
+    misses it with probability at most n * d / p (Schwartz-Zippel).
+    False (a miss, an unlucky prime, or a denominator divisible by p) only
+    means "not confirmed", never nonfullness.
     """
     n = pencil.rows
     d = max(1, n - 1)
-    rng = random.Random((seed << 8) ^ 0x5CA1E)
-    zero = GaussianRational(0)
-    for attempt in range(tries):
-        span = 2 + 2 * attempt
-        subs = {}
-        for idx in range(1, pencil.n_vars + 1):
-            subs[idx] = [
-                [
-                    GaussianRational(
-                        rng.randint(-span, span), rng.randint(-span, span)
-                    )
-                    for _ in range(d)
-                ]
-                for _ in range(d)
-            ]
-        big = [[zero] * (n * d) for _ in range(n * d)]
-        const = pencil.coeffs[0]
-        for i in range(n):
-            for j in range(n):
-                c = const[i][j]
-                if c.is_zero():
-                    continue
-                for p in range(d):
-                    big[i * d + p][j * d + p] += c
-        for pos in range(1, pencil.n_letters + 1):
-            letter = pencil.letter(pos)
-            base = subs[letter.index]
-            if letter.star:
-                block = [
-                    [base[q][p].conjugate() for q in range(d)] for p in range(d)
-                ]
-            else:
-                block = base
-            mat = pencil.coeffs[pos]
-            for i in range(n):
-                for j in range(n):
-                    c = mat[i][j]
-                    if c.is_zero():
-                        continue
-                    for p in range(d):
-                        for q in range(d):
-                            big[i * d + p][j * d + q] += c * block[p][q]
-        if rank_exact(big) == n * d:
-            return True
-    return False
+    rng = np.random.default_rng(((seed << 8) ^ 0x5CA1E) % 2**64)
+    subs = [rng.integers(0, _P, size=(d, d)) for _ in range(pencil.n_vars)]
+    big = _blowup_mod_p(pencil, subs)
+    return big is not None and rank_mod_p(big) == n * d
+
+
+def _blowup_mod_p(pencil: LinearPencil, subs) -> Optional[np.ndarray]:
+    """A0 (x) I + sum Ai (x) Xi mod p, with Xi^T in the starred slots.
+
+    ``subs[k]`` is the residue matrix for letter k + 1.  None when a
+    coefficient has a denominator divisible by p.
+    """
+    residues = [residues_mod_p(mat) for mat in pencil.coeffs]
+    if any(r is None for r in residues):
+        return None
+    big = np.kron(residues[0], np.eye(subs[0].shape[0], dtype=np.int64))
+    for pos in range(1, pencil.n_letters + 1):
+        letter = pencil.letter(pos)
+        x = subs[letter.index - 1]
+        # a product of residues is below 2^62, so adding one residue fits int64
+        big = (big + np.kron(residues[pos], x.T if letter.star else x)) % _P
+    return big
 
 
 def _confirm_full_numeric(mats, n, policy, seed, tries: int = 2) -> bool:

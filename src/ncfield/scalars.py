@@ -232,36 +232,22 @@ def colspace_exact(rows: list) -> list:
     return [[GaussianRational.coerce(row[c]) for row in rows] for c in pivots]
 
 
-def rank_exact(rows: list) -> int:
-    """Exact rank over Q(i) of a matrix with GaussianRational entries.
-
-    The rank is read mod p first.  Reduction mod p is a ring homomorphism
-    on the Gaussian rationals whose denominators are prime to p, so every
-    minor maps to the reduced minor and the rank mod p is never above the
-    rank over Q(i).  Rank mod p equal to min(rows, cols) therefore
-    certifies full rank.  Otherwise (a smaller rank mod p, or a
-    denominator divisible by p) exact elimination decides, so the result is
-    always the exact rank.
-    """
-    if not rows:
-        return 0
-    full = min(len(rows), len(rows[0]))
-    if _rank_mod_p(rows) == full:
-        return full
-    return len(rref_exact(rows)[1])
-
-
 # A prime with p = 1 (mod 4), so -1 has the square root _IOTA in F_p and
 # i reduces entrywise.  p < 2^31 keeps every product of residues below 2^62.
 _P = 2147483629
 _IOTA = 1518275076
 
 
-def _rank_mod_p(rows: list):
-    """Rank mod _P by int64 elimination, or None if it is not defined.
+def residues_mod_p(rows: list):
+    """Entrywise reduction of a Q(i) matrix into F_p, as an int64 array.
 
-    None means a ragged input or a denominator divisible by _P.
+    Reduction mod p is a ring homomorphism on the Gaussian rationals whose
+    denominators are prime to p (i maps to a square root of -1), so every
+    minor maps to the reduced minor.  Returns None for a ragged input or a
+    denominator divisible by p, where the homomorphism is not defined.
     """
+    if not rows:
+        return np.zeros((0, 0), dtype=np.int64)
     n_cols = len(rows[0])
     flat = []
     for row in rows:
@@ -276,10 +262,21 @@ def _rank_mod_p(rows: list):
                 (re.numerator * pow(re.denominator, -1, _P)
                  + _IOTA * im.numerator * pow(im.denominator, -1, _P)) % _P
             )
-    m = np.array(flat, dtype=np.int64).reshape(len(rows), n_cols)
+    return np.array(flat, dtype=np.int64).reshape(len(rows), n_cols)
+
+
+def rank_mod_p(m: np.ndarray) -> int:
+    """Rank over F_p of a residue matrix, by int64 elimination on a copy.
+
+    Reduction never raises rank, so this is a lower bound on the rank over
+    Q(i) of any matrix that reduces to ``m``, and it certifies full rank
+    when it reads min(rows, cols).
+    """
+    m = np.array(m, dtype=np.int64)
+    n_rows, n_cols = m.shape
     rank = 0
     for col in range(n_cols):
-        if rank == len(rows):
+        if rank == n_rows:
             break
         nonzero = np.flatnonzero(m[rank:, col])
         if nonzero.size == 0:

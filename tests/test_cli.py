@@ -88,6 +88,22 @@ def test_bad_scalar_error_carries_the_json_path(capsys, tmp_path):
     assert "coeffs.A1[1][1]" in err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_scalar_is_bad_input(capsys, tmp_path, value):
+    doc = {
+        "n_vars": 1,
+        "rows": 1,
+        "cols": 1,
+        "coeffs": {"A0": [[value]], "A1": [[1]]},
+    }
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc))  # written as the JSON tokens NaN and Infinity
+    code, _, err = _run(capsys, ["rank", "--pencil", str(path)])
+    assert code == 1
+    assert "coeffs.A0[0][0]: not a finite number" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_and_invalid_json_exit_one(capsys, tmp_path):
     code, _, err = _run(capsys, ["rank", "--pencil", str(tmp_path / "nope.json")])
     assert code == 1 and "cannot read" in err

@@ -28,7 +28,8 @@ from ncfield import (
     verify_nonfull_witness,
 )
 from ncfield.errors import Inconclusive, InputError, NonSquareError
-from ncfield.ncrank import _exact_wong_shrunk
+from ncfield.ncrank import _blowup_mod_p, _confirm_full_exact, _exact_wong_shrunk
+from ncfield.scalars import _P, GaussianRational, residues_mod_p
 
 
 def _pencil(coeff_lists, n_vars):
@@ -250,6 +251,97 @@ def test_cubic_with_four_words_has_rank_one():
     result = ncrank(m, seed=3)
     assert result.rho == 1
     assert time.perf_counter() - start < 5.0
+
+
+def _affine(rng: random.Random) -> NcPoly:
+    c0, c1, c2 = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3))
+    return (
+        NcPoly.const(c0, 2)
+        + NcPoly.var(1, 2) * NcPoly.const(c1, 2)
+        + NcPoly.var(2, 2) * NcPoly.const(c2, 2)
+    )
+
+
+def test_rank_one_product_of_affine_polynomials():
+    # A 2x1 times 1x2 product has rho = 1 and degree 2: N = 18, border 16.
+    rng = random.Random(6)
+    left = NcMatrix([[_affine(rng)], [_affine(rng)]], 2)
+    right = NcMatrix([[_affine(rng), _affine(rng)]], 2)
+    m = left @ right
+    pencil, border = linearize_matrix(m)
+    assert (pencil.rows, border) == (18, 16)
+    start = time.perf_counter()
+    result = ncrank(m, seed=0)
+    assert time.perf_counter() - start < 10.0
+    assert result.rho == 1
+    assert result.cross["scaling"] == "nonfull"
+
+
+def _blowup_over_q(pencil: LinearPencil, subs) -> list:
+    """The Q(i) blow-up at the integer lift of subs, with adjoints in starred slots."""
+    n, d = pencil.rows, subs[0].shape[0]
+    big = [[GaussianRational(0)] * (n * d) for _ in range(n * d)]
+    for pos in range(pencil.n_letters + 1):
+        if pos == 0:
+            block = [[GaussianRational(int(p == q)) for q in range(d)] for p in range(d)]
+        else:
+            letter = pencil.letter(pos)
+            x = subs[letter.index - 1]
+            block = [
+                [
+                    GaussianRational(int(x[q, p])).conjugate()
+                    if letter.star
+                    else GaussianRational(int(x[p, q]))
+                    for q in range(d)
+                ]
+                for p in range(d)
+            ]
+        for i in range(n):
+            for j in range(n):
+                c = pencil.coeffs[pos][i][j]
+                for p in range(d):
+                    for q in range(d):
+                        big[i * d + p][j * d + q] += c * block[p][q]
+    return big
+
+
+@pytest.mark.parametrize(
+    "n, n_vars, star, d", [(2, 1, False, 3), (3, 2, False, 2), (2, 2, True, 3)]
+)
+def test_blowup_mod_p_reduces_the_exact_blowup(n, n_vars, star, d):
+    rng = random.Random(n * 10 + d)
+    slots = 1 + (2 * n_vars if star else n_vars)
+    coeffs = [
+        [
+            [
+                GaussianRational(
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                )
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        for _ in range(slots)
+    ]
+    pencil = LinearPencil(coeffs, n_vars, star_letters=star)
+    draw = np.random.default_rng(n * d)
+    subs = [draw.integers(0, _P, size=(d, d)) for _ in range(n_vars)]
+    assert (_blowup_mod_p(pencil, subs) == residues_mod_p(_blowup_over_q(pencil, subs))).all()
+
+
+@pytest.mark.parametrize("size", [3, 4, 5])
+def test_confirmation_rejects_conjugated_hollow_pencils(size):
+    for seed in range(5):
+        pencil = conjugated_hollow_matrix(size, 2, seed=100 * size + seed).to_pencil()
+        assert not _confirm_full_exact(pencil, seed)
+
+
+def test_confirmation_without_residues_is_not_full():
+    full = LinearPencil([[[0]], [[1]]], 1)
+    assert _confirm_full_exact(full, 0)
+    no_residue = LinearPencil([[[0]], [[Fraction(1, _P)]]], 1)
+    assert not _confirm_full_exact(no_residue, 0)
 
 
 def test_zero_and_identity_matrices():

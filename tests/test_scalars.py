@@ -1,4 +1,7 @@
-"""Exact scalar arithmetic: field axioms, parsing, snapping, exact rank."""
+"""Exact scalar arithmetic: field axioms, parsing, snapping, exact rank.
+
+Rank mod p is read against exact elimination (``rref_exact``) as the oracle.
+"""
 
 from __future__ import annotations
 
@@ -14,8 +17,8 @@ from ncfield.scalars import (
     I,
     ONE,
     ZERO,
-    _rank_mod_p,
-    rank_exact,
+    rank_mod_p,
+    residues_mod_p,
     rref_exact,
     snap_to_gaussian_rational,
 )
@@ -105,14 +108,34 @@ def test_snap_recovers_small_rationals():
     assert snap_to_gaussian_rational(0.1234567, tol=1e-9) is None
 
 
+def _exact_rank(rows: list) -> int:
+    return len(rref_exact(rows)[1])
+
+
+def _rank_p(rows: list) -> int:
+    return rank_mod_p(residues_mod_p(rows))
+
+
 def test_rank_exact_known_cases():
-    assert rank_exact([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    assert rank_exact([[ONE, ZERO], [ZERO, ONE]]) == 2
-    assert rank_exact([[ZERO, ZERO], [ZERO, ZERO]]) == 0
-    assert rank_exact([]) == 0
-    # i * first row equals second row, so the rank drops.
-    rows = [[ONE, I], [I, GaussianRational(-1)]]
-    assert rank_exact(rows) == 1
+    cases = [
+        ([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], 1),
+        ([[ONE, ZERO], [ZERO, ONE]], 2),
+        ([[ZERO, ZERO], [ZERO, ZERO]], 0),
+        ([], 0),
+        # i * first row equals second row, so the rank drops.
+        ([[ONE, I], [I, GaussianRational(-1)]], 1),
+    ]
+    for rows, rank in cases:
+        assert _exact_rank(rows) == rank
+        assert _rank_p(rows) == rank
+
+
+def test_rank_mod_p_leaves_its_input_alone():
+    m = residues_mod_p([[2, 4], [1, 3]])
+    before = m.copy()
+    assert rank_mod_p(m) == 2
+    assert (m == before).all()
+    assert residues_mod_p([[1, 2], [3]]) is None
 
 
 def test_rank_exact_matches_float_rank_on_random_integer_matrices():
@@ -129,9 +152,11 @@ def test_rank_exact_matches_float_rank_on_random_integer_matrices():
             [sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0)) for j in range(m)]
             for i in range(n)
         ]
-        exact = rank_exact([[GaussianRational(v) for v in row] for row in prod])
+        rows = [[GaussianRational(v) for v in row] for row in prod]
         floats = np.array([[float(v) for v in row] for row in prod])
+        exact = _exact_rank(rows)
         assert exact == np.linalg.matrix_rank(floats), f"trial {trial}"
+        assert _rank_p(rows) == exact, f"trial {trial}"
         assert exact <= r
 
 
@@ -153,8 +178,8 @@ def test_rank_exact_matches_elimination_on_planted_ranks():
         m = rng.randint(1, 8)
         r = rng.randint(0, min(n, m))
         rows = _planted(rng, n, m, r)
-        expected = len(rref_exact(rows)[1])
-        assert rank_exact(rows) == expected, f"trial {trial}"
+        expected = _exact_rank(rows)
+        assert _rank_p(rows) == expected, f"trial {trial}"
         assert expected <= r
         if expected == min(n, m):
             full += 1
@@ -164,9 +189,9 @@ def test_rank_exact_matches_elimination_on_planted_ranks():
 
 
 @pytest.mark.parametrize(
-    "rows, rank_mod_p, rank",
+    "rows, mod_p, rank",
     [
-        # det = p: the rank drops mod p, so exact elimination decides.
+        # det = p: the rank drops mod p below the exact rank.
         ([[_P, 0], [0, 1]], 1, 2),
         ([[1, 1], [1, 1 + _P]], 1, 2),
         # A denominator divisible by p has no residue.
@@ -179,7 +204,11 @@ def test_rank_exact_matches_elimination_on_planted_ranks():
         ([[]], 0, 0),
     ],
 )
-def test_rank_exact_falls_back_where_the_prime_is_unlucky(rows, rank_mod_p, rank):
-    assert _rank_mod_p(rows) == rank_mod_p
-    assert rank_exact(rows) == rank
-    assert len(rref_exact(rows)[1]) == rank
+def test_rank_exact_falls_back_where_the_prime_is_unlucky(rows, mod_p, rank):
+    """Rank mod p is a lower bound: equal, lower, or undefined (None)."""
+    residues = residues_mod_p(rows)
+    if mod_p is None:
+        assert residues is None
+    else:
+        assert rank_mod_p(residues) == mod_p
+    assert _exact_rank(rows) == rank
