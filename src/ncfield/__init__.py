@@ -91,7 +91,6 @@ from .randmat import (
 )
 from .freegroup import (
     GroupBall,
-    SparseOp,
     ball_size,
     build_ball,
     commutator_defect,
@@ -179,7 +178,6 @@ __all__ = [
     "DEFAULT_POLICY",
     # free group dual system
     "GroupBall",
-    "SparseOp",
     "ball_size",
     "build_ball",
     "left_regular",

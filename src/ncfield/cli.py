@@ -208,11 +208,8 @@ def load_json(path: str):
 
 
 def _policy(args) -> TolerancePolicy:
-    tol = getattr(args, "tol", 1.0)
-    if tol <= 0:
-        raise InputError("--tol must be positive")
     return TolerancePolicy(
-        rank_factor=DEFAULT_POLICY.rank_factor * tol,
+        rank_factor=DEFAULT_POLICY.rank_factor * args.tol,
         gap_min=DEFAULT_POLICY.gap_min,
     )
 
@@ -410,6 +407,11 @@ def cmd_dualcheck(args) -> int:
 def cmd_scan(args) -> int:
     policy = _policy(args)
     if args.what == "integrality":
+        if args.size < 1 or args.n_vars < 1 or args.degree < 0:
+            raise InputError(
+                "integrality scan needs --size and --n-vars at least 1 "
+                "and --degree at least 0"
+            )
         corpus = [
             random_poly_matrix(
                 n_vars=args.n_vars,
@@ -488,11 +490,22 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _tolerance(text: str) -> float:
+    """The --tol factor: a finite number above zero."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return tol
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1234, help="master RNG seed")
     p.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=1.0,
         help="multiplier applied to the default tolerance thresholds",
     )

@@ -34,18 +34,16 @@ in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .errors import InputError
-from .scalars import GaussianRational
 
 Word = Tuple[int, ...]
 
 # Refuse to materialize balls beyond this many words.
 BALL_SIZE_GUARD = 10**6
-
-_ONE = GaussianRational(1)
 
 
 def ball_size(n: int, radius: int) -> int:
@@ -107,10 +105,14 @@ class GroupBall:
     def size(self) -> int:
         return len(self.words)
 
-    def interior_indices(self) -> Tuple[int, ...]:
-        """Indices of words of length <= radius - 1 (safe under one U_i)."""
-        limit = self.radius - 1
-        return tuple(k for k, w in enumerate(self.words) if len(w) <= limit)
+    @property
+    def interior_count(self) -> int:
+        """Number of words of length <= radius - 1 (safe under one U_i)."""
+        return ball_size(self.n, self.radius - 1)
+
+    def interior_indices(self) -> range:
+        """Indices of the interior words, a prefix of the canonical order."""
+        return range(self.interior_count)
 
     def contains(self, word: Word) -> bool:
         return word in self.index
@@ -122,12 +124,17 @@ def build_ball(n: int, radius: int) -> GroupBall:
         raise InputError(f"need at least one generator, got n={n}")
     if radius < 1:
         raise InputError(f"ball radius must be at least 1, got {radius}")
-    count = ball_size(n, radius)
-    if count > BALL_SIZE_GUARD:
-        raise InputError(
-            f"ball of radius {radius} over {n} generators holds {count} "
-            f"words, beyond the {BALL_SIZE_GUARD} limit"
-        )
+    # Count shell by shell and stop at the guard, so a huge radius is
+    # refused at once instead of forming a count with thousands of digits.
+    count, shell_size = 1, 2 * n
+    for _ in range(radius):
+        count += shell_size
+        if count > BALL_SIZE_GUARD:
+            raise InputError(
+                f"ball of radius {radius} over {n} generators holds more "
+                f"than {BALL_SIZE_GUARD} words"
+            )
+        shell_size *= 2 * n - 1
     letters: List[int] = []
     for i in range(1, n + 1):
         letters.extend((i, -i))
@@ -146,100 +153,38 @@ def build_ball(n: int, radius: int) -> GroupBall:
     return GroupBall(n=n, radius=radius, words=tuple(words), index=index)
 
 
-@dataclass(frozen=True)
-class SparseOp:
-    """Finitely supported exact operator on the span of the ball's words.
+def left_regular(i: int, ball: GroupBall) -> np.ndarray:
+    """Truncation of U_i = lambda(g_i) as an index array.
 
-    ``entries`` maps (row, col) to a nonzero Gaussian rational.  The two
-    operator families built here are partial permutations, so every column
-    holds at most one entry of value 1, but the arithmetic below does not
-    rely on that.
-    """
-
-    dim: int
-    entries: Dict[Tuple[int, int], GaussianRational] = field(compare=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseOp):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
-
-    def apply_basis(self, col: int) -> Dict[int, GaussianRational]:
-        """Image of the basis vector delta_col as a sparse column."""
-        out: Dict[int, GaussianRational] = {}
-        for (r, c), val in self.entries.items():
-            if c == col:
-                out[r] = out.get(r, GaussianRational(0)) + val
-        return {r: v for r, v in out.items() if not v.is_zero()}
-
-    def apply(self, vec: Dict[int, GaussianRational]) -> Dict[int, GaussianRational]:
-        """Apply to a sparse vector (index -> coefficient)."""
-        out: Dict[int, GaussianRational] = {}
-        for (r, c), val in self.entries.items():
-            coeff = vec.get(c)
-            if coeff is not None:
-                out[r] = out.get(r, GaussianRational(0)) + val * coeff
-        return {r: v for r, v in out.items() if not v.is_zero()}
-
-    def adjoint(self) -> "SparseOp":
-        flipped = {(c, r): val.conjugate() for (r, c), val in self.entries.items()}
-        return SparseOp(dim=self.dim, entries=flipped)
-
-    def compose(self, other: "SparseOp") -> "SparseOp":
-        """self after other, as a sparse product."""
-        if self.dim != other.dim:
-            raise InputError("operator dimensions differ")
-        by_col: Dict[int, List[Tuple[int, GaussianRational]]] = {}
-        for (r, c), val in self.entries.items():
-            by_col.setdefault(c, []).append((r, val))
-        product: Dict[Tuple[int, int], GaussianRational] = {}
-        for (mid, col), val in other.entries.items():
-            for row, lead in by_col.get(mid, ()):
-                key = (row, col)
-                acc = product.get(key, GaussianRational(0)) + lead * val
-                if acc.is_zero():
-                    product.pop(key, None)
-                else:
-                    product[key] = acc
-        return SparseOp(dim=self.dim, entries=product)
-
-    def column_support(self) -> Dict[int, int]:
-        """Number of nonzero entries per column (for structure checks)."""
-        counts: Dict[int, int] = {}
-        for (_, c) in self.entries:
-            counts[c] = counts.get(c, 0) + 1
-        return counts
-
-
-def left_regular(i: int, ball: GroupBall) -> SparseOp:
-    """Truncation of U_i = lambda(g_i): delta_h -> delta_{g_i h}.
-
-    Images that would leave the ball are dropped, which is exactly why the
-    commutator identity is only asserted on interior vectors.
+    Entry h holds the index of g_i h, or -1 where that word leaves the ball;
+    U_i is a partial permutation, so this array is the whole operator.
+    Dropping the images that leave the ball is exactly why the commutator
+    identity is only asserted on interior vectors.
     """
     _check_generator(i, ball)
-    entries: Dict[Tuple[int, int], GaussianRational] = {}
-    for col, word in enumerate(ball.words):
-        image = left_multiply(i, word)
-        row = ball.index.get(image)
-        if row is not None:
-            entries[(row, col)] = _ONE
-    return SparseOp(dim=ball.size, entries=entries)
+    index = ball.index
+    return np.fromiter(
+        (index.get(left_multiply(i, w), -1) for w in ball.words),
+        dtype=np.int64,
+        count=ball.size,
+    )
 
 
-def dual_op(i: int, ball: GroupBall) -> SparseOp:
+def dual_op(i: int, ball: GroupBall) -> np.ndarray:
     """The dual operator V_i: delta_h -> delta_{h g_i^{-1}} if h ends with g_i.
 
-    Words not ending with g_i (including the empty word) are sent to zero.
-    Right multiplication by g_i^{-1} shortens the word, so the image always
+    Returned as an index array like ``left_regular``: -1 marks the words not
+    ending with g_i (including the empty word), which V_i sends to zero.
+    Right multiplication by g_i^{-1} shortens the word, so every other image
     stays inside the ball.
     """
     _check_generator(i, ball)
-    entries: Dict[Tuple[int, int], GaussianRational] = {}
-    for col, word in enumerate(ball.words):
-        if word and word[-1] == i:
-            entries[(ball.index[word[:-1]], col)] = _ONE
-    return SparseOp(dim=ball.size, entries=entries)
+    index = ball.index
+    return np.fromiter(
+        (index[w[:-1]] if w and w[-1] == i else -1 for w in ball.words),
+        dtype=np.int64,
+        count=ball.size,
+    )
 
 
 def _check_generator(i: int, ball: GroupBall) -> None:
@@ -247,35 +192,38 @@ def _check_generator(i: int, ball: GroupBall) -> None:
         raise InputError(f"generator index {i} outside 1..{ball.n}")
 
 
-def commutator_defect(i: int, j: int, ball: GroupBall) -> Tuple[Fraction, bool]:
+def _then(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Index array of ``second`` after ``first``; -1 (zero) stays -1."""
+    return np.where(first >= 0, second[first], -1)
+
+
+def commutator_defect(i: int, j: int, ball: GroupBall) -> Tuple[int, bool]:
     """Exact check of (U_i V_j - V_j U_i) delta_h = -delta_ij <delta_h, delta_e> delta_e.
 
     The identity is evaluated on every interior basis vector (word length
     <= radius - 1).  Both sides are zero except at i = j and h = e, where
     U_iV_i delta_e = 0 while V_iU_i delta_e = delta_e, so the commutator
-    acts as minus the projection onto delta_e.  Returns the largest defect,
-    measured entrywise as |re| + |im| of the difference, together with a
-    pass flag.  Exact arithmetic means a passing run reports a defect of
-    exactly 0.
+    acts as minus the projection onto delta_e.  Each side maps delta_h to a
+    basis vector or to zero, so the difference has integer entries; the
+    defect is the largest of their absolute values, together with a pass
+    flag.  A passing run reports a defect of exactly 0.
     """
     _check_generator(i, ball)
     _check_generator(j, ball)
     u_op = left_regular(i, ball)
     v_op = dual_op(j, ball)
-    worst = Fraction(0)
-    for h in ball.interior_indices():
-        vec = {h: _ONE}
-        forward = u_op.apply(v_op.apply(vec))
-        backward = v_op.apply(u_op.apply(vec))
-        diff: Dict[int, GaussianRational] = dict(forward)
-        for idx, val in backward.items():
-            diff[idx] = diff.get(idx, GaussianRational(0)) - val
-        if i == j and h == 0:
-            diff[0] = diff.get(0, GaussianRational(0)) + _ONE
-        for val in diff.values():
-            size = abs(val.re) + abs(val.im)
-            if size > worst:
-                worst = size
+    interior = ball.interior_count
+    forward = _then(v_op[:interior], u_op)
+    backward = _then(u_op[:interior], v_op)
+    # Off h = e each side is one basis vector or zero, so the difference has
+    # entries +-1 exactly where the two index arrays disagree.
+    worst = int(np.any(forward[1:] != backward[1:]))
+    # At h = e the difference is delta_f - delta_b, plus delta_e when i = j.
+    at_e: Dict[int, int] = {0: 1} if i == j else {}
+    for image, sign in ((int(forward[0]), 1), (int(backward[0]), -1)):
+        if image >= 0:
+            at_e[image] = at_e.get(image, 0) + sign
+    worst = max([worst] + [abs(v) for v in at_e.values()])
     return worst, worst == 0
 
 
@@ -316,7 +264,7 @@ def dual_system_report(n: int, radius: int) -> dict:
         "n": n,
         "R": radius,
         "ball_size": ball.size,
-        "interior_count": len(ball.interior_indices()),
+        "interior_count": ball.interior_count,
         "pairs": pairs,
         "all_pass": all_pass,
     }

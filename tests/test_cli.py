@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from ncfield import cli
+from ncfield import cli, freegroup
 
 
 def _run(capsys, argv):
@@ -201,6 +202,26 @@ def test_dualcheck_passes_and_renders_csv(capsys):
     assert len(lines) == 5
 
 
+def test_dualcheck_failure_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(freegroup, "dual_op", freegroup.left_regular)
+    code, out, err = _run(capsys, ["dualcheck", "--n", "2", "--R", "3"])
+    assert code == 2
+    report = json.loads(out)
+    assert not report["all_pass"]
+    assert all(p["defect"] != "0" for p in report["pairs"])
+    assert "pass=False" in err
+
+
+@pytest.mark.parametrize("radius", ["1000", "30000"])
+def test_dualcheck_oversized_ball_is_bad_input(capsys, radius):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["dualcheck", "--n", "2", "--R", radius])
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and out == ""
+    assert "more than 1000000 words" in err
+    assert "Traceback" not in err
+
+
 def test_scan_integrality_small_corpus(capsys):
     code, out, err = _run(
         capsys,
@@ -214,6 +235,15 @@ def test_scan_integrality_small_corpus(capsys):
     assert len(report["rows"]) == 3
     assert isinstance(report["any_flagged"], bool)
     assert "3 matrices at d=80" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--size", "0"], ["--degree", "-1"], ["--n-vars", "0"]]
+)
+def test_scan_integrality_rejects_out_of_range_sizes(capsys, flags):
+    code, _, err = _run(capsys, ["scan", "integrality", "--count", "1", *flags])
+    assert code == 1
+    assert err.startswith("error:") and "integrality scan needs" in err
 
 
 def test_scan_convergence_reports_strict_json(capsys):
@@ -251,6 +281,16 @@ def test_tolerance_must_be_positive(capsys):
     code, _, err = _run(capsys, ["rank", "--expr", "x1", "--tol", "-1"])
     assert code == 1
     assert "--tol" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv", [["eval", "--expr", "x1", "--d", "4"], ["rank", "--expr", "x1"]]
+)
+def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
+    code, out, err = _run(capsys, [*argv, "--tol", tol])
+    assert code == 1 and out == ""
+    assert "--tol" in err and "finite and positive" in err
 
 
 def test_bad_flag_exits_one_not_two(capsys):

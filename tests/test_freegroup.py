@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
+import time
 
+import numpy as np
 import pytest
 
 from ncfield import (
@@ -11,19 +12,32 @@ from ncfield import (
     commutator_defect,
     dual_op,
     dual_system_report,
+    freegroup,
     left_regular,
 )
 from ncfield.errors import InputError
 from ncfield.freegroup import (
+    BALL_SIZE_GUARD,
     ball_size,
     left_multiply,
     right_multiply,
     vu_fixed_indices,
     word_str,
 )
-from ncfield.scalars import GaussianRational
 
-_ONE = GaussianRational(1)
+
+def _after(second: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Index array of the product second * first; -1 stands for zero."""
+    return np.array([second[k] if k >= 0 else -1 for k in first], dtype=np.int64)
+
+
+def _adjoint(op: np.ndarray) -> np.ndarray:
+    """Index array of the adjoint of a partial permutation: its inverse."""
+    inverse = np.full(op.size, -1, dtype=np.int64)
+    for col, row in enumerate(op):
+        if row >= 0:
+            inverse[row] = col
+    return inverse
 
 
 def _brute_force_words(n: int, radius: int):
@@ -74,7 +88,10 @@ def test_interior_words_are_those_shorter_than_the_radius():
     ball = build_ball(2, 3)
     interior = ball.interior_indices()
     assert all(len(ball.words[k]) <= 2 for k in interior)
-    assert len(interior) == ball_size(2, 2)
+    assert len(interior) == ball_size(2, 2) == ball.interior_count
+    # the interior is a prefix of the canonical order
+    assert interior == range(ball.interior_count)
+    assert all(len(w) == 3 for w in ball.words[ball.interior_count:])
 
 
 def test_ball_guard_and_argument_validation():
@@ -86,6 +103,10 @@ def test_ball_guard_and_argument_validation():
         build_ball(2, 0)
     with pytest.raises(InputError):
         ball_size(2, -1)
+    # refused before its exact size, a number of more than 4300 digits, is formed
+    with pytest.raises(InputError, match=f"more than {BALL_SIZE_GUARD} words"):
+        build_ball(2, 30000)
+    assert ball_size(2, 30) == 1 + 4 * (3**30 - 1) // 2
 
 
 def test_word_reduction_and_rendering():
@@ -100,45 +121,49 @@ def test_word_reduction_and_rendering():
 def test_left_regular_action_on_words():
     ball = build_ball(2, 3)
     u1 = left_regular(1, ball)
-    image = u1.apply_basis(ball.index[(2,)])
-    assert image == {ball.index[(1, 2)]: _ONE}
-    cancel = u1.apply_basis(ball.index[(-1, 2)])
-    assert cancel == {ball.index[(2,)]: _ONE}
+    assert u1[ball.index[(2,)]] == ball.index[(1, 2)]
+    assert u1[ball.index[(-1, 2)]] == ball.index[(2,)]
     # a boundary word whose image would leave the ball is dropped
     long_word = next(w for w in ball.words if len(w) == 3 and w[0] != -1)
-    assert u1.apply_basis(ball.index[long_word]) == {}
+    assert u1[ball.index[long_word]] == -1
 
 
 def test_dual_action_on_words():
     ball = build_ball(2, 3)
     v1 = dual_op(1, ball)
-    assert v1.apply_basis(ball.index[(2, 1)]) == {ball.index[(2,)]: _ONE}
-    assert v1.apply_basis(ball.index[(1,)]) == {ball.index[()]: _ONE}
-    assert v1.apply_basis(ball.index[()]) == {}
-    assert v1.apply_basis(ball.index[(2,)]) == {}
+    assert v1[ball.index[(2, 1)]] == ball.index[(2,)]
+    assert v1[ball.index[(1,)]] == ball.index[()]
+    assert v1[ball.index[()]] == -1
+    assert v1[ball.index[(2,)]] == -1
 
 
 def test_operators_are_partial_permutations():
     ball = build_ball(2, 3)
     for i in (1, 2):
         for op in (left_regular(i, ball), dual_op(i, ball)):
-            assert all(cnt == 1 for cnt in op.column_support().values())
-            assert all(val == _ONE for val in op.entries.values())
+            assert op.shape == (ball.size,)
+            assert op.min() >= -1 and op.max() < ball.size
+            images = op[op >= 0]
+            assert len(set(images.tolist())) == len(images)
 
 
 def test_adjoint_and_compose_are_consistent():
     ball = build_ball(2, 2)
     u1 = left_regular(1, ball)
     v1 = dual_op(1, ball)
-    adj = u1.adjoint()
-    assert adj.adjoint() == u1
+    adj = _adjoint(u1)
+    assert np.array_equal(_adjoint(adj), u1)
+    for col, row in enumerate(u1):
+        if row >= 0:
+            assert adj[row] == col
     # the adjoint of V_1 multiplies on the right by g_1
-    v1_adj = v1.adjoint()
-    assert v1_adj.apply_basis(ball.index[(2,)]) == {ball.index[(2, 1)]: _ONE}
+    v1_adj = _adjoint(v1)
+    assert v1_adj[ball.index[(2,)]] == ball.index[(2, 1)]
     # composition agrees with applying one operator after the other
-    both = u1.compose(v1)
+    both = _after(u1, v1)
     for col in range(ball.size):
-        assert both.apply_basis(col) == u1.apply(v1.apply_basis(col))
+        mid = v1[col]
+        assert both[col] == (u1[mid] if mid >= 0 else -1)
 
 
 def test_commutator_identity_exact_for_two_generators():
@@ -147,7 +172,7 @@ def test_commutator_identity_exact_for_two_generators():
         for j in (1, 2):
             defect, ok = commutator_defect(i, j, ball)
             assert ok
-            assert defect == Fraction(0)
+            assert defect == 0 and isinstance(defect, int)
 
 
 def test_commutator_identity_exact_for_one_and_three_generators():
@@ -163,21 +188,21 @@ def test_vu_fixed_sets_match_brute_force():
     ball = build_ball(2, 3)
     u1 = left_regular(1, ball)
     v1 = dual_op(1, ball)
-    vu = v1.compose(u1)
+    vu = _after(v1, u1)
     vu_fixed, vvstar_fixed = vu_fixed_indices(1, ball)
     for h in ball.interior_indices():
-        fixed = vu.apply_basis(h) == {h: _ONE}
+        fixed = vu[h] == h
         assert fixed == (h in vu_fixed)
-    vvstar = v1.compose(v1.adjoint())
+    vvstar = _after(v1, _adjoint(v1))
     for h in ball.interior_indices():
-        fixed = vvstar.apply_basis(h) == {h: _ONE}
+        fixed = vvstar[h] == h
         assert fixed == (h in vvstar_fixed)
     # V_1 U_1 is far from the identity: only powers of g_1 are fixed, and a
     # word like (2, 1) comes back as the different word (1, 2)
     assert len(vu_fixed) < len(ball.interior_indices())
     assert all(all(v == 1 for v in ball.words[h]) for h in vu_fixed)
-    moved = vu.apply_basis(ball.index[(2, 1)])
-    assert moved == {ball.index[(1, 2)]: _ONE}
+    moved = vu[ball.index[(2, 1)]]
+    assert moved == ball.index[(1, 2)]
 
 
 def test_dual_system_report_shape_and_verdict():
@@ -189,3 +214,25 @@ def test_dual_system_report_shape_and_verdict():
     assert len(report["pairs"]) == 4
     for pair in report["pairs"]:
         assert pair["pass"] and pair["defect"] == "0"
+
+
+def test_wrong_dual_operators_fail_every_pair(monkeypatch):
+    # with V_j replaced by U_j the identity breaks on every pair: off the
+    # diagonal U_i U_j e != U_j U_i e, and on it the delta_e term is left over
+    monkeypatch.setattr(freegroup, "dual_op", left_regular)
+    report = dual_system_report(2, 4)
+    assert not report["all_pass"]
+    assert len(report["pairs"]) == 4
+    for pair in report["pairs"]:
+        assert pair["defect"] != "0" and not pair["pass"]
+
+
+def test_dual_system_scales_to_large_balls():
+    start = time.perf_counter()
+    report = dual_system_report(2, 8)
+    assert time.perf_counter() - start < 1.0
+    assert report["all_pass"]
+    big = dual_system_report(2, 11)
+    assert big["ball_size"] == 354293 <= BALL_SIZE_GUARD
+    assert big["all_pass"]
+    assert [p["defect"] for p in big["pairs"]] == ["0"] * 4
