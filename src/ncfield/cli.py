@@ -52,7 +52,7 @@ from .randmat import (
     sample,
 )
 from .ratexpr import eval_numeric, max_var_index, parse, poly_from_string, unparse
-from .realization import LinearRepresentation, domain_check, eval_rep, realize
+from .realization import LinearRepresentation, _pencil_at, _solve, realize
 from .scalars import GaussianRational
 from .spectra import central_eigs_pencil, central_eigs_polymatrix
 
@@ -343,12 +343,12 @@ def cmd_eval(args) -> int:
     n_vars = max(max_var_index(expr), 1)
     rep = realize(expr, n_vars)
     model = sample(args.kind, args.d, n_vars, args.seed)
-    dom = domain_check(rep, model, tol_factor=args.tol)
+    dom, pencil = _pencil_at(rep, model, args.tol)
     if not dom.ok:
         raise OutOfDomain(
             "pencil is singular at the sampled point", dom.sigma_min
         )
-    value = eval_rep(rep, model, tol_factor=args.tol)
+    value = _solve(rep, pencil)
     identity = np.eye(args.d, dtype=complex)
     residual_identity = float(np.linalg.norm(value - identity))
     try:

@@ -208,18 +208,20 @@ def commutator_defect(i: int, j: int, ball: GroupBall) -> Tuple[int, bool]:
     defect is the largest of their absolute values, together with a pass
     flag.  A passing run reports a defect of exactly 0.
     """
-    _check_generator(i, ball)
-    _check_generator(j, ball)
-    u_op = left_regular(i, ball)
-    v_op = dual_op(j, ball)
-    interior = ball.interior_count
+    return _defect(i == j, left_regular(i, ball), dual_op(j, ball), ball.interior_count)
+
+
+def _defect(
+    same: bool, u_op: np.ndarray, v_op: np.ndarray, interior: int
+) -> Tuple[int, bool]:
+    """``commutator_defect`` from the index arrays of U_i and V_j."""
     forward = _then(v_op[:interior], u_op)
     backward = _then(u_op[:interior], v_op)
     # Off h = e each side is one basis vector or zero, so the difference has
     # entries +-1 exactly where the two index arrays disagree.
     worst = int(np.any(forward[1:] != backward[1:]))
     # At h = e the difference is delta_f - delta_b, plus delta_e when i = j.
-    at_e: Dict[int, int] = {0: 1} if i == j else {}
+    at_e: Dict[int, int] = {0: 1} if same else {}
     for image, sign in ((int(forward[0]), 1), (int(backward[0]), -1)):
         if image >= 0:
             at_e[image] = at_e.get(image, 0) + sign
@@ -251,11 +253,14 @@ def vu_fixed_indices(i: int, ball: GroupBall) -> Tuple[Tuple[int, ...], Tuple[in
 def dual_system_report(n: int, radius: int) -> dict:
     """Run all (i, j) commutator checks and package the results."""
     ball = build_ball(n, radius)
+    u_ops = [left_regular(i, ball) for i in range(1, n + 1)]
+    v_ops = [dual_op(j, ball) for j in range(1, n + 1)]
+    interior = ball.interior_count
     pairs = []
     all_pass = True
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            defect, ok = commutator_defect(i, j, ball)
+            defect, ok = _defect(i == j, u_ops[i - 1], v_ops[j - 1], interior)
             all_pass = all_pass and ok
             pairs.append(
                 {"i": i, "j": j, "defect": str(defect), "pass": ok}

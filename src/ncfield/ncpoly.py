@@ -224,7 +224,7 @@ class NcPoly:
             c = -coeff if negative else coeff
             letters = "*".join(letter.render() for letter in word)
             if not word:
-                body = _render_scalar_factor(c, standalone=True)
+                body = _render_scalar_factor(c)
             elif c == 1:
                 body = letters
             else:
@@ -251,12 +251,10 @@ class NcPoly:
         return out
 
 
-def _render_scalar_factor(c: GaussianRational, standalone: bool = False) -> str:
+def _render_scalar_factor(c: GaussianRational) -> str:
     text = str(c)
     if c.im != 0 and c.re != 0:
         return f"({text})"
-    if standalone:
-        return text
     return text
 
 
@@ -488,17 +486,13 @@ class NcMatrix:
         if not self.is_square():
             raise NonSquareError("hollow structure is defined for square matrices")
         n = self.rows
-        adj = [
-            [j for j in range(n) if not self.entries[i][j].is_zero()]
-            for i in range(n)
-        ]
-        match_row, match_col, size = _max_bipartite_matching(n, adj)
-        if size == n:
+        block = _zero_block(
+            [[not self.entries[i][j].is_zero() for j in range(n)] for i in range(n)]
+        )
+        if block is None:
             return None
-        rows_cover, cols_cover = _koenig_cover(n, adj, match_row, match_col)
-        zero_rows = tuple(i + 1 for i in range(n) if i not in rows_cover)
-        zero_cols = tuple(j + 1 for j in range(n) if j not in cols_cover)
-        return (zero_rows, zero_cols)
+        zero_rows, zero_cols = block
+        return tuple(i + 1 for i in zero_rows), tuple(j + 1 for j in zero_cols)
 
     def to_pencil(self) -> "LinearPencil":
         """Coefficient extraction for matrices of degree at most one."""
@@ -547,12 +541,22 @@ def _max_bipartite_matching(n: int, adj: List[List[int]]):
     return match_row, match_col, size
 
 
-def _koenig_cover(n: int, adj: List[List[int]], match_row, match_col):
-    """Minimum vertex cover from a maximum matching.
+def _zero_block(
+    nonzero: List[List[bool]],
+) -> Optional[Tuple[List[int], List[int]]]:
+    """0-based rows and columns of a zero block with more than N of them.
 
-    Alternating BFS from unmatched rows; the cover is unvisited rows plus
-    visited columns, and its complement spans a zero block.
+    ``nonzero`` is the N x N pattern.  Such a block exists exactly when the
+    pattern has no perfect matching.  Then the alternating search from the
+    unmatched rows of a maximum matching visits rows and columns whose
+    complement is a minimum vertex cover (Koenig), so the visited rows and
+    the unvisited columns span the block.
     """
+    n = len(nonzero)
+    adj = [[j for j in range(n) if nonzero[i][j]] for i in range(n)]
+    match_row, match_col, size = _max_bipartite_matching(n, adj)
+    if size == n:
+        return None
     visited_rows = set(i for i in range(n) if match_row[i] == -1)
     visited_cols: set = set()
     queue = list(visited_rows)
@@ -566,9 +570,7 @@ def _koenig_cover(n: int, adj: List[List[int]], match_row, match_col):
             if k != -1 and k not in visited_rows:
                 visited_rows.add(k)
                 queue.append(k)
-    rows_cover = set(range(n)) - visited_rows
-    cols_cover = visited_cols
-    return rows_cover, cols_cover
+    return sorted(visited_rows), [j for j in range(n) if j not in visited_cols]
 
 
 class LinearPencil:

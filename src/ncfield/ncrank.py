@@ -42,7 +42,7 @@ from .errors import (
     StarredLetterError,
     ZeroPencilError,
 )
-from .ncpoly import LinearPencil, Letter, NcMatrix, NcPoly
+from .ncpoly import LinearPencil, Letter, NcMatrix, NcPoly, _zero_block
 from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_rank, sample
 from .scalars import (
     _P,
@@ -496,24 +496,14 @@ def _search_witness(mats, n, policy, seed, scaled, l_cum, r_cum, exact_pencil=No
 
 def _zero_pattern_witness(mats, n, policy):
     """Hollow zero pattern of the coefficient stack, as a shrunk subspace."""
-    pattern_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(any(abs(a[i, j]) > 0 for a in mats))
-        pattern_rows.append(row)
-    adj = [[j for j in range(n) if pattern_rows[i][j]] for i in range(n)]
-    from .ncpoly import _koenig_cover, _max_bipartite_matching
-
-    match_row, match_col, size = _max_bipartite_matching(n, adj)
-    if size == n:
+    block = _zero_block(
+        [[any(abs(a[i, j]) > 0 for a in mats) for j in range(n)] for i in range(n)]
+    )
+    if block is None:
         return None
-    rows_cover, cols_cover = _koenig_cover(n, adj, match_row, match_col)
-    zero_cols = [j for j in range(n) if j not in cols_cover]
-    basis = np.zeros((n, len(zero_cols)), dtype=complex)
-    for idx, j in enumerate(zero_cols):
-        basis[j, idx] = 1.0
-    b = basis @ basis.conj().T
+    _, zero_cols = block
+    b = np.zeros((n, n), dtype=complex)
+    b[zero_cols, zero_cols] = 1.0
     if _verify_witness(mats, b, policy):
         return b, "hollow"
     return None

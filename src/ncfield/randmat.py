@@ -190,20 +190,27 @@ class ESD:
 HERMITIAN_REL_TOL = 1e-10
 
 
-def esd(poly_matrix, model: MatrixModel) -> ESD:
-    """Eigenvalues of the evaluated matrix, Hermitian-aware."""
-    value = poly_matrix.evaluate(model)
+def _eigenvalues(value: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """(eigenvalues, hermitian) of an evaluated matrix.
+
+    A matrix within HERMITIAN_REL_TOL of its adjoint, relative to its norm,
+    counts as Hermitian; its real eigenvalues come sorted from eigvalsh.
+    """
     scale = np.linalg.norm(value)
-    herm = (
+    herm = bool(
         scale == 0.0
         or np.linalg.norm(value - value.conj().T) <= HERMITIAN_REL_TOL * scale
     )
     if herm:
-        eigs = np.linalg.eigvalsh((value + value.conj().T) / 2).astype(complex)
-    else:
-        eigs = np.linalg.eigvals(value)
+        return np.linalg.eigvalsh((value + value.conj().T) / 2), True
+    return np.linalg.eigvals(value), False
+
+
+def esd(poly_matrix, model: MatrixModel) -> ESD:
+    """Eigenvalues of the evaluated matrix, Hermitian-aware."""
+    eigs, herm = _eigenvalues(poly_matrix.evaluate(model))
     return ESD(
-        eigenvalues=eigs,
+        eigenvalues=eigs.astype(complex),
         d=model.d,
         block_size=poly_matrix.rows,
         hermitian=herm,

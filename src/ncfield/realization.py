@@ -58,10 +58,6 @@ def _pencil(slots: List[List[List[GaussianRational]]], n_vars: int) -> LinearPen
     return LinearPencil(slots, n_vars, star_letters=True)
 
 
-def _slot_of(letter) -> int:
-    return letter.index
-
-
 def _affine_poly(e: RatExpr, n_vars: int) -> Optional[NcPoly]:
     poly = is_polynomial(e, n_vars)
     if poly is not None and poly.degree <= 1:
@@ -201,6 +197,27 @@ class DomainReport:
     size: int
 
 
+def _pencil_at(
+    rep: LinearRepresentation, model, tol_factor: float
+) -> Tuple[DomainReport, np.ndarray]:
+    """The evaluated pencil and its domain report, from one SVD."""
+    value = rep.pencil.evaluate(model)
+    sigmas = np.linalg.svd(value, compute_uv=False)
+    sigma_max = float(sigmas[0]) if len(sigmas) else 0.0
+    sigma_min = float(sigmas[-1]) if len(sigmas) else 0.0
+    threshold = tol_factor * rep.k * model.d * np.finfo(float).eps * sigma_max
+    report = DomainReport(sigma_min > threshold, sigma_min, threshold, value.shape[0])
+    return report, value
+
+
+def _solve(rep: LinearRepresentation, value: np.ndarray) -> np.ndarray:
+    """u A^{-1} v from the evaluated pencil A, known to be invertible."""
+    eye = np.eye(value.shape[0] // rep.k, dtype=complex)
+    u_row = np.array([[complex(x) for x in rep.u]], dtype=complex)
+    v_col = np.array([[complex(x)] for x in rep.v], dtype=complex)
+    return np.kron(u_row, eye) @ np.linalg.solve(value, np.kron(v_col, eye))
+
+
 def domain_check(
     rep: LinearRepresentation, model, tol_factor: float = 1.0
 ) -> DomainReport:
@@ -209,28 +226,17 @@ def domain_check(
     The cutoff is tol_factor * k * d * machine epsilon * the largest singular
     value of the evaluated pencil.
     """
-    value = rep.pencil.evaluate(model)
-    sigmas = np.linalg.svd(value, compute_uv=False)
-    sigma_max = float(sigmas[0]) if len(sigmas) else 0.0
-    sigma_min = float(sigmas[-1]) if len(sigmas) else 0.0
-    threshold = tol_factor * rep.k * model.d * np.finfo(float).eps * sigma_max
-    return DomainReport(sigma_min > threshold, sigma_min, threshold, value.shape[0])
+    return _pencil_at(rep, model, tol_factor)[0]
 
 
 def eval_rep(
     rep: LinearRepresentation, model, tol_factor: float = 1.0
 ) -> np.ndarray:
     """Value u A(X)^{-1} v of the represented function at a matrix tuple."""
-    report = domain_check(rep, model, tol_factor)
+    report, value = _pencil_at(rep, model, tol_factor)
     if not report.ok:
         raise OutOfDomain(
             f"pencil is singular at this point (sigma_min={report.sigma_min:.3e})",
             report.sigma_min,
         )
-    d = model.d
-    value = rep.pencil.evaluate(model)
-    u_row = np.array([[complex(x) for x in rep.u]], dtype=complex)
-    v_col = np.array([[complex(x)] for x in rep.v], dtype=complex)
-    rhs = np.kron(v_col, np.eye(d, dtype=complex))
-    solved = np.linalg.solve(value, rhs)
-    return np.kron(u_row, np.eye(d, dtype=complex)) @ solved
+    return _solve(rep, value)

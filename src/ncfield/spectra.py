@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .ncpoly import LinearPencil, NcMatrix
 from .ncrank import ncrank
-from .randmat import DEFAULT_POLICY, TolerancePolicy, sample
+from .randmat import DEFAULT_POLICY, TolerancePolicy, _eigenvalues, sample
 from .scalars import GaussianRational, snap_to_gaussian_rational
 
 LambdaLike = Union[GaussianRational, complex, int, Fraction]
@@ -101,13 +101,12 @@ def _rho_of_shift(
     policy: TolerancePolicy,
     dims=None,
     trials: int = 2,
-) -> Tuple[Optional[int], bool]:
+) -> Optional[int]:
     """Rank of matrix - lam*1, cross-checked by the orchestrated rank.
 
     Exact shifts are applied to the matrix itself, so the scaling engine gets
     exact coefficients; numeric shifts are handed to ``ncrank`` as its
-    spectral shift.  Returns (rho, certified); rho is None when nothing could
-    be decided.
+    spectral shift.  Returns None when nothing could be decided.
     """
     if isinstance(lam, (int, Fraction, GaussianRational)):
         matrix, shift = matrix.shift(lam), 0
@@ -118,8 +117,8 @@ def _rho_of_shift(
             matrix, dims=dims, trials=trials, seed=seed, policy=policy, shift=shift
         )
     except (NoConsensus, Inconclusive):
-        return None, False
-    return result.rho, True
+        return None
+    return result.rho
 
 
 def central_eigs_pencil(
@@ -175,26 +174,24 @@ def central_eigs_polymatrix(
     n = matrix.rows
     model = sample(kind, d, matrix.n_vars, seed)
     value = matrix.evaluate(model)
-    scale = float(np.linalg.norm(value))
-    normal_gap = float(
-        np.linalg.norm(value @ value.conj().T - value.conj().T @ value)
-    )
-    if scale > 0 and normal_gap > 1e-8 * scale * scale:
-        warnings.warn(
-            "evaluated matrix is far from normal; atom detection is unreliable",
-            stacklevel=2,
-        )
-    hermitian = scale == 0.0 or float(
-        np.linalg.norm(value - value.conj().T)
-    ) <= 1e-10 * scale
+    eigs, hermitian = _eigenvalues(value)
     window = WINDOW_FACTOR / math.sqrt(d)
     min_count = COUNT_FACTOR * d / n
     if hermitian:
-        eigs = np.linalg.eigvalsh((value + value.conj().T) / 2)
         raw = _real_atom_clusters(eigs, window, min_count)
         candidates = [complex(x) for x in raw]
     else:
-        eigs = np.linalg.eigvals(value)
+        # A Hermitian value v has |vv* - v*v| <= 2e-10 |v|^2 (the Hermitian
+        # tolerance), far below this bar, so only this branch can warn.
+        scale = float(np.linalg.norm(value))
+        normal_gap = float(
+            np.linalg.norm(value @ value.conj().T - value.conj().T @ value)
+        )
+        if normal_gap > 1e-8 * scale * scale:
+            warnings.warn(
+                "evaluated matrix is far from normal; atom detection is unreliable",
+                stacklevel=2,
+            )
         candidates = _complex_atom_clusters(eigs, window, min_count)
     report = SpectrumReport(size=n, source="numeric-detection")
     report.diagnostics.update(
@@ -223,10 +220,9 @@ def _certify_candidates(report, matrix, candidates, seed, policy, dims, trials):
     for k, z in enumerate(candidates):
         snapped = snap_to_gaussian_rational(complex(z))
         rho = None
-        certified = False
         exact = False
         if snapped is not None:
-            rho, certified = _rho_of_shift(
+            rho = _rho_of_shift(
                 matrix, snapped, seed + 100 + 7 * k, policy, dims, trials
             )
             exact = rho is not None
@@ -234,11 +230,11 @@ def _certify_candidates(report, matrix, candidates, seed, policy, dims, trials):
         if rho is None or (rho == n and not same_point):
             # retry at the raw numeric location before discarding, unless
             # that is the point just decided
-            rho_num, cert_num = _rho_of_shift(
+            rho_num = _rho_of_shift(
                 matrix, complex(z), seed + 500 + 7 * k, policy, dims, trials
             )
             if rho_num is not None and rho_num < n:
-                rho, certified, exact, snapped = rho_num, cert_num, False, None
+                rho, exact, snapped = rho_num, False, None
             elif rho is None:
                 report.uncertified.append(
                     {"lambda": [complex(z).real, complex(z).imag], "reason": "no consensus"}
@@ -246,19 +242,8 @@ def _certify_candidates(report, matrix, candidates, seed, policy, dims, trials):
                 continue
         if rho == n:
             continue  # numeric cluster was not an actual atom
-        lam = snapped if exact and snapped is not None else complex(z)
-        if not certified:
-            report.uncertified.append(
-                {
-                    "lambda": [complex(z).real, complex(z).imag],
-                    "rho_hat": rho,
-                    "reason": "engines could not both confirm",
-                }
-            )
-            continue
-        report.atoms.append(
-            SpectralAtom(lam, rho, Fraction(n - rho, n), certified, exact)
-        )
+        lam = snapped if exact else complex(z)
+        report.atoms.append(SpectralAtom(lam, rho, Fraction(n - rho, n), True, exact))
 
 
 def _finalize(report: SpectrumReport):
@@ -342,7 +327,7 @@ def atom_masses(
     for k, lam in enumerate(lambdas):
         if not isinstance(lam, (int, Fraction, GaussianRational)):
             raise InputError("atom_masses needs exact Gaussian rational points")
-        rho, certified = _rho_of_shift(matrix, lam, seed + 31 * k, policy)
+        rho = _rho_of_shift(matrix, lam, seed + 31 * k, policy)
         if rho is None:
             raise Inconclusive(f"rank at shift {lam} reached no consensus")
         out.append(Fraction(n - rho, n))

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 import pytest
 
 from ncfield import cli, freegroup
+from ncfield.ncpoly import LinearPencil
 
 
 def _run(capsys, argv):
@@ -154,6 +156,29 @@ def test_eval_outside_domain_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert "out of domain" in err and "sigma_min" in err
+    assert "pencil is singular at the sampled point" in err
+
+
+def test_eval_evaluates_and_decomposes_the_pencil_once(capsys, monkeypatch):
+    evaluated, svd_shapes = [], []
+    evaluate, svd = LinearPencil.evaluate, np.linalg.svd
+
+    def counting_evaluate(self, *args, **kwargs):
+        evaluated.append(self.rows)
+        return evaluate(self, *args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(LinearPencil, "evaluate", counting_evaluate)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    argv = ["eval", "--expr", "inv(x1 + x2*x1) - x1'", "--d", "6", "--seed", "2"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    k = json.loads(out)["k"]
+    assert evaluated == [k]
+    assert svd_shapes.count((6 * k, 6 * k)) == 1
 
 
 def test_atoms_on_projection_pencil(capsys, tmp_path):

@@ -216,6 +216,24 @@ def test_dual_system_report_shape_and_verdict():
         assert pair["pass"] and pair["defect"] == "0"
 
 
+def test_dual_system_report_builds_each_operator_once(monkeypatch):
+    calls = {"left_regular": 0, "dual_op": 0}
+
+    def counted(name):
+        build = getattr(freegroup, name)
+
+        def wrapper(i, ball):
+            calls[name] += 1
+            return build(i, ball)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(freegroup, name, counted(name))
+    assert dual_system_report(3, 4)["all_pass"]
+    assert calls == {"left_regular": 3, "dual_op": 3}
+
+
 def test_wrong_dual_operators_fail_every_pair(monkeypatch):
     # with V_j replaced by U_j the identity breaks on every pair: off the
     # diagonal U_i U_j e != U_j U_i e, and on it the delta_e term is left over

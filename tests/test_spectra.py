@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -208,6 +209,20 @@ def test_polymatrix_detection_without_certification_lists_candidates():
         abs(complex(c["lambda"][0], c["lambda"][1])) < 0.05
         for c in report.uncertified
     )
+
+
+def test_polymatrix_normality_warning_only_off_normal():
+    x1, x2 = NcPoly.var(1, 2), NcPoly.var(2, 2)
+    one, zero = NcPoly.const(1, 2), NcPoly.zero(2)
+    jordan = NcMatrix([[x1, one], [zero, x1]])
+    with pytest.warns(UserWarning, match="far from normal"):
+        report = central_eigs_polymatrix(jordan, d=40, seed=3, certify=False)
+    assert report.diagnostics["hermitian"] is False
+    hermitian = NcMatrix([[x1, one], [one, x2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = central_eigs_polymatrix(hermitian, d=40, seed=3, certify=False)
+    assert report.diagnostics["hermitian"] is True
 
 
 def test_atom_masses_exact_points():
