@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -529,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--dims", help="substitution dimensions, e.g. 8,16")
     p_rank.add_argument("--trials", type=int, default=2)
     _add_common(p_rank)
-    p_rank.set_defaults(func=cmd_rank)
+    p_rank.set_defaults(handler="cmd_rank")
 
     p_atoms = sub.add_parser("atoms", help="central eigenvalues and their masses")
     p_atoms.add_argument("--pencil", help="pencil JSON file")
@@ -548,14 +549,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail with exit 2 unless the entropy dimension is certified",
     )
     _add_common(p_atoms)
-    p_atoms.set_defaults(func=cmd_atoms)
+    p_atoms.set_defaults(handler="cmd_atoms")
 
     p_eval = sub.add_parser("eval", help="evaluate a rational expression")
     p_eval.add_argument("--expr", required=True)
     p_eval.add_argument("--d", type=int, default=50)
     p_eval.add_argument("--kind", choices=("gue", "haar", "ginibre"), default="ginibre")
     _add_common(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(handler="cmd_eval")
 
     p_dual = sub.add_parser(
         "dualcheck", help="exact commutator check for the free group dual system"
@@ -563,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("--n", type=int, default=2, help="number of generators")
     p_dual.add_argument("--R", type=int, required=True, help="ball radius")
     _add_common(p_dual)
-    p_dual.set_defaults(func=cmd_dualcheck)
+    p_dual.set_defaults(handler="cmd_dualcheck")
 
     p_scan = sub.add_parser("scan", help="random matrix scans")
     p_scan.add_argument("what", choices=("integrality", "convergence"))
@@ -577,16 +578,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--d", type=int, default=400)
     p_scan.add_argument("--kind", choices=("gue", "haar", "ginibre"), default="gue")
     _add_common(p_scan)
-    p_scan.set_defaults(func=cmd_scan)
+    p_scan.set_defaults(handler="cmd_scan")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once; main looks each handler up by name per call."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        return globals()[args.handler](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,7 +15,7 @@ property is certified.  A hollow zero pattern settles nonfullness before any
 iteration.  Otherwise, when scaling collapses, fails its confirmation or runs
 out of budget, one witness search runs, chosen by the kind of input: exact
 coefficients get the exact second Wong sequence (on the tuple, then on its
-adjoint), and numerically shifted coefficients get the collapse directions
+transpose), and numerically shifted coefficients get the collapse directions
 of the scaled tuple.  Every witness is re-verified before the nonfull
 verdict is issued.
 
@@ -47,8 +47,10 @@ from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_rank, sample
 from .scalars import (
     _P,
     GaussianRational,
-    colspace_exact,
-    kernel_exact,
+    colspace_mod_p,
+    kernel_mod_p,
+    lift_mod_p,
+    matmul_mod_p,
     rank_mod_p,
     residues_mod_p,
 )
@@ -453,27 +455,20 @@ def _search_witness(mats, n, policy, seed, scaled, l_cum, r_cum, exact_pencil=No
 
     Returns (B, detail) or None; detail names the path that found B.  Exact
     input runs only the exact Wong sequence, on the coefficients and then on
-    their adjoints, so no float threshold decides where the subspace lies.
+    their transposes, so no float threshold decides where the subspace lies.
     Numeric input (a shifted tuple with no exact form) refines the collapse
     directions of the scaled tuple, mapped back through the accumulated
     transforms on either side.  Every candidate is re-verified.
     """
     if exact_pencil is not None:
-        coeffs = [[list(row) for row in mat] for mat in exact_pencil.coeffs[1:]]
-        coeffs_adj = [
-            [[mat[j][i].conjugate() for j in range(n)] for i in range(n)]
-            for mat in coeffs
-        ]
-        v = _exact_wong_shrunk(coeffs, n, seed + 101)
-        if v is not None:
-            b = v @ v.conj().T
-            if _verify_witness(mats, b, policy):
-                return b, "exact Wong"
-        v = _exact_wong_shrunk(coeffs_adj, n, seed + 303)
-        if v is not None:
-            b = _left_to_right_witness(mats, v, policy)
-            if b is not None and _verify_witness(mats, b, policy):
-                return b, "exact Wong (adjoint)"
+        for flip, detail in ((False, "exact Wong"), (True, "exact Wong (adjoint)")):
+            offset = 303 if flip else 101
+            block = _exact_hollow_block(exact_pencil.coeffs[1:], seed + offset, flip)
+            if block is not None:
+                v = _orthonormal(np.array(block[1], dtype=complex))
+                b = v @ v.conj().T
+                if _verify_witness(mats, b, policy):
+                    return b, detail
         return None
     adj = [a.conj().T for a in mats]
     _, s_vecs = np.linalg.eigh(sum(a @ a.conj().T for a in scaled))
@@ -509,60 +504,86 @@ def _zero_pattern_witness(mats, n, policy):
     return None
 
 
-def _exact_wong_shrunk(coeffs, n, seed, tries: int = 4):
-    """Shrunk subspace of an exact coefficient tuple, found threshold-free.
+def _exact_hollow_block(coeffs, seed, transpose=False):
+    """Exact hollow block of a Q(i) tuple, found threshold-free: (U, V) or None.
 
-    The Wong sequence runs in rational arithmetic at a random rational point
-    of the span: W starts at zero, V is the exact preimage of W under the
-    point, and W is replaced by the span of the coefficient images of V.
-    Dimensions grow monotonically, so equal sizes mean stabilization, and a
-    stable pair with dim V > dim W is a genuine shrunk subspace because the
-    ranks involved are exact.  Returns a float orthonormal basis or None.
+    U^T Ai V = 0 for every i with rank U + rank V > N proves nonfullness.
+    The second Wong sequence runs mod p at sum wi Ai, wi uniform in F_p and
+    read as real integers, and the kernel bases of U and V are lifted entry
+    by entry by rational reconstruction.  Gaussian-rational coefficients take
+    a second run on their conjugates with the same weights; it reduces the
+    same bases at i = -iota, which splits each entry into its real and
+    imaginary parts.  Each basis comes back as rows of scalars, and only
+    after the exact check; a failed lift or check tries one more point.
+    With ``transpose`` the sequence runs on the Ai^T and the pair comes
+    back swapped, so it is a block of the Ai.
     """
-    zero = GaussianRational(0)
+    mats = [list(zip(*mat)) for mat in coeffs] if transpose else coeffs
+    plus = minus = [residues_mod_p(mat) for mat in mats]
+    if any(r is None for r in plus):
+        return None
+    if any(x.im for mat in mats for row in mat for x in row):
+        conj = [[[x.conjugate() for x in row] for row in mat] for mat in mats]
+        minus = [residues_mod_p(mat) for mat in conj]
     rng = random.Random(seed)
-    for _ in range(tries):
-        weights = [
-            GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
-            for _ in coeffs
-        ]
-        point = [
-            [
-                sum((w * mat[i][j] for w, mat in zip(weights, coeffs)), zero)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        w_cols: list = []
-        for _ in range(n + 1):
-            aug = [list(point[i]) + [-w[i] for w in w_cols] for i in range(n)]
-            ker = kernel_exact(aug)
-            if not ker:
-                break
-            head = [[vec[i] for vec in ker] for i in range(n)]
-            v_cols = colspace_exact(head)
-            if not v_cols:
-                break
-            images = []
-            for mat in coeffs:
-                for v in v_cols:
-                    images.append(
-                        [
-                            sum((mat[i][j] * v[j] for j in range(n)), zero)
-                            for i in range(n)
-                        ]
-                    )
-            w_next = colspace_exact([[col[i] for col in images] for i in range(n)])
-            if len(w_next) == len(w_cols):
-                if len(v_cols) > len(w_cols):
-                    arr = np.array(
-                        [[complex(x) for x in col] for col in v_cols],
-                        dtype=complex,
-                    ).T
-                    return _orthonormal(arr)
-                break
-            w_cols = w_next
+    for _ in range(2):
+        weights = [rng.randrange(_P) for _ in mats]
+        found = _wong_mod_p(plus, weights)
+        other = found if minus is plus or found is None else _wong_mod_p(minus, weights)
+        if other is None or [m.shape for m in found] != [m.shape for m in other]:
+            continue
+        pair = [lift_mod_p(f, o) for f, o in zip(found, other)]
+        u, v = pair[::-1] if transpose else pair
+        if u is not None and v is not None and _holds_exactly(coeffs, u, v):
+            return u, v
     return None
+
+
+def _wong_mod_p(residues, weights):
+    """Second Wong sequence over F_p at P = sum wi Ai: (U, V) or None.
+
+    W starts at zero; V = P^-1(W) is the kernel of U^T P, where U spans the
+    kernel of W^T, and W becomes the span of the Ai V.  Dimensions grow until
+    W repeats; then U^T Ai V = 0 for every i, and dim V > dim W means
+    rank U + rank V > N.  Both are the canonical bases of kernel_mod_p.
+    """
+    point = sum(w * a % _P for w, a in zip(weights, residues)) % _P
+    u, dim_w = np.eye(len(point), dtype=np.int64), 0
+    for _ in range(len(point) + 1):
+        v = kernel_mod_p(matmul_mod_p(u.T, point))
+        if v.shape[1] == 0:
+            return None
+        w = colspace_mod_p(np.hstack([matmul_mod_p(a, v) for a in residues]))
+        if w.shape[1] == dim_w:
+            return (u, v) if v.shape[1] > dim_w else None
+        u, dim_w = kernel_mod_p(w.T), w.shape[1]
+    return None
+
+
+def _holds_exactly(coeffs, u, v) -> bool:
+    """U^T Ai V = 0 for every i and rank U + rank V > N, on Python ints.
+
+    Each matrix is scaled to Gaussian integers by the lcm of its denominators.
+    Full column rank mod p is exact, since reduction never raises rank.
+    """
+    ranks = [rank_mod_p(residues_mod_p(basis)) for basis in (u, v)]
+    if ranks != [len(u[0]), len(v[0])] or sum(ranks) <= len(u):
+        return False
+    (ur, ui), (vr, vi) = _gaussian_integers(u), _gaussian_integers(v)
+    for mat in coeffs:
+        ar, ai = _gaussian_integers(mat)
+        lr, li = ur.T @ ar - ui.T @ ai, ur.T @ ai + ui.T @ ar
+        if np.any(lr @ vr - li @ vi) or np.any(lr @ vi + li @ vr):
+            return False
+    return True
+
+
+def _gaussian_integers(rows):
+    """Real and imaginary parts of a Q(i) matrix times the lcm of its denominators."""
+    parts = np.array([[(x.re, x.im) for x in row] for row in rows], dtype=object)
+    scale = math.lcm(*(x.denominator for x in parts.flat))
+    as_int = np.frompyfunc(lambda x: x.numerator * (scale // x.denominator), 1, 1)
+    return as_int(parts.transpose(2, 0, 1))
 
 
 def _refine_shrunk(mats, v0, policy, rounds: int = 8):

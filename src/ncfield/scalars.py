@@ -7,13 +7,16 @@ with rational real and imaginary parts.  A scalar is stored as a pair of
 text form ``a/b+c/di`` round-trips without loss.
 
 Floats enter only at evaluation time, via :func:`GaussianRational.__complex__`.
+Linear algebra on these scalars runs on int64 residues mod a prime p, and
+small results come back to Q(i) by rational reconstruction.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -171,67 +174,6 @@ def snap_to_gaussian_rational(z: complex, max_den: int = 64, tol: float = 1e-3):
     return None
 
 
-def rref_exact(rows: list):
-    """Reduced row echelon form over Q(i).
-
-    Returns (matrix, pivot column indices).  The input is copied and
-    coerced, never mutated.
-    """
-    mat = [[GaussianRational.coerce(x) for x in row] for row in rows]
-    pivots: list = []
-    if not mat or not mat[0]:
-        return mat, pivots
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if not mat[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col].inverse()
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(n_rows):
-            if r != rank and not mat[r][col].is_zero():
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == n_rows:
-            break
-    return mat, pivots
-
-
-def kernel_exact(rows: list) -> list:
-    """Basis of the exact right kernel, as a list of column vectors."""
-    if not rows or not rows[0]:
-        return []
-    mat, pivots = rref_exact(rows)
-    n_cols = len(rows[0])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * n_cols
-        vec[free] = ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -mat[r][free]
-        basis.append(vec)
-    return basis
-
-
-def colspace_exact(rows: list) -> list:
-    """Exact basis of the column space: the pivot columns, as column vectors."""
-    if not rows or not rows[0]:
-        return []
-    _, pivots = rref_exact(rows)
-    return [[GaussianRational.coerce(row[c]) for row in rows] for c in pivots]
-
-
 # A prime with p = 1 (mod 4), so -1 has the square root _IOTA in F_p and
 # i reduces entrywise.  p < 2^31 keeps every product of residues below 2^62.
 _P = 2147483629
@@ -265,17 +207,17 @@ def residues_mod_p(rows: list):
     return np.array(flat, dtype=np.int64).reshape(len(rows), n_cols)
 
 
-def rank_mod_p(m: np.ndarray) -> int:
-    """Rank over F_p of a residue matrix, by int64 elimination on a copy.
+def echelon_mod_p(m: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Row echelon form over F_p with unit pivots, by int64 elimination.
 
-    Reduction never raises rank, so this is a lower bound on the rank over
-    Q(i) of any matrix that reduces to ``m``, and it certifies full rank
-    when it reads min(rows, cols).
+    Works on a copy.  Returns the nonzero echelon rows and their pivot
+    columns; every rank, kernel and column space mod p is read from these.
     """
     m = np.array(m, dtype=np.int64)
     n_rows, n_cols = m.shape
-    rank = 0
+    pivots: List[int] = []
     for col in range(n_cols):
+        rank = len(pivots)
         if rank == n_rows:
             break
         nonzero = np.flatnonzero(m[rank:, col])
@@ -284,9 +226,79 @@ def rank_mod_p(m: np.ndarray) -> int:
         pivot = rank + int(nonzero[0])
         if pivot != rank:
             m[[rank, pivot]] = m[[pivot, rank]]
-        row = m[rank, col:] * pow(int(m[rank, col]), -1, _P) % _P
+        m[rank, col:] = row = m[rank, col:] * pow(int(m[rank, col]), -1, _P) % _P
         below = m[rank + 1:, col:]
         below -= np.outer(below[:, 0], row)
         below %= _P
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
+def rank_mod_p(m: np.ndarray) -> int:
+    """Rank over F_p of a residue matrix; the input is left alone.
+
+    Reduction never raises rank, so this is a lower bound on the rank over
+    Q(i) of any matrix that reduces to ``m``, and it certifies full rank
+    when it reads min(rows, cols).
+    """
+    return len(echelon_mod_p(m)[1])
+
+
+def kernel_mod_p(m: np.ndarray) -> np.ndarray:
+    """Right kernel over F_p, one column per free column of ``m``.
+
+    Column f is 1 at f and 0 at the other free columns, so the basis is a
+    function of the kernel alone and lifts entry by entry.
+    """
+    rows, pivots = echelon_mod_p(m)
+    for r in range(len(pivots) - 1, 0, -1):  # back-substitute to reduced form
+        rows[:r] = (rows[:r] - np.outer(rows[:r, pivots[r]], rows[r])) % _P
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = np.eye(m.shape[1], dtype=np.int64)[:, free]
+    basis[pivots] = -rows[:, free] % _P
+    return basis
+
+
+def colspace_mod_p(m: np.ndarray) -> np.ndarray:
+    """Basis of the column space over F_p: the pivot columns of ``m``."""
+    return m[:, echelon_mod_p(m)[1]]
+
+
+def matmul_mod_p(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod p for residue matrices, with no int64 overflow.
+
+    A plain ``a @ b`` overflows once a row sums two products near 2^62.
+    Splitting b at 2^16 keeps each product below 2^47, so the sums are exact
+    for inner dimensions below 2^15.
+    """
+    return ((a @ (b >> 16) % _P << 16) + a @ (b & 0xFFFF)) % _P
+
+
+def reconstruct(r: int) -> Optional[Fraction]:
+    """The fraction a/b with |a|, |b| <= sqrt(p/2) and a = b*r mod p, or None.
+
+    Wang's half extended Euclid; the fraction is unique when it exists.
+    """
+    half = math.isqrt(_P // 2)
+    r0, r1, t0, t1 = _P, int(r) % _P, 0, 1
+    while r1 > half:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > half or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def lift_mod_p(plus: np.ndarray, minus: np.ndarray) -> Optional[list]:
+    """Q(i) matrix from its reductions at i = iota (plus) and i = -iota (minus).
+
+    Returns its rows, or None when a real or imaginary part of an entry has
+    no small reconstruction.
+    """
+    re = (plus + minus) % _P * pow(2, -1, _P) % _P
+    im = (plus - minus) % _P * pow(2 * _IOTA, -1, _P) % _P
+    parts = [[(reconstruct(a), reconstruct(b)) for a, b in zip(*rows)]
+             for rows in zip(re.tolist(), im.tolist())]
+    if any(None in pair for row in parts for pair in row):
+        return None
+    return [[GaussianRational(*pair) for pair in row] for row in parts]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ncfield import NcMatrix, NcPoly
+from ncfield import GaussianRational, NcMatrix, NcPoly
 
 
 def random_linear_entry(rng: random.Random, n_vars: int) -> NcPoly:
@@ -68,3 +68,27 @@ def conjugated_hollow_matrix(size: int, n_vars: int, seed: int) -> NcMatrix:
     left = invertible_scalar_matrix(size, rng, n_vars)
     right = invertible_scalar_matrix(size, rng, n_vars)
     return left @ base @ right
+
+
+def exact_rref(rows: list):
+    """Reduced row echelon form over Q(i): the exact oracle for the F_p kernel.
+
+    Returns (matrix, pivot columns); the input is copied, never mutated.
+    """
+    mat = [[GaussianRational.coerce(x) for x in row] for row in rows]
+    pivots: list = []
+    n_cols = len(mat[0]) if mat else 0
+    for col in range(n_cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = mat[rank][col].inverse()
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return mat, pivots

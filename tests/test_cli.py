@@ -237,6 +237,19 @@ def test_dualcheck_failure_exits_two(capsys, monkeypatch):
     assert "pass=False" in err
 
 
+def test_main_builds_the_parser_once_and_finds_rebound_handlers(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert _run(capsys, ["dualcheck", "--n", "2", "--R", "2"])[0] == 0
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "cmd_dualcheck", lambda args: 7)
+    assert cli.main(["dualcheck", "--R", "2"]) == 7
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("radius", ["1000", "30000"])
 def test_dualcheck_oversized_ball_is_bad_input(capsys, radius):
     start = time.perf_counter()

@@ -9,8 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import conjugated_hollow_matrix, hollow_matrix, invertible_scalar_matrix
+from conftest import (
+    conjugated_hollow_matrix,
+    exact_rref,
+    hollow_matrix,
+    invertible_scalar_matrix,
+)
 
 from ncfield import (
     LinearPencil,
@@ -28,7 +35,13 @@ from ncfield import (
     verify_nonfull_witness,
 )
 from ncfield.errors import Inconclusive, InputError, NonSquareError
-from ncfield.ncrank import _blowup_mod_p, _confirm_full_exact, _exact_wong_shrunk
+from ncfield.ncrank import (
+    _blowup_mod_p,
+    _confirm_full_exact,
+    _exact_hollow_block,
+    _holds_exactly,
+    _orthonormal,
+)
 from ncfield.scalars import _P, GaussianRational, residues_mod_p
 
 
@@ -115,12 +128,118 @@ def test_exact_common_kernel_witness_is_accepted():
     # The exact Wong sequence finds a vector v with Ai v = 0 for every i, so
     # L(vv*) is pure roundoff and must read as rank 0, not as rank 1.
     pencil = conjugated_hollow_matrix(4, 2, seed=19).to_pencil()
-    coeffs = [[list(row) for row in mat] for mat in pencil.coeffs[1:]]
-    v = _exact_wong_shrunk(coeffs, 4, seed=101)
-    assert v is not None and v.shape == (4, 1)
+    block = _exact_hollow_block(pencil.coeffs[1:], seed=101)
+    assert block is not None
+    v = _orthonormal(np.array(block[1], dtype=complex))
+    assert v.shape == (4, 1)
     b = v @ v.conj().T
     assert np.linalg.norm(quantum_op_apply(pencil, b)) < 1e-8
     assert verify_nonfull_witness(pencil, b)
+
+
+def _exact_rank(cols) -> int:
+    return len(exact_rref([list(row) for row in zip(*cols)])[1]) if cols else 0
+
+
+def _wong_oracle(coeffs, n, weights):
+    """Second Wong sequence over Q(i) at sum wi Ai by exact elimination: V or None."""
+    zero = GaussianRational(0)
+
+    def kernel(rows):
+        mat, pivots = exact_rref(rows)
+        free = [c for c in range(len(rows[0])) if c not in pivots]
+        return [[GaussianRational(int(c == f)) if c not in pivots else -mat[pivots.index(c)][f]
+                 for c in range(len(rows[0]))] for f in free]
+
+    def colspace(cols):
+        if not cols:
+            return []
+        _, pivots = exact_rref([list(row) for row in zip(*cols)])
+        return [cols[c] for c in pivots]
+
+    def apply(mat, v):
+        return [sum((mat[i][j] * v[j] for j in range(n)), zero) for i in range(n)]
+
+    point = [[sum((w * mat[i][j] for w, mat in zip(weights, coeffs)), zero)
+              for j in range(n)] for i in range(n)]
+    w_cols: list = []
+    for _ in range(n + 1):
+        ker = kernel([point[i] + [-w[i] for w in w_cols] for i in range(n)])
+        v_cols = colspace([vec[:n] for vec in ker])
+        if not v_cols:
+            return None
+        w_next = colspace([apply(mat, v) for mat in coeffs for v in v_cols])
+        if len(w_next) == len(w_cols):
+            return v_cols if len(v_cols) > len(w_cols) else None
+        w_cols = w_next
+    return None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(size=st.integers(3, 6), n_vars=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_exact_hollow_block_is_checked_and_matches_the_wong_oracle(size, n_vars, seed):
+    coeffs = conjugated_hollow_matrix(size, n_vars, seed).to_pencil().coeffs[1:]
+    block = _exact_hollow_block(coeffs, seed)
+    assert block is not None
+    u, v = block
+    assert _holds_exactly(coeffs, u, v)
+    assert len(u[0]) + len(v[0]) > size
+    rng = random.Random(seed)
+    weights = [GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in coeffs]
+    oracle = _wong_oracle(coeffs, size, weights)
+    assert oracle is not None
+    lifted = [list(col) for col in zip(*v)]
+    # the same subspace, so the same projector B
+    assert _exact_rank(oracle) == _exact_rank(lifted) == _exact_rank(oracle + lifted)
+
+
+def test_altered_hollow_block_fails_the_exact_check():
+    coeffs = conjugated_hollow_matrix(4, 2, seed=19).to_pencil().coeffs[1:]
+    u, v = _exact_hollow_block(coeffs, seed=101)
+    assert _holds_exactly(coeffs, u, v)
+    for delta in (GaussianRational(1), GaussianRational(0, 1)):
+        altered = [list(row) for row in v]
+        altered[0][0] += delta
+        assert not _holds_exactly(coeffs, u, altered), delta
+
+
+def _gaussian_factor(size, rng):
+    """Elementary operations over Z[i], then a row times 1/2 + i/3: exactly invertible."""
+    rows = [[GaussianRational(int(i == j)) for j in range(size)] for i in range(size)]
+    for _ in range(2 * size):
+        i, j = rng.sample(range(size), 2)
+        c = GaussianRational(rng.choice([-1, 0, 1]), rng.choice([-1, 1]))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    rows[0] = [x * GaussianRational(Fraction(1, 2), Fraction(1, 3)) for x in rows[0]]
+    return NcMatrix.from_scalars(rows, 2)
+
+
+def test_gaussian_conjugated_hollow_block_is_lifted_from_two_roots():
+    for seed in range(4):
+        rng = random.Random(seed)
+        m = _gaussian_factor(4, rng) @ hollow_matrix(4, 2, seed) @ _gaussian_factor(4, rng)
+        pencil = m.to_pencil()
+        assert m.hollow_block() is None, seed
+        u, v = _exact_hollow_block(pencil.coeffs[1:], seed)
+        assert any(x.im for basis in (u, v) for row in basis for x in row), seed
+        cert = fullness_scaling(pencil, seed=seed)
+        assert cert.verdict == "nonfull", seed
+        assert cert.detail.startswith("exact Wong"), (seed, cert.detail)
+        assert verify_nonfull_witness(pencil, cert.witness), seed
+
+
+def test_ill_conditioned_hollow_block_is_exact_and_accepted():
+    # |Ai| ~ 1e3 and V is the whole space: the float witness keeps all seven
+    # dimensions only from a well-conditioned basis, such as the lifted
+    # kernel basis with its identity block.
+    pencil = conjugated_hollow_matrix(7, 2, seed=7203).to_pencil()
+    coeffs = pencil.coeffs[1:]
+    u, v = _exact_hollow_block(coeffs, seed=104)
+    assert _holds_exactly(coeffs, u, v)
+    assert len(u[0]) + len(v[0]) == 8
+    cert = fullness_scaling(pencil, seed=3)
+    assert (cert.verdict, cert.detail) == ("nonfull", "exact Wong")
+    assert verify_nonfull_witness(pencil, cert.witness)
 
 
 def test_scaling_with_no_budget_is_inconclusive_not_full():

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: field axioms, parsing, snapping, exact rank.
 
-Rank mod p is read against exact elimination (``rref_exact``) as the oracle.
+The F_p kernel (rank, kernel, column space, products, reconstruction) is read
+against exact elimination over Q(i) (``exact_rref``) as the oracle.
 """
 
 from __future__ import annotations
@@ -8,18 +9,25 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conftest import exact_rref
 from ncfield import GaussianRational
 from ncfield.errors import InputError
 from ncfield.scalars import (
+    _IOTA,
     _P,
     I,
     ONE,
     ZERO,
+    colspace_mod_p,
+    kernel_mod_p,
+    lift_mod_p,
+    matmul_mod_p,
     rank_mod_p,
+    reconstruct,
     residues_mod_p,
-    rref_exact,
     snap_to_gaussian_rational,
 )
 
@@ -109,7 +117,7 @@ def test_snap_recovers_small_rationals():
 
 
 def _exact_rank(rows: list) -> int:
-    return len(rref_exact(rows)[1])
+    return len(exact_rref(rows)[1])
 
 
 def _rank_p(rows: list) -> int:
@@ -139,8 +147,6 @@ def test_rank_mod_p_leaves_its_input_alone():
 
 
 def test_rank_exact_matches_float_rank_on_random_integer_matrices():
-    import numpy as np
-
     rng = random.Random(99)
     for trial in range(20):
         n = rng.randint(1, 5)
@@ -212,3 +218,55 @@ def test_rank_exact_falls_back_where_the_prime_is_unlucky(rows, mod_p, rank):
     else:
         assert rank_mod_p(residues) == mod_p
     assert _exact_rank(rows) == rank
+
+
+def test_residue_product_does_not_overflow():
+    a = np.full((8, 8), _P - 1, dtype=np.int64)
+    exact = [[sum(int(x) * int(y) for x, y in zip(row, col)) % _P for col in a.T] for row in a]
+    assert matmul_mod_p(a, a).tolist() == exact
+    # a plain int64 product wraps around
+    assert (a @ a % _P).tolist() != exact
+
+
+def test_kernel_and_column_space_mod_p_on_planted_ranks():
+    rng = random.Random(7)
+    for trial in range(40):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _planted(rng, n, m, rng.randint(0, min(n, m)))
+        res = residues_mod_p(rows)
+        rank = rank_mod_p(res)
+        ker = kernel_mod_p(res)
+        assert ker.shape == (m, m - rank), f"trial {trial}"
+        assert not matmul_mod_p(res, ker).any(), f"trial {trial}"
+        assert rank_mod_p(ker) == m - rank, f"trial {trial}"
+        cols = colspace_mod_p(res)
+        assert cols.shape == (n, rank), f"trial {trial}"
+        assert rank_mod_p(cols) == rank, f"trial {trial}"
+
+
+def test_kernel_mod_p_basis_is_reduced():
+    # the kernel of [1 2 3] has the basis with 1 at one free column, 0 at the other
+    ker = kernel_mod_p(residues_mod_p([[1, 2, 3]]))
+    assert ker.tolist() == [[_P - 2, _P - 3], [1, 0], [0, 1]]
+    assert kernel_mod_p(np.zeros((0, 2), dtype=np.int64)).tolist() == [[1, 0], [0, 1]]
+
+
+def test_reconstruction_recovers_small_fractions():
+    rng = random.Random(3)
+    for _ in range(200):
+        x = Fraction(rng.randint(-32767, 32767), rng.randint(1, 32767))
+        assert reconstruct(x.numerator * pow(x.denominator, -1, _P) % _P) == x
+    # about 0.6 of all residues have some fraction within the bound; this one has none
+    assert reconstruct(123457 * pow(98765, -1, _P) % _P) is None
+
+
+def test_lift_splits_gaussian_entries():
+    rows = [[GaussianRational(Fraction(1, 3), -2), GaussianRational(0, Fraction(5, 7))],
+            [GaussianRational(-4), ZERO]]
+    conj = [[x.conjugate() for x in row] for row in rows]
+    assert lift_mod_p(residues_mod_p(rows), residues_mod_p(conj)) == rows
+    far = residues_mod_p([[Fraction(123457, 98765)]])
+    assert lift_mod_p(far, far) is None
+    # the conjugate reductions really are the reductions at i = -iota
+    assert residues_mod_p([[I]])[0, 0] == _IOTA
+    assert residues_mod_p([[-I]])[0, 0] == _P - _IOTA
