@@ -1,10 +1,11 @@
 """Computation with noncommutative polynomials and rational functions.
 
 The package computes inner ranks over the free skew field, certifies
-fullness by operator scaling, builds linear representations of rational
-expressions and evaluates them at matrix tuples, extracts central
-eigenvalues with exact masses, and cross-validates all of it against
-random matrix models (GUE, Haar unitary, Ginibre).
+fullness by exact certificates (and by operator scaling at numeric shifts),
+builds linear representations of rational expressions and evaluates them
+at matrix tuples, extracts central eigenvalues with exact masses, and
+cross-validates all of it against random matrix models (GUE, Haar unitary,
+Ginibre).
 """
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ from .randmat import (
 from .ratexpr import eval_numeric, max_var_index, parse, poly_from_string, unparse
 from .realization import LinearRepresentation, _pencil_at, _solve, realize
 from .scalars import GaussianRational
-from .spectra import central_eigs_pencil, central_eigs_polymatrix
+from .spectra import _spectrum
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -300,20 +300,9 @@ def cmd_atoms(args) -> int:
     matrix, label = _load_matrix_input(args)
     if not matrix.is_square():
         raise InputError("atoms need a square input")
-    policy = _policy(args)
-    if args.certify and matrix.degree <= 1 and not matrix.has_star():
-        spectrum = central_eigs_pencil(
-            matrix.to_pencil(), seed=args.seed, policy=policy
-        )
-    else:
-        spectrum = central_eigs_polymatrix(
-            matrix,
-            d=args.d,
-            seed=args.seed,
-            kind=args.kind,
-            policy=policy,
-            certify=args.certify,
-        )
+    spectrum = _spectrum(
+        matrix, args.seed, args.d, args.kind, _policy(args), certify=args.certify
+    )
     report = _report_skeleton(
         args, "atoms", d=args.d, kind=args.kind, certify=args.certify
     )

@@ -48,9 +48,10 @@ Word = Tuple[Letter, ...]
 EMPTY_WORD: Word = ()
 
 
-def word_key(word: Word):
-    """Sort key for the graded lexicographic order."""
-    return (len(word), word)
+def zero_matrix(rows: int, cols: int) -> List[List[GaussianRational]]:
+    """A rows x cols matrix of exact zeros, as fresh lists to fill in."""
+    zero = GaussianRational(0)
+    return [[zero] * cols for _ in range(rows)]
 
 
 def word_adjoint(word: Word) -> Word:
@@ -501,11 +502,7 @@ class NcMatrix:
         if self.degree > 1:
             raise DegreeTooHigh(f"degree {self.degree} matrix is not a pencil")
         n = self.n_vars
-        zero = GaussianRational(0)
-        coeffs = [
-            [[zero for _ in range(self.cols)] for _ in range(self.rows)]
-            for _ in range(n + 1)
-        ]
+        coeffs = [zero_matrix(self.rows, self.cols) for _ in range(n + 1)]
         for i in range(self.rows):
             for j in range(self.cols):
                 for word, c in self.entries[i][j].terms():
@@ -513,9 +510,7 @@ class NcMatrix:
                         coeffs[0][i][j] = c
                     else:
                         coeffs[word[0].index][i][j] = c
-        return LinearPencil(
-            [tuple(map(tuple, m)) for m in coeffs], n, star_letters=False
-        )
+        return LinearPencil(coeffs, n, star_letters=False)
 
 
 def _max_bipartite_matching(n: int, adj: List[List[int]]):
@@ -669,10 +664,7 @@ class LinearPencil:
         """Reissue over the doubled alphabet with zero starred coefficients."""
         if self.star_letters:
             return self
-        zero = tuple(
-            tuple(GaussianRational(0) for _ in range(self.cols))
-            for _ in range(self.rows)
-        )
+        zero = zero_matrix(self.rows, self.cols)
         return LinearPencil(
             list(self.coeffs) + [zero] * self.n_vars,
             self.n_vars,
@@ -680,12 +672,10 @@ class LinearPencil:
         )
 
     def homogeneous_part(self) -> "LinearPencil":
-        zero = tuple(
-            tuple(GaussianRational(0) for _ in range(self.cols))
-            for _ in range(self.rows)
-        )
         return LinearPencil(
-            [zero] + list(self.coeffs[1:]), self.n_vars, self.star_letters
+            [zero_matrix(self.rows, self.cols)] + list(self.coeffs[1:]),
+            self.n_vars,
+            self.star_letters,
         )
 
     def direct_sum(self, other: "LinearPencil") -> "LinearPencil":
@@ -693,9 +683,12 @@ class LinearPencil:
             raise VariableMismatch("pencil alphabets differ")
         out = []
         for a, b in zip(self.coeffs, other.coeffs):
-            top = [tuple(row) + tuple(GaussianRational(0) for _ in range(other.cols)) for row in a]
-            bot = [tuple(GaussianRational(0) for _ in range(self.cols)) + tuple(row) for row in b]
-            out.append(tuple(top + bot))
+            block = zero_matrix(self.rows + other.rows, self.cols + other.cols)
+            for i, row in enumerate(a):
+                block[i][: self.cols] = row
+            for i, row in enumerate(b):
+                block[self.rows + i][self.cols :] = row
+            out.append(block)
         return LinearPencil(out, self.n_vars, self.star_letters)
 
     def evaluate(self, model, shift: complex = 0) -> np.ndarray:
@@ -751,10 +744,7 @@ def random_pencil(
             tuple(scalar() for _ in range(size)) for _ in range(size)
         )
 
-    zero = tuple(
-        tuple(GaussianRational(0) for _ in range(size)) for _ in range(size)
-    )
-    coeffs = [zero if homogeneous else mat()]
+    coeffs = [zero_matrix(size, size) if homogeneous else mat()]
     coeffs.extend(mat() for _ in range(n_vars))
     return LinearPencil(coeffs, n_vars)
 

@@ -7,17 +7,19 @@ trials must agree on one integer or the result is NoConsensus.  Star-free
 matrices use GUE tuples; matrices with adjoint letters use Ginibre tuples,
 whose limits generate the same free field in the doubled letters.
 
-The fullness engine runs operator scaling on a homogeneous square pencil.
-Let L(B) be the sum of Ai B Ai*.  The pencil is full exactly when L never
-decreases rank on positive semidefinite arguments, and once the
-doubly-stochasticity defect of the scaled tuple drops below 1/(N+1) that
-property is certified.  A hollow zero pattern settles nonfullness before any
-iteration.  Otherwise, when scaling collapses, fails its confirmation or runs
-out of budget, one witness search runs, chosen by the kind of input: exact
-coefficients get the exact second Wong sequence (on the tuple, then on its
-transpose), and numerically shifted coefficients get the collapse directions
-of the scaled tuple.  Every witness is re-verified before the nonfull
-verdict is issued.
+The fullness engine decides whether a homogeneous square pencil is full,
+and how depends on the kind of input.  Exact coefficients get exact
+certificates only.  A blow-up A1 (x) X1 + ... of full rank mod p proves
+fullness; it is read at d = 1 first, and at d = N - 1 last.  In between, a
+hollow zero pattern, then the exact second Wong sequence on the tuple and on
+its transpose, prove nonfullness.  When none decides, the result is
+Inconclusive.  Numerically shifted coefficients, which have no exact form,
+get operator scaling: with L(B) the sum of Ai B Ai*, the pencil is full
+exactly when L never decreases rank on positive semidefinite arguments, and
+once the doubly-stochasticity defect of the scaled tuple drops below
+1/(N+1), a numeric blow-up confirms fullness.  A collapse or a spent budget
+leads to the collapse directions of the scaled tuple.  Every nonfull witness
+is re-verified before the verdict is issued.
 
 Affine pencils are homogenized first; matrices of higher degree are rewritten
 as enlarged pencils with a known rank offset.  The two engines cross-check
@@ -42,7 +44,7 @@ from .errors import (
     StarredLetterError,
     ZeroPencilError,
 )
-from .ncpoly import LinearPencil, Letter, NcMatrix, NcPoly, _zero_block
+from .ncpoly import LinearPencil, NcMatrix, NcPoly, _zero_block, zero_matrix
 from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_rank, sample
 from .scalars import (
     _P,
@@ -88,16 +90,10 @@ def homogenize(pencil: LinearPencil) -> LinearPencil:
     """
     if pencil.star_letters:
         raise StarredLetterError("homogenization needs a plain alphabet")
+    zero = zero_matrix(pencil.rows, pencil.cols)
     return LinearPencil(
-        [_zero_like(pencil)] + list(pencil.coeffs[1:]) + [pencil.coeffs[0]],
-        pencil.n_vars + 1,
-        star_letters=False,
+        [zero, *pencil.coeffs[1:], pencil.coeffs[0]], pencil.n_vars + 1, star_letters=False
     )
-
-
-def _zero_like(pencil: LinearPencil):
-    zero = GaussianRational(0)
-    return tuple(tuple(zero for _ in range(pencil.cols)) for _ in range(pencil.rows))
 
 
 # substitution engine
@@ -195,55 +191,89 @@ def rank_by_substitution(
 @dataclass
 class FullnessCertificate:
     verdict: str  # 'full' or 'nonfull'
-    method: str  # 'scaling' or 'hollow'
+    # 'hollow' (zero pattern), 'exact' (Wong pair or blow-up rank mod p), or
+    # 'scaling' (operator scaling on numerically shifted coefficients)
+    method: str
     size: int
-    defect: float
-    iterations: int
+    defect: float  # scaled-tuple defect; inf when no scaling ran
+    iterations: int  # scaling iterations; 0 on exact input
     witness: object = None  # the PSD matrix B of a nonfull verdict
-    # what decided: the defect criterion, "zero pattern", "exact Wong",
-    # "exact Wong (adjoint)" or "collapse directions"
+    # what decided: "blow-up rank mod p at d = 1" (or d = N - 1), "zero
+    # pattern", "exact Wong", "exact Wong (adjoint)", the defect criterion
+    # or "collapse directions"
     detail: str = ""
 
 
 def fullness_scaling(
     pencil: LinearPencil,
-    budget: Optional[int] = None,
     policy: TolerancePolicy = DEFAULT_POLICY,
     seed: int = 0,
 ) -> FullnessCertificate:
-    """Decide fullness of a homogeneous square pencil by operator scaling."""
+    """Decide fullness of a homogeneous square pencil by exact certificates.
+
+    No scaling runs on exact coefficients.  A full rank mod p of the blow-up
+    proves fullness; a hollow zero pattern, or the exact second Wong sequence
+    on the tuple or on its transpose, proves nonfullness.  The blow-up is
+    read at d = 1 first, which proves most full pencils at one N x N matrix,
+    and at d = N - 1 only after Wong, so a nonfull pencil never builds the
+    large one.  When nothing decides, the result is Inconclusive.  Every
+    nonfull witness is re-verified, and every certificate has
+    ``iterations == 0``.
+    """
     if not pencil.is_square():
         raise NonSquareError("fullness is defined for square pencils")
     if not pencil.is_homogeneous():
-        raise InputError("scaling needs a homogeneous pencil; homogenize first")
+        raise InputError("fullness needs a homogeneous pencil; homogenize first")
     if pencil.is_zero():
         raise ZeroPencilError("the zero pencil is nowhere full")
+    n = pencil.rows
+    if _confirm_full_exact(pencil, seed, d=1):
+        return _full_by_blowup(n, 1)
+    coeffs = pencil.coeffs[1:]
     mats = pencil.numeric_coeffs()[1:]
-    return _scaling_verdict(
-        mats, pencil.rows, budget, policy, seed, exact_pencil=pencil
+    nonzero = [
+        [any(not a[i][j].is_zero() for a in coeffs) for j in range(n)] for i in range(n)
+    ]
+    b = _zero_pattern_witness(mats, nonzero, policy)
+    if b is not None:
+        return FullnessCertificate("nonfull", "hollow", n, math.inf, 0, b, "zero pattern")
+    for flip, detail in ((False, "exact Wong"), (True, "exact Wong (adjoint)")):
+        block = _exact_hollow_block(coeffs, seed + (303 if flip else 101), flip)
+        if block is not None:
+            v = _orthonormal(np.array(block[1], dtype=complex))
+            b = v @ v.conj().T
+            if _verify_witness(mats, b, policy):
+                return FullnessCertificate("nonfull", "exact", n, math.inf, 0, b, detail)
+    if _confirm_full_exact(pencil, seed):
+        return _full_by_blowup(n, max(1, n - 1))
+    raise Inconclusive("no exact certificate of fullness or nonfullness", {"size": n})
+
+
+def _full_by_blowup(n: int, d: int) -> FullnessCertificate:
+    return FullnessCertificate(
+        "full", "exact", n, math.inf, 0, None, f"blow-up rank mod p at d = {d}"
     )
 
 
 def _scaling_verdict(
-    mats: Sequence[np.ndarray],
-    size: int,
-    budget: Optional[int],
-    policy: TolerancePolicy,
-    seed: int,
-    exact_pencil: Optional[LinearPencil] = None,
+    mats: Sequence[np.ndarray], policy: TolerancePolicy, seed: int
 ) -> FullnessCertificate:
-    n = size
-    if budget is None:
-        budget = SCALING_BUDGET_FACTOR * n * n
+    """Operator scaling on numerically shifted coefficients (no exact form).
+
+    Once the defect of the scaled tuple drops below 1/(N+1), a numeric
+    blow-up substitution confirms fullness; a collapse or a spent budget of
+    SCALING_BUDGET_FACTOR * N^2 iterations leads to the collapse directions.
+    """
+    n = mats[0].shape[0]
+    budget = SCALING_BUDGET_FACTOR * n * n
     live = [a.copy() for a in mats if np.linalg.norm(a) > 0]
     if not live:
         raise ZeroPencilError("the zero pencil is nowhere full")
 
-    # An exact hollow zero pattern settles the question without iterating.
-    pattern = _zero_pattern_witness(mats, n, policy)
-    if pattern is not None:
-        b, how = pattern
-        return FullnessCertificate("nonfull", how, n, math.inf, 0, b, "zero pattern")
+    # A hollow zero pattern settles the question without iterating.
+    b = _zero_pattern_witness(mats, np.any(np.array(mats) != 0, axis=0), policy)
+    if b is not None:
+        return FullnessCertificate("nonfull", "hollow", n, math.inf, 0, b, "zero pattern")
 
     target = 1.0 / (n + 1)
     l_cum = np.eye(n, dtype=complex)
@@ -271,7 +301,7 @@ def _scaling_verdict(
             # roundoff can dissolve an exact obstruction over many steps
             # without ever tripping the eigenvalue floor.  Confirm fullness
             # by an independent substitution rank before certifying.
-            if _confirm_full(mats, n, policy, seed, exact_pencil):
+            if _confirm_full_numeric(mats, n, policy, seed):
                 return FullnessCertificate(
                     "full", "scaling", n, defect, it, None,
                     "defect below 1/(N+1), confirmed by substitution",
@@ -289,10 +319,11 @@ def _scaling_verdict(
     else:
         it = budget
 
-    witness = _search_witness(mats, n, policy, seed, live, l_cum, r_cum, exact_pencil)
+    witness = _search_witness(mats, n, policy, live, l_cum, r_cum)
     if witness is not None:
-        b, detail = witness
-        return FullnessCertificate("nonfull", "scaling", n, defect, it, b, detail)
+        return FullnessCertificate(
+            "nonfull", "scaling", n, defect, it, witness, "collapse directions"
+        )
     raise Inconclusive(reason, {"defect": defect, "iterations": it, "size": n})
 
 
@@ -319,24 +350,17 @@ def _kernel(m: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
     return vh[r:, :].conj().T
 
 
-def _confirm_full(mats, n, policy, seed, exact_pencil):
-    """Independent fullness confirmation behind the defect criterion.
+def _confirm_full_exact(
+    pencil: LinearPencil, seed: int, d: Optional[int] = None
+) -> bool:
+    """Blow-up rank check over F_p at d x d points; True certifies fullness.
 
     For any d x d substitution the evaluated rank is at most rho * d: an
     inner factorization through rho columns evaluates to a factorization
     through rho * d columns.  A substitution of full rank n * d therefore
-    proves rho = n, and d = n - 1 is large enough for some substitution to
-    reach that rank whenever the pencil is full (Derksen-Makam).  Exact
-    coefficients are checked at an integer substitution by rank mod p, so
-    the proof needs no float threshold.
-    """
-    if exact_pencil is not None:
-        return _confirm_full_exact(exact_pencil, seed)
-    return _confirm_full_numeric(mats, n, policy, seed)
-
-
-def _confirm_full_exact(pencil: LinearPencil, seed: int) -> bool:
-    """Blow-up rank check over F_p; True rigorously certifies fullness.
+    proves rho = n at every d.  The default d = n - 1 is large enough for
+    some substitution to reach that rank whenever the pencil is full
+    (Derksen-Makam); d = 1 already does when some scalar point does.
 
     Each Xi is one d x d matrix drawn uniformly from F_p, lifted to the
     integer matrix of its residues.  Over Q(i) the lifted blow-up
@@ -352,7 +376,7 @@ def _confirm_full_exact(pencil: LinearPencil, seed: int) -> bool:
     means "not confirmed", never nonfullness.
     """
     n = pencil.rows
-    d = max(1, n - 1)
+    d = max(1, n - 1) if d is None else d
     rng = np.random.default_rng(((seed << 8) ^ 0x5CA1E) % 2**64)
     subs = [rng.integers(0, _P, size=(d, d)) for _ in range(pencil.n_vars)]
     big = _blowup_mod_p(pencil, subs)
@@ -380,9 +404,10 @@ def _blowup_mod_p(pencil: LinearPencil, subs) -> Optional[np.ndarray]:
 def _confirm_full_numeric(mats, n, policy, seed, tries: int = 2) -> bool:
     """Blow-up substitution check for coefficients with no exact form.
 
-    An exactly nonfull tuple evaluates to an exactly rank-deficient matrix,
-    which a clean-gap rank reading does not mistake for full; this catches
-    slow roundoff drift because the evaluation itself is a single product.
+    The bound of _confirm_full_exact, read by a clean-gap rank.  An exactly
+    nonfull tuple evaluates to an exactly rank-deficient matrix, which a
+    clean-gap rank reading does not mistake for full; this catches slow
+    roundoff drift because the evaluation itself is a single product.
     """
     d = max(1, n - 1)
     rng = np.random.default_rng((seed + 1) * 7919)
@@ -450,26 +475,13 @@ def _left_to_right_witness(mats, v_basis, policy):
     return w @ w.conj().T
 
 
-def _search_witness(mats, n, policy, seed, scaled, l_cum, r_cum, exact_pencil=None):
+def _search_witness(mats, n, policy, scaled, l_cum, r_cum):
     """Hunt for a PSD argument where the quantum operator drops rank.
 
-    Returns (B, detail) or None; detail names the path that found B.  Exact
-    input runs only the exact Wong sequence, on the coefficients and then on
-    their transposes, so no float threshold decides where the subspace lies.
-    Numeric input (a shifted tuple with no exact form) refines the collapse
-    directions of the scaled tuple, mapped back through the accumulated
-    transforms on either side.  Every candidate is re-verified.
+    Refines the collapse directions of the scaled tuple, mapped back through
+    the accumulated transforms on either side, and returns the first B that
+    passes re-verification, or None.
     """
-    if exact_pencil is not None:
-        for flip, detail in ((False, "exact Wong"), (True, "exact Wong (adjoint)")):
-            offset = 303 if flip else 101
-            block = _exact_hollow_block(exact_pencil.coeffs[1:], seed + offset, flip)
-            if block is not None:
-                v = _orthonormal(np.array(block[1], dtype=complex))
-                b = v @ v.conj().T
-                if _verify_witness(mats, b, policy):
-                    return b, detail
-        return None
     adj = [a.conj().T for a in mats]
     _, s_vecs = np.linalg.eigh(sum(a @ a.conj().T for a in scaled))
     _, t_vecs = np.linalg.eigh(sum(a.conj().T @ a for a in scaled))
@@ -479,29 +491,30 @@ def _search_witness(mats, n, policy, seed, scaled, l_cum, r_cum, exact_pencil=No
         if v_ref is not None:
             b = v_ref @ v_ref.conj().T
             if _verify_witness(mats, b, policy):
-                return b, "collapse directions"
+                return b
         v0 = _orthonormal(l_cum.conj().T @ s_vecs[:, :k])
         v_ref = _refine_shrunk(adj, v0, policy) if v0.shape[1] else None
         if v_ref is not None:
             b = _left_to_right_witness(mats, v_ref, policy)
             if b is not None and _verify_witness(mats, b, policy):
-                return b, "collapse directions"
+                return b
     return None
 
 
-def _zero_pattern_witness(mats, n, policy):
-    """Hollow zero pattern of the coefficient stack, as a shrunk subspace."""
-    block = _zero_block(
-        [[any(abs(a[i, j]) > 0 for a in mats) for j in range(n)] for i in range(n)]
-    )
+def _zero_pattern_witness(mats, nonzero, policy):
+    """B on the columns of a hollow block of the pattern ``nonzero``, or None.
+
+    ``nonzero[i][j]`` says whether any coefficient has a nonzero (i, j)
+    entry; the exact caller reads it from the exact coefficients, so an
+    entry that underflows in ``mats`` still counts.
+    """
+    block = _zero_block(nonzero)
     if block is None:
         return None
     _, zero_cols = block
-    b = np.zeros((n, n), dtype=complex)
+    b = np.zeros((len(nonzero),) * 2, dtype=complex)
     b[zero_cols, zero_cols] = 1.0
-    if _verify_witness(mats, b, policy):
-        return b, "hollow"
-    return None
+    return b if _verify_witness(mats, b, policy) else None
 
 
 def _exact_hollow_block(coeffs, seed, transpose=False):
@@ -672,12 +685,14 @@ def ncrank(
     """Inner rank of matrix - shift*1 with cross-validation between the engines.
 
     Rectangular input is padded square.  The substitution engine supplies the
-    value; for star-free matrices the scaling engine independently decides
-    fullness and any contradiction raises MethodDisagreement.  An
-    inconclusive scaling run defers to substitution.  A nonzero shift has no
-    exact form, so scaling then runs on the numerically shifted coefficients
-    and confirms fullness numerically; pass exact shifts through
-    ``matrix.shift`` instead.
+    value; for star-free matrices the fullness engine independently decides
+    fullness and any contradiction raises MethodDisagreement.  At shift 0 the
+    pencil (linearized and homogenized as needed) is exact, and
+    ``fullness_scaling`` decides it by exact certificates alone.  A nonzero
+    shift has no exact form, so operator scaling then runs on the
+    numerically shifted coefficients and confirms fullness numerically; pass
+    exact shifts through ``matrix.shift`` instead.  An inconclusive fullness
+    engine defers to substitution; ``cross["scaling"]`` records its verdict.
     """
     if shift != 0 and not matrix.is_square():
         raise NonSquareError("shift needs a square matrix")
@@ -703,9 +718,7 @@ def ncrank(
             coeffs = pencil.numeric_coeffs()
             coeffs[0][:n, :n] -= shift * np.eye(n)
             # the shifted constant moves onto a fresh variable, as in homogenize
-            cert = _scaling_verdict(
-                coeffs[1:] + coeffs[:1], pencil.rows, None, policy, seed
-            )
+            cert = _scaling_verdict(coeffs[1:] + coeffs[:1], policy, seed)
     except Inconclusive as exc:
         cross["scaling"] = "inconclusive"
         cross["diagnostics"] = exc.diagnostics

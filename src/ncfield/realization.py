@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import OutOfDomain
-from .ncpoly import LinearPencil, NcPoly
+from .ncpoly import LinearPencil, NcPoly, zero_matrix
 from .ratexpr import Add, Adjoint, Const, Inv, Mul, Neg, RatExpr, Var, is_polynomial, max_var_index
 from .scalars import GaussianRational
 
@@ -49,11 +49,6 @@ class LinearRepresentation:
         return eval_rep(self, model, tol_factor)
 
 
-def _zeros(rows: int, cols: int) -> List[List[GaussianRational]]:
-    z = GaussianRational(0)
-    return [[z for _ in range(cols)] for _ in range(rows)]
-
-
 def _pencil(slots: List[List[List[GaussianRational]]], n_vars: int) -> LinearPencil:
     return LinearPencil(slots, n_vars, star_letters=True)
 
@@ -65,18 +60,20 @@ def _affine_poly(e: RatExpr, n_vars: int) -> Optional[NcPoly]:
     return None
 
 
+def _affine_slots(poly: NcPoly, n_vars: int, size: int):
+    """size x size coefficient slots holding the affine polynomial at (0, 0)."""
+    slots = [zero_matrix(size, size) for _ in range(1 + 2 * n_vars)]
+    for word, coeff in poly.terms():
+        pos = 0 if not word else word[0].index + (n_vars if word[0].star else 0)
+        slots[pos][0][0] = coeff
+    return slots
+
+
 def _rep_affine(poly: NcPoly, n_vars: int) -> LinearRepresentation:
     """2x2 block [[l, 1], [1, 0]] representing an affine polynomial l."""
-    slots = [_zeros(2, 2) for _ in range(1 + 2 * n_vars)]
+    slots = _affine_slots(poly, n_vars, 2)
     slots[0][0][1] = GaussianRational(1)
     slots[0][1][0] = GaussianRational(1)
-    for word, coeff in poly.terms():
-        if len(word) == 0:
-            slots[0][0][0] = coeff
-        else:
-            letter = word[0]
-            pos = letter.index + (n_vars if letter.star else 0)
-            slots[pos][0][0] = coeff
     zero, one = GaussianRational(0), GaussianRational(1)
     return LinearRepresentation(
         (zero, one), _pencil(slots, n_vars), (zero, -one)
@@ -85,14 +82,7 @@ def _rep_affine(poly: NcPoly, n_vars: int) -> LinearRepresentation:
 
 def _rep_inv_affine(poly: NcPoly, n_vars: int) -> LinearRepresentation:
     """1x1 pencil [l] representing the inverse of an affine polynomial."""
-    slots = [_zeros(1, 1) for _ in range(1 + 2 * n_vars)]
-    for word, coeff in poly.terms():
-        if len(word) == 0:
-            slots[0][0][0] = coeff
-        else:
-            letter = word[0]
-            pos = letter.index + (n_vars if letter.star else 0)
-            slots[pos][0][0] = coeff
+    slots = _affine_slots(poly, n_vars, 1)
     one = GaussianRational(1)
     return LinearRepresentation((one,), _pencil(slots, n_vars), (one,))
 
@@ -108,7 +98,7 @@ def _rep_mul(r1: LinearRepresentation, r2: LinearRepresentation) -> LinearRepres
     n_vars = r1.n_vars
     slots = []
     for pos, (a1, a2) in enumerate(zip(r1.pencil.coeffs, r2.pencil.coeffs)):
-        block = _zeros(k1 + k2, k1 + k2)
+        block = zero_matrix(k1 + k2, k1 + k2)
         for i in range(k1):
             for j in range(k1):
                 block[i][j] = a1[i][j]
@@ -132,7 +122,7 @@ def _rep_inv(r: LinearRepresentation) -> LinearRepresentation:
     n_vars = r.n_vars
     slots = []
     for pos, a in enumerate(r.pencil.coeffs):
-        block = _zeros(k + 1, k + 1)
+        block = zero_matrix(k + 1, k + 1)
         for i in range(k):
             for j in range(k):
                 block[1 + i][1 + j] = a[i][j]

@@ -104,9 +104,10 @@ def _rho_of_shift(
 ) -> Optional[int]:
     """Rank of matrix - lam*1, cross-checked by the orchestrated rank.
 
-    Exact shifts are applied to the matrix itself, so the scaling engine gets
-    exact coefficients; numeric shifts are handed to ``ncrank`` as its
-    spectral shift.  Returns None when nothing could be decided.
+    Exact shifts are applied to the matrix itself, so the fullness engine
+    gets exact coefficients and decides by exact certificates; numeric
+    shifts are handed to ``ncrank`` as its spectral shift.  Returns None when
+    nothing could be decided.
     """
     if isinstance(lam, (int, Fraction, GaussianRational)):
         matrix, shift = matrix.shift(lam), 0
@@ -334,6 +335,22 @@ def atom_masses(
     return out
 
 
+def _spectrum(
+    matrix: NcMatrix,
+    seed: int,
+    d: int,
+    kind: str,
+    policy: TolerancePolicy,
+    certify: bool = True,
+) -> SpectrumReport:
+    """The pencil spectrum for certified star-free affine input, else the sampled one."""
+    if certify and matrix.degree <= 1 and not matrix.has_star():
+        return central_eigs_pencil(matrix.to_pencil(), seed=seed, policy=policy)
+    return central_eigs_polymatrix(
+        matrix, d=d, seed=seed, kind=kind, policy=policy, certify=certify
+    )
+
+
 def entropy_dimension(
     matrix: NcMatrix,
     seed: int = 0,
@@ -342,12 +359,7 @@ def entropy_dimension(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> Fraction:
     """1 - sum((N - rho)^2)/N^2 over the certified central eigenvalues."""
-    if matrix.degree <= 1 and not matrix.has_star():
-        report = central_eigs_pencil(matrix.to_pencil(), seed=seed, policy=policy)
-    else:
-        report = central_eigs_polymatrix(
-            matrix, d=d, seed=seed, kind=kind, policy=policy
-        )
+    report = _spectrum(matrix, seed, d, kind, policy)
     if report.uncertified:
         raise Inconclusive(
             "uncertified atom candidates remain", {"uncertified": report.uncertified}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
 import time
@@ -34,15 +35,20 @@ from ncfield import (
     rank_by_substitution,
     verify_nonfull_witness,
 )
-from ncfield.errors import Inconclusive, InputError, NonSquareError
+from ncfield.errors import Inconclusive, InputError, MethodDisagreement, NonSquareError
 from ncfield.ncrank import (
     _blowup_mod_p,
     _confirm_full_exact,
     _exact_hollow_block,
     _holds_exactly,
     _orthonormal,
+    _scaling_verdict,
 )
+from ncfield.randmat import DEFAULT_POLICY
 from ncfield.scalars import _P, GaussianRational, residues_mod_p
+
+# the package exports the function ncrank under the module's name
+ncrank_module = importlib.import_module("ncfield.ncrank")
 
 
 def _pencil(coeff_lists, n_vars):
@@ -68,9 +74,10 @@ def test_quantum_op_is_the_coefficient_sandwich_sum():
 
 
 def test_scaling_certifies_full_pencils():
+    # operator scaling runs only on numeric coefficients
     for seed in range(4):
         pencil = random_pencil(2, 3, seed=100 + seed, homogeneous=True)
-        cert = fullness_scaling(pencil, seed=seed)
+        cert = _scaling_verdict(pencil.numeric_coeffs()[1:], DEFAULT_POLICY, seed)
         assert cert.verdict == "full", seed
         assert cert.defect < 1.0 / (3 + 1)
         sub = rank_by_substitution(pencil.to_matrix(), seed=seed)
@@ -242,10 +249,54 @@ def test_ill_conditioned_hollow_block_is_exact_and_accepted():
     assert verify_nonfull_witness(pencil, cert.witness)
 
 
-def test_scaling_with_no_budget_is_inconclusive_not_full():
+def test_scaling_with_no_budget_is_inconclusive_not_full(monkeypatch):
+    monkeypatch.setattr(ncrank_module, "SCALING_BUDGET_FACTOR", 0)
     pencil = random_pencil(3, 4, seed=9, homogeneous=True)
     with pytest.raises(Inconclusive):
-        fullness_scaling(pencil, budget=0, seed=0)
+        _scaling_verdict(pencil.numeric_coeffs()[1:], DEFAULT_POLICY, 0)
+
+
+def test_exact_pencils_are_decided_without_scaling(monkeypatch):
+    monkeypatch.setattr(ncrank_module, "SCALING_BUDGET_FACTOR", 0)
+    for seed in range(4):
+        full = random_pencil(3, 4, seed=9 + seed, homogeneous=True)
+        cert = fullness_scaling(full, seed=seed)
+        assert (cert.verdict, cert.method, cert.iterations) == ("full", "exact", 0), seed
+        assert cert.detail.startswith("blow-up rank mod p at d = "), seed
+        hidden = conjugated_hollow_matrix(4, 2, seed=300 + seed).to_pencil()
+        cert = fullness_scaling(hidden, seed=seed)
+        assert (cert.verdict, cert.method, cert.iterations) == ("nonfull", "exact", 0)
+        assert verify_nonfull_witness(hidden, cert.witness), seed
+
+
+def test_full_pencil_with_no_invertible_point_needs_the_large_blowup():
+    # The 3x3 skew-symmetric pencil is singular at every scalar point (odd
+    # size) but full: d = 1 cannot prove it, Wong finds no block, and the
+    # blow-up at d = N - 1 = 2 does.
+    def skew(i, j):
+        rows = [[0] * 3 for _ in range(3)]
+        rows[i][j], rows[j][i] = 1, -1
+        return rows
+
+    pencil = LinearPencil([[[0] * 3] * 3, skew(0, 1), skew(0, 2), skew(1, 2)], 3)
+    assert not _confirm_full_exact(pencil, 0, d=1)
+    for seed in range(3):
+        cert = fullness_scaling(pencil, seed=seed)
+        assert (cert.verdict, cert.detail) == ("full", "blow-up rank mod p at d = 2"), seed
+
+
+def test_zero_pattern_reads_exact_coefficients():
+    tiny = Fraction(1, 10**400)  # 0.0 as a float
+    cert = fullness_scaling(_pencil([[[0]], [[tiny]]], 1), seed=0)
+    assert (cert.verdict, cert.iterations) == ("full", 0)
+    # x1 * diag(1, tiny) is full; substitution reads the underflowed float
+    # coefficients, so the engines may disagree, but rho is never 1
+    pencil = _pencil([[[0, 0], [0, 0]], [[1, 0], [0, tiny]]], 1)
+    assert fullness_scaling(pencil, seed=0).verdict == "full"
+    try:
+        assert ncrank(pencil.to_matrix(), seed=0).rho == 2
+    except MethodDisagreement:
+        pass
 
 
 def test_substitution_rank_on_diagonal_gap():
@@ -393,6 +444,25 @@ def test_rank_one_product_of_affine_polynomials():
     result = ncrank(m, seed=0)
     assert time.perf_counter() - start < 10.0
     assert result.rho == 1
+    assert result.cross["scaling"] == "nonfull"
+
+
+def _affine_product(inner: int) -> NcMatrix:
+    """3 x inner times inner x 3 affine polynomial matrices: rho = inner."""
+    rng = random.Random(0)
+    left = NcMatrix([[_affine(rng) for _ in range(inner)] for _ in range(3)], 2)
+    right = NcMatrix([[_affine(rng) for _ in range(3)] for _ in range(inner)], 2)
+    return left @ right
+
+
+@pytest.mark.parametrize("inner, size", [(1, 39), (2, 37)])
+def test_nonfull_linearized_products_are_decided_quickly(inner, size):
+    m = _affine_product(inner)
+    assert linearize_matrix(m)[0].rows == size
+    start = time.perf_counter()
+    result = ncrank(m, seed=0)
+    assert time.perf_counter() - start < 5.0
+    assert result.rho == inner
     assert result.cross["scaling"] == "nonfull"
 
 
