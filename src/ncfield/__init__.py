@@ -21,7 +21,6 @@ from .errors import (
     NonSquareError,
     OutOfDomain,
     ShapeMismatch,
-    StarredLetterError,
     VariableMismatch,
     ZeroPencilError,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "ShapeMismatch",
     "NonSquareError",
     "DegreeTooHigh",
-    "StarredLetterError",
     "ZeroPencilError",
     "Inconclusive",
     "NoConsensus",

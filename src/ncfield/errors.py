@@ -32,10 +32,6 @@ class DegreeTooHigh(NcfieldError):
     """A linear pencil was requested from a matrix of degree above one."""
 
 
-class StarredLetterError(NcfieldError):
-    """A star-free object was required but adjoint letters are present."""
-
-
 class ZeroPencilError(NcfieldError):
     """The zero pencil admits no fullness analysis."""
 

@@ -9,9 +9,11 @@ canonical text form such as ``(3/2+1/2i)*x1*x2* + 1``.
 A linear pencil A0 + A1*x1 + ... holds one exact coefficient matrix per
 letter.  Pencils may live over the plain alphabet x1..xn or over the doubled
 alphabet x1..xn, x1*..xn*; the doubled form is what linear representations of
-rational expressions use.  Evaluation substitutes concrete matrices for the
-letters, sends scalars to multiples of the identity, and returns a complex
-numpy block matrix.
+rational expressions use.  Its coefficient order is that of the plain letters
+x1..x2n, with xi* in slot n + i (``letter_slot``), so the exact engine reads
+a doubled pencil as a plain one in 2n letters.  Evaluation substitutes
+concrete matrices for the letters, sends scalars to multiples of the
+identity, and returns a complex numpy block matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
     DegreeTooHigh,
     NonSquareError,
     ShapeMismatch,
-    StarredLetterError,
     VariableMismatch,
 )
 from .scalars import GaussianRational, Scalarish
@@ -52,6 +53,11 @@ def zero_matrix(rows: int, cols: int) -> List[List[GaussianRational]]:
     """A rows x cols matrix of exact zeros, as fresh lists to fill in."""
     zero = GaussianRational(0)
     return [[zero] * cols for _ in range(rows)]
+
+
+def letter_slot(letter: Letter, n_vars: int) -> int:
+    """Coefficient slot of a letter: i for xi, n + i for xi*."""
+    return letter.index + n_vars if letter.star else letter.index
 
 
 def word_adjoint(word: Word) -> Word:
@@ -496,21 +502,21 @@ class NcMatrix:
         return tuple(i + 1 for i in zero_rows), tuple(j + 1 for j in zero_cols)
 
     def to_pencil(self) -> "LinearPencil":
-        """Coefficient extraction for matrices of degree at most one."""
-        if self.has_star():
-            raise StarredLetterError("pencil extraction needs a star-free matrix")
+        """Coefficient extraction for matrices of degree at most one.
+
+        A matrix with an adjoint letter gives a pencil over the doubled
+        alphabet.
+        """
         if self.degree > 1:
             raise DegreeTooHigh(f"degree {self.degree} matrix is not a pencil")
-        n = self.n_vars
-        coeffs = [zero_matrix(self.rows, self.cols) for _ in range(n + 1)]
+        n, star = self.n_vars, self.has_star()
+        slots = 1 + (2 * n if star else n)
+        coeffs = [zero_matrix(self.rows, self.cols) for _ in range(slots)]
         for i in range(self.rows):
             for j in range(self.cols):
                 for word, c in self.entries[i][j].terms():
-                    if len(word) == 0:
-                        coeffs[0][i][j] = c
-                    else:
-                        coeffs[word[0].index][i][j] = c
-        return LinearPencil(coeffs, n, star_letters=False)
+                    coeffs[letter_slot(word[0], n) if word else 0][i][j] = c
+        return LinearPencil(coeffs, n, star_letters=star)
 
 
 def _max_bipartite_matching(n: int, adj: List[List[int]]):
@@ -607,6 +613,10 @@ class LinearPencil:
         if pos <= self.n_vars:
             return Letter(pos, False)
         return Letter(pos - self.n_vars, True)
+
+    def plain(self) -> "LinearPencil":
+        """The same pencil over the plain letters x1..x(n_letters)."""
+        return LinearPencil(self.coeffs, self.n_letters) if self.star_letters else self
 
     def is_square(self) -> bool:
         return self.rows == self.cols

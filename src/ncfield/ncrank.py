@@ -22,8 +22,11 @@ leads to the collapse directions of the scaled tuple.  Every nonfull witness
 is re-verified before the verdict is issued.
 
 Affine pencils are homogenized first; matrices of higher degree are rewritten
-as enlarged pencils with a known rank offset.  The two engines cross-check
-each other and disagreement is a hard error.
+as enlarged pencils with a known rank offset.  Adjoint letters need no second
+path: x1..xn, x1*..xn* generate the free field on 2n letters, so a pencil over
+the doubled alphabet is decided as a pencil in 2n plain letters, with xi* as
+letter n + i.  The two engines cross-check each other and disagreement is a
+hard error.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .errors import (
     MethodDisagreement,
     NoConsensus,
     NonSquareError,
-    StarredLetterError,
     ZeroPencilError,
 )
 from .ncpoly import LinearPencil, NcMatrix, NcPoly, _zero_block, zero_matrix
@@ -85,15 +87,12 @@ def _apply_cp(mats: Sequence[np.ndarray], b: np.ndarray) -> np.ndarray:
 def homogenize(pencil: LinearPencil) -> LinearPencil:
     """Move the constant term onto a fresh variable.
 
-    The result is a homogeneous pencil in n+1 variables with the same inner
-    rank, hence the same fullness.
+    The result is a homogeneous pencil in n+1 plain letters (2n+1 for a
+    doubled alphabet) with the same inner rank, hence the same fullness.
     """
-    if pencil.star_letters:
-        raise StarredLetterError("homogenization needs a plain alphabet")
+    pencil = pencil.plain()
     zero = zero_matrix(pencil.rows, pencil.cols)
-    return LinearPencil(
-        [zero, *pencil.coeffs[1:], pencil.coeffs[0]], pencil.n_vars + 1, star_letters=False
-    )
+    return LinearPencil([zero, *pencil.coeffs[1:], pencil.coeffs[0]], pencil.n_vars + 1)
 
 
 # substitution engine
@@ -218,8 +217,9 @@ def fullness_scaling(
     and at d = N - 1 only after Wong, so a nonfull pencil never builds the
     large one.  When nothing decides, the result is Inconclusive.  Every
     nonfull witness is re-verified, and every certificate has
-    ``iterations == 0``.
+    ``iterations == 0``.  A doubled pencil is read over its 2n plain letters.
     """
+    pencil = pencil.plain()
     if not pencil.is_square():
         raise NonSquareError("fullness is defined for square pencils")
     if not pencil.is_homogeneous():
@@ -368,36 +368,33 @@ def _confirm_full_exact(
     here, and reduction mod p is a ring homomorphism (i maps to a square
     root of -1), so every minor maps to the reduced minor and rank mod p
     never exceeds the rank of the lifted substitution.  Rank n * d mod p
-    therefore proves fullness.  The lift is real, so a starred slot takes
-    its adjoint Xi^T.  When det of the blow-up is nonzero as a polynomial
-    mod p, of degree n * d in the entries of the Xi, one uniform draw
-    misses it with probability at most n * d / p (Schwartz-Zippel).
+    therefore proves fullness.  When det of the blow-up is nonzero as a
+    polynomial mod p, of degree n * d in the entries of the Xi, one uniform
+    draw misses it with probability at most n * d / p (Schwartz-Zippel).
     False (a miss, an unlucky prime, or a denominator divisible by p) only
     means "not confirmed", never nonfullness.
     """
     n = pencil.rows
     d = max(1, n - 1) if d is None else d
     rng = np.random.default_rng(((seed << 8) ^ 0x5CA1E) % 2**64)
-    subs = [rng.integers(0, _P, size=(d, d)) for _ in range(pencil.n_vars)]
+    subs = [rng.integers(0, _P, size=(d, d)) for _ in range(pencil.n_letters)]
     big = _blowup_mod_p(pencil, subs)
     return big is not None and rank_mod_p(big) == n * d
 
 
 def _blowup_mod_p(pencil: LinearPencil, subs) -> Optional[np.ndarray]:
-    """A0 (x) I + sum Ai (x) Xi mod p, with Xi^T in the starred slots.
+    """A0 (x) I + sum Ai (x) Xi mod p.
 
-    ``subs[k]`` is the residue matrix for letter k + 1.  None when a
-    coefficient has a denominator divisible by p.
+    ``subs[k]`` is the residue matrix for coefficient slot k + 1.  None when
+    a coefficient has a denominator divisible by p.
     """
     residues = [residues_mod_p(mat) for mat in pencil.coeffs]
     if any(r is None for r in residues):
         return None
     big = np.kron(residues[0], np.eye(subs[0].shape[0], dtype=np.int64))
-    for pos in range(1, pencil.n_letters + 1):
-        letter = pencil.letter(pos)
-        x = subs[letter.index - 1]
+    for a, x in zip(residues[1:], subs):
         # a product of residues is below 2^62, so adding one residue fits int64
-        big = (big + np.kron(residues[pos], x.T if letter.star else x)) % _P
+        big = (big + np.kron(a, x)) % _P
     return big
 
 
@@ -542,7 +539,9 @@ def _exact_hollow_block(coeffs, seed, transpose=False):
     for _ in range(2):
         weights = [rng.randrange(_P) for _ in mats]
         found = _wong_mod_p(plus, weights)
-        other = found if minus is plus or found is None else _wong_mod_p(minus, weights)
+        if found is None:
+            return None
+        other = found if minus is plus else _wong_mod_p(minus, weights)
         if other is None or [m.shape for m in found] != [m.shape for m in other]:
             continue
         pair = [lift_mod_p(f, o) for f, o in zip(found, other)]
@@ -629,10 +628,9 @@ def linearize_matrix(matrix: NcMatrix) -> Tuple[LinearPencil, int]:
     g-1: the leading letter sits in the coupling column, the middle letters
     on the block superdiagonal against -1 entries, and the trailing letter in
     the coupling row.  Eliminating the invertible border recovers the matrix,
-    so rank(pencil) = rank(matrix) + border size.
+    so rank(pencil) = rank(matrix) + border size.  Adjoint letters stay
+    letters, so a matrix with any gives a pencil over the doubled alphabet.
     """
-    if matrix.has_star():
-        raise StarredLetterError("degree reduction needs a star-free matrix")
     n_vars = matrix.n_vars
     n = matrix.rows
     m = matrix.cols
@@ -685,14 +683,15 @@ def ncrank(
     """Inner rank of matrix - shift*1 with cross-validation between the engines.
 
     Rectangular input is padded square.  The substitution engine supplies the
-    value; for star-free matrices the fullness engine independently decides
-    fullness and any contradiction raises MethodDisagreement.  At shift 0 the
-    pencil (linearized and homogenized as needed) is exact, and
-    ``fullness_scaling`` decides it by exact certificates alone.  A nonzero
-    shift has no exact form, so operator scaling then runs on the
-    numerically shifted coefficients and confirms fullness numerically; pass
-    exact shifts through ``matrix.shift`` instead.  An inconclusive fullness
-    engine defers to substitution; ``cross["scaling"]`` records its verdict.
+    value; the fullness engine independently decides fullness, over 2n plain
+    letters when adjoint letters occur, and any contradiction raises
+    MethodDisagreement.  At shift 0 the pencil (linearized and homogenized
+    as needed) is exact, and ``fullness_scaling`` decides it by exact
+    certificates alone.  A nonzero shift has no exact form, so operator
+    scaling then runs on the numerically shifted coefficients and confirms
+    fullness numerically; pass exact shifts through ``matrix.shift``
+    instead.  An inconclusive fullness engine defers to substitution;
+    ``cross["scaling"]`` records its verdict.
     """
     if shift != 0 and not matrix.is_square():
         raise NonSquareError("shift needs a square matrix")
@@ -703,8 +702,6 @@ def ncrank(
     sub = rank_by_substitution(
         matrix, dims=dims, trials=trials, seed=seed, policy=policy, shift=shift
     )
-    if matrix.has_star():
-        return sub
     cross: dict = {}
     if matrix.degree <= 1:
         pencil = matrix.to_pencil()

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import OutOfDomain
-from .ncpoly import LinearPencil, NcPoly, zero_matrix
+from .ncpoly import LinearPencil, NcPoly, letter_slot, zero_matrix
 from .ratexpr import Add, Adjoint, Const, Inv, Mul, Neg, RatExpr, Var, is_polynomial, max_var_index
 from .scalars import GaussianRational
 
@@ -64,8 +64,7 @@ def _affine_slots(poly: NcPoly, n_vars: int, size: int):
     """size x size coefficient slots holding the affine polynomial at (0, 0)."""
     slots = [zero_matrix(size, size) for _ in range(1 + 2 * n_vars)]
     for word, coeff in poly.terms():
-        pos = 0 if not word else word[0].index + (n_vars if word[0].star else 0)
-        slots[pos][0][0] = coeff
+        slots[letter_slot(word[0], n_vars) if word else 0][0][0] = coeff
     return slots
 
 

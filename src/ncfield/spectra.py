@@ -136,8 +136,6 @@ def central_eigs_pencil(
     """
     if not pencil.is_square():
         raise NonSquareError("central eigenvalues need a square pencil")
-    if pencil.star_letters:
-        raise InputError("pencil spectra are defined over the plain alphabet")
     n = pencil.rows
     report = SpectrumReport(size=n, source="constant-term")
     hom = pencil.homogeneous_part()
@@ -343,8 +341,8 @@ def _spectrum(
     policy: TolerancePolicy,
     certify: bool = True,
 ) -> SpectrumReport:
-    """The pencil spectrum for certified star-free affine input, else the sampled one."""
-    if certify and matrix.degree <= 1 and not matrix.has_star():
+    """The pencil spectrum for certified affine input, else the sampled one."""
+    if certify and matrix.degree <= 1:
         return central_eigs_pencil(matrix.to_pencil(), seed=seed, policy=policy)
     return central_eigs_polymatrix(
         matrix, d=d, seed=seed, kind=kind, policy=policy, certify=certify

@@ -60,6 +60,15 @@ def test_rank_of_pencil_file(capsys, tmp_path):
     assert report["rows"] == 2 and report["cols"] == 2
 
 
+def test_rank_of_starred_expression_is_cross_checked(capsys):
+    code, out, _ = _run(capsys, ["rank", "--expr", "x1*x1' - x1'*x1"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["rho"], report["kind"]) == (1, "ginibre")
+    assert report["cross"]["scaling"] == "full"
+    assert report["cross"]["scaling_method"] == "exact"
+
+
 def test_rank_needs_exactly_one_input(capsys, tmp_path):
     code, _, err = _run(capsys, ["rank"])
     assert code == 1 and "exactly one" in err

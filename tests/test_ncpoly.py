@@ -244,6 +244,19 @@ def test_pencil_round_trip():
     assert pencil.n_vars == 3
 
 
+def test_starred_pencil_round_trip():
+    m = random_poly_matrix(2, 3, 3, degree=1, seed=13, allow_star=True)
+    assert m.has_star()
+    pencil = m.to_pencil()
+    assert (pencil.n_vars, pencil.star_letters) == (2, True)
+    assert pencil.to_matrix() == m
+    # the starred slots are the plain letters x3, x4
+    plain = pencil.plain()
+    assert (plain.n_vars, plain.star_letters) == (4, False)
+    assert plain.coeffs == pencil.coeffs
+    assert random_pencil(2, 3, seed=12).plain() == random_pencil(2, 3, seed=12)
+
+
 def test_pencil_rejects_higher_degree():
     from ncfield.errors import DegreeTooHigh
 

@@ -269,7 +269,7 @@ def test_exact_pencils_are_decided_without_scaling(monkeypatch):
         assert verify_nonfull_witness(hidden, cert.witness), seed
 
 
-def test_full_pencil_with_no_invertible_point_needs_the_large_blowup():
+def test_full_pencil_with_no_invertible_point_needs_the_large_blowup(monkeypatch):
     # The 3x3 skew-symmetric pencil is singular at every scalar point (odd
     # size) but full: d = 1 cannot prove it, Wong finds no block, and the
     # blow-up at d = N - 1 = 2 does.
@@ -278,11 +278,52 @@ def test_full_pencil_with_no_invertible_point_needs_the_large_blowup():
         rows[i][j], rows[j][i] = 1, -1
         return rows
 
+    # with no shrunk subspace at the first point, Wong tries no second one
+    calls = []
+    wong = ncrank_module._wong_mod_p
+    monkeypatch.setattr(
+        ncrank_module, "_wong_mod_p", lambda *args: calls.append(args) or wong(*args)
+    )
     pencil = LinearPencil([[[0] * 3] * 3, skew(0, 1), skew(0, 2), skew(1, 2)], 3)
     assert not _confirm_full_exact(pencil, 0, d=1)
     for seed in range(3):
+        calls.clear()
         cert = fullness_scaling(pencil, seed=seed)
         assert (cert.verdict, cert.detail) == ("full", "blow-up rank mod p at d = 2"), seed
+        assert len(calls) == 2, seed  # once on the tuple, once on its transpose
+
+
+def test_doubled_pencils_are_certified_over_plain_letters():
+    # X - X^T vanishes at d = 1, but x1 - x1* is x1 - x2 in the plain letters
+    diff = poly_from_string("x1 - x1'", n_vars=1)
+    zero = NcPoly.zero(1)
+    for m in (NcMatrix([[diff]]), NcMatrix([[zero, diff], [diff, zero]])):
+        pencil = m.to_pencil()
+        assert pencil.star_letters
+        cert = fullness_scaling(pencil, seed=0)
+        assert (cert.verdict, cert.detail) == ("full", "blow-up rank mod p at d = 1")
+
+
+@pytest.mark.parametrize(
+    "entries, verdict",
+    [
+        ([["x1*x1' - x1'*x1"]], "full"),
+        ([["x1", "x1'"], ["x1", "x1'"]], "nonfull"),
+        ([["x1*x1'", "x1"], ["x1'", "1"]], "nonfull"),
+    ],
+)
+def test_ncrank_cross_checks_starred_input(entries, verdict):
+    m = NcMatrix([[poly_from_string(e, n_vars=1) for e in row] for row in entries], 1)
+    result = ncrank(m, seed=0)
+    assert result.rho == 1
+    assert result.cross["scaling"] == verdict
+    pencil = m.to_pencil() if m.degree <= 1 else linearize_matrix(m)[0]
+    target = homogenize(pencil)
+    assert target.n_vars == 3 and not target.star_letters
+    cert = fullness_scaling(target, seed=0)
+    assert cert.verdict == verdict
+    if verdict == "nonfull":
+        assert verify_nonfull_witness(target, cert.witness)
 
 
 def test_zero_pattern_reads_exact_coefficients():
@@ -467,24 +508,15 @@ def test_nonfull_linearized_products_are_decided_quickly(inner, size):
 
 
 def _blowup_over_q(pencil: LinearPencil, subs) -> list:
-    """The Q(i) blow-up at the integer lift of subs, with adjoints in starred slots."""
+    """The Q(i) blow-up of a plain pencil at the integer lift of subs."""
     n, d = pencil.rows, subs[0].shape[0]
     big = [[GaussianRational(0)] * (n * d) for _ in range(n * d)]
-    for pos in range(pencil.n_letters + 1):
+    for pos in range(pencil.n_vars + 1):
         if pos == 0:
             block = [[GaussianRational(int(p == q)) for q in range(d)] for p in range(d)]
         else:
-            letter = pencil.letter(pos)
-            x = subs[letter.index - 1]
-            block = [
-                [
-                    GaussianRational(int(x[q, p])).conjugate()
-                    if letter.star
-                    else GaussianRational(int(x[p, q]))
-                    for q in range(d)
-                ]
-                for p in range(d)
-            ]
+            x = subs[pos - 1]
+            block = [[GaussianRational(int(x[p, q])) for q in range(d)] for p in range(d)]
         for i in range(n):
             for j in range(n):
                 c = pencil.coeffs[pos][i][j]
@@ -513,9 +545,10 @@ def test_blowup_mod_p_reduces_the_exact_blowup(n, n_vars, star, d):
         ]
         for _ in range(slots)
     ]
-    pencil = LinearPencil(coeffs, n_vars, star_letters=star)
+    # a doubled pencil is blown up over its 2n plain letters, one draw each
+    pencil = LinearPencil(coeffs, n_vars, star_letters=star).plain()
     draw = np.random.default_rng(n * d)
-    subs = [draw.integers(0, _P, size=(d, d)) for _ in range(n_vars)]
+    subs = [draw.integers(0, _P, size=(d, d)) for _ in range(pencil.n_vars)]
     assert (_blowup_mod_p(pencil, subs) == residues_mod_p(_blowup_over_q(pencil, subs))).all()
 
 

@@ -235,12 +235,13 @@ def test_atom_masses_rejects_numeric_points():
         atom_masses(_diag_x1_zero(), [0.25 + 0.1j], seed=33)
 
 
-def test_spectrum_requires_square_and_plain_letters():
+def test_spectrum_requires_square_and_accepts_doubled_letters():
     zero = NcPoly.zero(1)
     rect = NcMatrix([[NcPoly.var(1, 1), zero]])
     with pytest.raises(NonSquareError):
         central_eigs_pencil(rect.to_pencil())
     g = GaussianRational
+    # x1 + x1*, a full pencil in the plain letters x1, x2
     star = LinearPencil(
         [
             [[g(0)]],
@@ -250,8 +251,9 @@ def test_spectrum_requires_square_and_plain_letters():
         1,
         star_letters=True,
     )
-    with pytest.raises(InputError):
-        central_eigs_pencil(star)
+    report = central_eigs_pencil(star)
+    assert report.atoms == []
+    assert report.dimension == 1
 
 
 def test_report_serialization_keeps_exact_masses():
