@@ -114,6 +114,10 @@ class NcPoly:
         """Terms sorted by descending degree, then lexicographically."""
         return sorted(self._terms.items(), key=lambda kv: (-len(kv[0]), kv[0]))
 
+    def coefficients(self) -> Iterable[GaussianRational]:
+        """The nonzero coefficients, unsorted (cheaper than ``terms``)."""
+        return self._terms.values()
+
     def widen(self, n_vars: int) -> "NcPoly":
         """The same polynomial viewed over a larger variable set."""
         if n_vars < self.n_vars:
@@ -466,10 +470,17 @@ class NcMatrix:
 
     # evaluation and structure
 
-    def evaluate(self, model, shift: complex = 0) -> np.ndarray:
-        """Block evaluation at a matrix tuple, optionally minus shift*identity."""
+    def evaluate(
+        self, model, shift: complex = 0, cache: Optional[dict] = None
+    ) -> np.ndarray:
+        """Block evaluation at a matrix tuple, optionally minus shift*identity.
+
+        ``cache`` maps words to their values at ``model``; pass one dict to
+        share word products between several evaluations at the same model.
+        """
         d = model.d
-        cache: dict = {}
+        if cache is None:
+            cache = {}
         out = np.zeros((self.rows * d, self.cols * d), dtype=complex)
         for i in range(self.rows):
             for j in range(self.cols):
@@ -482,6 +493,46 @@ class NcMatrix:
                 raise NonSquareError("shift needs a square matrix")
             out -= shift * np.eye(self.rows * d, dtype=complex)
         return out
+
+    def principal(self, indices: Sequence[int]) -> "NcMatrix":
+        """The principal submatrix on the given 0-based indices, in that order."""
+        return NcMatrix(
+            [[self.entries[i][j] for j in indices] for i in indices], self.n_vars
+        )
+
+    def diagonal_blocks(self) -> List[Tuple[int, ...]]:
+        """0-based index sets of the diagonal blocks, ordered by least index.
+
+        The blocks are the connected components of the symmetric nonzero
+        pattern: i and j are joined when entry (i, j) or (j, i) is nonzero.
+        Every entry outside the blocks is zero, so the matrix is, up to one
+        simultaneous row and column permutation, the direct sum of the
+        principal submatrices on the blocks.
+        """
+        if not self.is_square():
+            raise NonSquareError("diagonal blocks are defined for square matrices")
+        n = self.rows
+        adj: List[List[int]] = [[] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not (self.entries[i][j].is_zero() and self.entries[j][i].is_zero()):
+                    adj[i].append(j)
+                    adj[j].append(i)
+        seen = [False] * n
+        blocks = []
+        for start in range(n):
+            if seen[start]:
+                continue
+            seen[start] = True
+            block, queue = [start], [start]
+            while queue:
+                for j in adj[queue.pop()]:
+                    if not seen[j]:
+                        seen[j] = True
+                        block.append(j)
+                        queue.append(j)
+            blocks.append(tuple(sorted(block)))
+        return blocks
 
     def hollow_block(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """Find a zero submatrix with more than N rows plus columns.

@@ -10,11 +10,11 @@ whose limits generate the same free field in the doubled letters.
 The fullness engine decides whether a homogeneous square pencil is full,
 and how depends on the kind of input.  Exact coefficients get exact
 certificates only.  A blow-up A1 (x) X1 + ... of full rank mod p proves
-fullness; it is read at d = 1 first, and at d = N - 1 last.  In between, a
-hollow zero pattern, then the exact second Wong sequence on the tuple and on
-its transpose, prove nonfullness.  When none decides, the result is
-Inconclusive.  Numerically shifted coefficients, which have no exact form,
-get operator scaling: with L(B) the sum of Ai B Ai*, the pencil is full
+fullness; it is read at d = 1 first, and at d = 2, 4, ..., N - 1 last.
+In between, a hollow zero pattern, then the exact second Wong sequence on
+the tuple and on its transpose, prove nonfullness.  When none decides, the
+result is Inconclusive.  Numerically shifted coefficients, which have no
+exact form, get operator scaling: with L(B) the sum of Ai B Ai*, the pencil is full
 exactly when L never decreases rank on positive semidefinite arguments, and
 once the doubly-stochasticity defect of the scaled tuple drops below
 1/(N+1), a numeric blow-up confirms fullness.  A collapse or a spent budget
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +61,11 @@ from .scalars import (
 )
 
 SCALING_BUDGET_FACTOR = 200
+
+# Substitution leaves a row as it is when its largest coefficient is within
+# 2^8 of 1 either way; rows within 2^16 of each other are far above the
+# relative SVD threshold, and ordinary integer input pays no rebuild.
+ROW_EXPONENT_SLACK = 8
 
 # Once the normalizers L(I) or L*(I) develop an eigenvalue below this
 # relative floor, floating point no longer tracks the exact scaling orbit
@@ -134,7 +140,11 @@ def rank_by_substitution(
     """Inner rank via random matrix substitution.
 
     Every (dimension, trial) pair gets its own derived seed.  All estimates
-    must agree on round(rank/d) and pass the singular value gap test.
+    must agree on round(rank/d) and pass the singular value gap test.  At
+    shift 0 each row is first scaled by an exact power of two (see
+    ``_row_balanced``), so exact coefficients outside the float range still
+    reach the SVD; a row whose own entries differ by more than the whole
+    float range is out of reach and may still underflow.
     """
     if dims is None:
         base = max(matrix.rows, matrix.cols) + 1
@@ -145,11 +155,12 @@ def rank_by_substitution(
         raise InputError("need at least one trial")
     if kind is None:
         kind = "ginibre" if matrix.has_star() else "gue"
+    balanced = _row_balanced(matrix) if shift == 0 else matrix
     estimates = []
     pairs = ((d, t) for d in dims for t in range(trials))
     for s, (d, t) in enumerate(pairs, start=seed):
         model = sample(kind, d, matrix.n_vars, s)
-        report = empirical_rank(matrix.evaluate(model, shift=shift), policy)
+        report = empirical_rank(balanced.evaluate(model, shift=shift), policy)
         ratio = report.rank / d
         estimates.append(
             {
@@ -184,6 +195,41 @@ def rank_by_substitution(
     )
 
 
+def _row_balanced(matrix: NcMatrix) -> NcMatrix:
+    """matrix with row i scaled by 2^e_i, which keeps the inner rank.
+
+    e_i is minus the binary exponent of the largest exact coefficient in row
+    i, or 0 when that exponent is within ROW_EXPONENT_SLACK of 0, so a row
+    whose coefficients under- or overflow a float is brought near 1 first.
+    With every e_i at 0 the matrix itself is returned.
+    """
+    exps = [_row_exponent(row) for row in matrix.entries]
+    if not any(exps):
+        return matrix
+    return NcMatrix(
+        [
+            [p * GaussianRational(Fraction(2) ** e) for p in row]
+            for row, e in zip(matrix.entries, exps)
+        ],
+        matrix.n_vars,
+    )
+
+
+def _row_exponent(row: Sequence[NcPoly]) -> int:
+    """e_i of ``_row_balanced``; bit lengths give each exponent within one."""
+    top = max(
+        (
+            part.numerator.bit_length() - part.denominator.bit_length()
+            for p in row
+            for c in p.coefficients()
+            for part in (c.re, c.im)
+            if part
+        ),
+        default=0,
+    )
+    return -top if abs(top) > ROW_EXPONENT_SLACK else 0
+
+
 # fullness engine
 
 
@@ -197,9 +243,9 @@ class FullnessCertificate:
     defect: float  # scaled-tuple defect; inf when no scaling ran
     iterations: int  # scaling iterations; 0 on exact input
     witness: object = None  # the PSD matrix B of a nonfull verdict
-    # what decided: "blow-up rank mod p at d = 1" (or d = N - 1), "zero
-    # pattern", "exact Wong", "exact Wong (adjoint)", the defect criterion
-    # or "collapse directions"
+    # what decided: "blow-up rank mod p at d = 1" (or at the larger d that
+    # proved it), "zero pattern", "exact Wong", "exact Wong (adjoint)", the
+    # defect criterion or "collapse directions"
     detail: str = ""
 
 
@@ -214,10 +260,11 @@ def fullness_scaling(
     proves fullness; a hollow zero pattern, or the exact second Wong sequence
     on the tuple or on its transpose, proves nonfullness.  The blow-up is
     read at d = 1 first, which proves most full pencils at one N x N matrix,
-    and at d = N - 1 only after Wong, so a nonfull pencil never builds the
-    large one.  When nothing decides, the result is Inconclusive.  Every
-    nonfull witness is re-verified, and every certificate has
-    ``iterations == 0``.  A doubled pencil is read over its 2n plain letters.
+    and only after Wong at d = 2, 4, ... below N - 1, then at N - 1, stopping
+    at the first full reading, so a nonfull pencil never builds a large one.
+    ``detail`` names the d that decided.  When nothing decides, the result
+    is Inconclusive.  Every nonfull witness is re-verified, and every
+    certificate has ``iterations == 0``.  A doubled pencil is read over its 2n plain letters.
     """
     pencil = pencil.plain()
     if not pencil.is_square():
@@ -244,9 +291,20 @@ def fullness_scaling(
             b = v @ v.conj().T
             if _verify_witness(mats, b, policy):
                 return FullnessCertificate("nonfull", "exact", n, math.inf, 0, b, detail)
-    if _confirm_full_exact(pencil, seed):
-        return _full_by_blowup(n, max(1, n - 1))
+    for d in _blowup_degrees(n):
+        if _confirm_full_exact(pencil, seed, d=d):
+            return _full_by_blowup(n, d)
     raise Inconclusive("no exact certificate of fullness or nonfullness", {"size": n})
+
+
+def _blowup_degrees(n: int) -> List[int]:
+    """d = 2, 4, 8, ... below N - 1, then N - 1; d = 1 is read before Wong."""
+    degrees = []
+    d = 2
+    while d < n - 1:
+        degrees.append(d)
+        d *= 2
+    return degrees + [n - 1] if n > 2 else degrees
 
 
 def _full_by_blowup(n: int, d: int) -> FullnessCertificate:

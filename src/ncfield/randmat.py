@@ -190,30 +190,88 @@ class ESD:
 HERMITIAN_REL_TOL = 1e-10
 
 
-def _eigenvalues(value: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """(eigenvalues, hermitian) of an evaluated matrix.
+@dataclass(frozen=True)
+class BlockSpectrum:
+    """Eigenvalues of an evaluated square polynomial matrix, block by block.
 
-    A matrix within HERMITIAN_REL_TOL of its adjoint, relative to its norm,
-    counts as Hermitian; its real eigenvalues come sorted from eigvalsh.
+    ``blocks`` lists each diagonal block (``NcMatrix.diagonal_blocks``) as
+    its 0-based rows and whether it was read from constants.  ``parts``
+    holds each block's value with its weight: an evaluated block with
+    weight 1, or the scalar matrix C of a constant block with weight d,
+    since the block evaluates to C (x) I_d.
     """
-    scale = np.linalg.norm(value)
-    herm = bool(
+
+    eigenvalues: np.ndarray
+    hermitian: bool
+    blocks: Tuple[Tuple[Tuple[int, ...], bool], ...]
+    parts: Tuple[Tuple[np.ndarray, int], ...] = field(repr=False)
+
+    def normal_defect(self) -> float:
+        """|VV* - V*V| / |V|^2 in the Frobenius norm, V the whole value."""
+        scale = _frobenius(self.parts, lambda v: v)
+        if scale == 0.0:
+            return 0.0
+        gap = _frobenius(self.parts, lambda v: v @ v.conj().T - v.conj().T @ v)
+        return gap / (scale * scale)
+
+
+def _frobenius(parts, f) -> float:
+    """Frobenius norm of f applied to the whole value, summed over blocks."""
+    return math.sqrt(sum(w * float(np.linalg.norm(f(v))) ** 2 for v, w in parts))
+
+
+def block_spectrum(poly_matrix, model: MatrixModel) -> BlockSpectrum:
+    """Eigenvalues of poly_matrix at model, one diagonal block at a time.
+
+    A block with a nonconstant entry is evaluated, with one word cache shared
+    by all blocks, and solved at its own size d * |block|.  A constant block
+    is never evaluated: C (x) I_d has the eigenvalues of C, each d times.
+    The whole value counts as Hermitian when it is within HERMITIAN_REL_TOL
+    of its adjoint, relative to its norm; its real eigenvalues are then
+    those of the Hermitian part of each block, returned sorted.
+    """
+    d = model.d
+    cache: dict = {}
+    blocks, parts = [], []
+    for rows in poly_matrix.diagonal_blocks():
+        sub = poly_matrix.principal(rows)
+        constant = sub.degree <= 0
+        if constant:
+            value = np.array(
+                [[complex(p.constant_term()) for p in row] for row in sub.entries],
+                dtype=complex,
+            )
+        else:
+            value = sub.evaluate(model, cache=cache)
+        blocks.append((rows, constant))
+        parts.append((value, d if constant else 1))
+    scale = _frobenius(parts, lambda v: v)
+    hermitian = bool(
         scale == 0.0
-        or np.linalg.norm(value - value.conj().T) <= HERMITIAN_REL_TOL * scale
+        or _frobenius(parts, lambda v: v - v.conj().T) <= HERMITIAN_REL_TOL * scale
     )
-    if herm:
-        return np.linalg.eigvalsh((value + value.conj().T) / 2), True
-    return np.linalg.eigvals(value), False
+    if hermitian:
+        solved = [np.linalg.eigvalsh((v + v.conj().T) / 2) for v, _ in parts]
+    else:
+        solved = [np.linalg.eigvals(v) for v, _ in parts]
+    eigs = np.concatenate([np.repeat(e, w) for e, (_, w) in zip(solved, parts)])
+    if hermitian:
+        eigs = np.sort(eigs)
+    return BlockSpectrum(eigs, hermitian, tuple(blocks), tuple(parts))
 
 
 def esd(poly_matrix, model: MatrixModel) -> ESD:
-    """Eigenvalues of the evaluated matrix, Hermitian-aware."""
-    eigs, herm = _eigenvalues(poly_matrix.evaluate(model))
+    """Eigenvalues of the evaluated matrix, Hermitian-aware.
+
+    The diagonal blocks are solved apart and constant blocks are read
+    exactly, without evaluation (``block_spectrum``).
+    """
+    spectrum = block_spectrum(poly_matrix, model)
     return ESD(
-        eigenvalues=eigs.astype(complex),
+        eigenvalues=spectrum.eigenvalues.astype(complex),
         d=model.d,
         block_size=poly_matrix.rows,
-        hermitian=herm,
+        hermitian=spectrum.hermitian,
         kind=model.kind,
         seed=model.seed,
     )

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .ncpoly import LinearPencil, NcMatrix
 from .ncrank import ncrank
-from .randmat import DEFAULT_POLICY, TolerancePolicy, _eigenvalues, sample
+from .randmat import DEFAULT_POLICY, TolerancePolicy, block_spectrum, sample
 from .scalars import GaussianRational, snap_to_gaussian_rational
 
 LambdaLike = Union[GaussianRational, complex, int, Fraction]
@@ -164,34 +164,32 @@ def central_eigs_polymatrix(
 ) -> SpectrumReport:
     """Central eigenvalues of a polynomial matrix from one spectral sample.
 
-    Atom candidates are windows of width WINDOW_FACTOR/sqrt(d) holding at
-    least COUNT_FACTOR*d/N eigenvalues.  With certification on, each
-    candidate must pass a rank decision on the shifted matrix.
+    The sample's spectrum is solved one diagonal block at a time, and a
+    constant block is read exactly from its scalar matrix without being
+    evaluated (``randmat.block_spectrum``); ``diagnostics["blocks"]`` lists
+    the blocks.  Atom candidates are windows of width WINDOW_FACTOR/sqrt(d)
+    holding at least COUNT_FACTOR*d/N eigenvalues.  With certification on,
+    each candidate must pass a rank decision on the shifted matrix.
     """
     if not matrix.is_square():
         raise NonSquareError("central eigenvalues need a square matrix")
     n = matrix.rows
-    model = sample(kind, d, matrix.n_vars, seed)
-    value = matrix.evaluate(model)
-    eigs, hermitian = _eigenvalues(value)
+    spectrum = block_spectrum(matrix, sample(kind, d, matrix.n_vars, seed))
+    hermitian = spectrum.hermitian
     window = WINDOW_FACTOR / math.sqrt(d)
     min_count = COUNT_FACTOR * d / n
     if hermitian:
-        raw = _real_atom_clusters(eigs, window, min_count)
+        raw = _real_atom_clusters(spectrum.eigenvalues, window, min_count)
         candidates = [complex(x) for x in raw]
     else:
         # A Hermitian value v has |vv* - v*v| <= 2e-10 |v|^2 (the Hermitian
         # tolerance), far below this bar, so only this branch can warn.
-        scale = float(np.linalg.norm(value))
-        normal_gap = float(
-            np.linalg.norm(value @ value.conj().T - value.conj().T @ value)
-        )
-        if normal_gap > 1e-8 * scale * scale:
+        if spectrum.normal_defect() > 1e-8:
             warnings.warn(
                 "evaluated matrix is far from normal; atom detection is unreliable",
                 stacklevel=2,
             )
-        candidates = _complex_atom_clusters(eigs, window, min_count)
+        candidates = _complex_atom_clusters(spectrum.eigenvalues, window, min_count)
     report = SpectrumReport(size=n, source="numeric-detection")
     report.diagnostics.update(
         {
@@ -201,6 +199,10 @@ def central_eigs_polymatrix(
             "min_count": min_count,
             "hermitian": hermitian,
             "candidates": [[z.real, z.imag] for z in candidates],
+            "blocks": [
+                {"rows": list(rows), "constant": constant}
+                for rows, constant in spectrum.blocks
+            ],
         }
     )
     if certify:
@@ -300,16 +302,22 @@ def _real_atom_clusters(sorted_eigs: np.ndarray, window: float, min_count: float
 
 
 def _complex_atom_clusters(eigs: np.ndarray, window: float, min_count: float):
-    """Cell-count clustering in the complex plane."""
+    """Cell-count clustering in the complex plane, centers sorted by (re, im).
+
+    Neither the centers nor their means depend on the order of ``eigs``, so
+    candidates and their certification seeds do not follow solver or block
+    order.
+    """
     cells: dict = {}
-    for z in eigs:
+    for z in np.sort(eigs):
         key = (round(z.real / window), round(z.imag / window))
         cells.setdefault(key, []).append(z)
-    centers = []
-    for bucket in cells.values():
-        if len(bucket) >= min_count:
-            centers.append(complex(np.mean(bucket)))
-    return centers
+    centers = [
+        complex(np.mean(bucket))
+        for bucket in cells.values()
+        if len(bucket) >= min_count
+    ]
+    return sorted(centers, key=lambda z: (z.real, z.imag))
 
 
 def atom_masses(

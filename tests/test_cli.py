@@ -221,6 +221,16 @@ def test_atoms_entropy_needs_certification(capsys, tmp_path):
     assert "inconclusive" in err
 
 
+def test_atoms_report_lists_the_diagonal_blocks(capsys, tmp_path):
+    path = _write_projection_pencil(tmp_path)
+    code, out, _ = _run(capsys, ["atoms", "--pencil", path, "--no-certify", "--d", "50"])
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["blocks"] == [
+        {"rows": [0], "constant": False},
+        {"rows": [1], "constant": True},
+    ]
+
+
 def test_dualcheck_passes_and_renders_csv(capsys):
     code, out, err = _run(capsys, ["dualcheck", "--n", "1", "--R", "3"])
     assert code == 0

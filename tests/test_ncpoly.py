@@ -19,7 +19,7 @@ from ncfield import (
     random_pencil,
     random_poly_matrix,
 )
-from ncfield.errors import ShapeMismatch, VariableMismatch
+from ncfield.errors import NonSquareError, ShapeMismatch, VariableMismatch
 
 
 def _random_poly(rng: random.Random, n_vars: int, max_deg: int = 3, star: bool = False) -> NcPoly:
@@ -213,6 +213,44 @@ def test_hollow_block_against_brute_force():
                 for j in cols_idx:
                     assert m[i - 1, j - 1].is_zero()
     assert found > 5
+
+
+def test_diagonal_blocks_against_transitive_closure():
+    rng = random.Random(43)
+    nprng = np.random.default_rng(43)
+    split = 0
+    for trial in range(40):
+        size = rng.randint(1, 6)
+        entries = [
+            [
+                _random_poly(rng, 2, max_deg=2) if rng.random() < 0.25 else NcPoly.zero(2)
+                for _ in range(size)
+            ]
+            for _ in range(size)
+        ]
+        m = NcMatrix(entries, 2)
+        # reach[i][j]: i and j joined through the symmetric nonzero pattern
+        reach = [
+            [i == j or not (m[i, j].is_zero() and m[j, i].is_zero()) for j in range(size)]
+            for i in range(size)
+        ]
+        for k, i, j in itertools.product(range(size), repeat=3):
+            reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+        expected = sorted({tuple(j for j in range(size) if reach[i][j]) for i in range(size)})
+        blocks = m.diagonal_blocks()
+        assert blocks == expected, f"trial {trial}"
+        split += len(blocks) > 1
+        # the value restricted to a block is the value of the principal
+        # submatrix, with one word cache shared between the blocks
+        mats = _random_model(nprng, 2, 3)
+        value, cache = m.evaluate(mats), {}
+        for block in blocks:
+            idx = [3 * i + t for i in block for t in range(3)]
+            sub = m.principal(block).evaluate(mats, cache=cache)
+            assert np.array_equal(sub, value[np.ix_(idx, idx)])
+    assert split > 10
+    with pytest.raises(NonSquareError):
+        random_poly_matrix(1, 2, 3, degree=1, seed=0).diagonal_blocks()
 
 
 def test_direct_sum_and_diag():

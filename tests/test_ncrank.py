@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
 import random
 import time
@@ -35,7 +36,7 @@ from ncfield import (
     rank_by_substitution,
     verify_nonfull_witness,
 )
-from ncfield.errors import Inconclusive, InputError, MethodDisagreement, NonSquareError
+from ncfield.errors import Inconclusive, InputError, NonSquareError
 from ncfield.ncrank import (
     _blowup_mod_p,
     _confirm_full_exact,
@@ -293,6 +294,34 @@ def test_full_pencil_with_no_invertible_point_needs_the_large_blowup(monkeypatch
         assert len(calls) == 2, seed  # once on the tuple, once on its transpose
 
 
+def test_commutator_matrix_is_proved_full_at_a_small_blowup():
+    # A 3x3 matrix of {-1, 1, 2}-combinations of [x1,x2], [x1,x3], [x2,x3]
+    # linearizes to N = 57 and is singular at every scalar point, so d = 1
+    # cannot prove it full; d = 2 does, long before d = N - 1 = 56.
+    assert ncrank_module._blowup_degrees(57) == [2, 4, 8, 16, 32, 56]
+    assert ncrank_module._blowup_degrees(3) == [2]
+    assert ncrank_module._blowup_degrees(2) == []
+    x = [NcPoly.var(i, 3) for i in (1, 2, 3)]
+    commutators = [a * b - b * a for a, b in itertools.combinations(x, 2)]
+    rng = random.Random(0)
+    m = NcMatrix(
+        [
+            [sum((c * rng.choice([-1, 1, 2]) for c in commutators), NcPoly.zero(3))
+             for _ in range(3)]
+            for _ in range(3)
+        ],
+        3,
+    )
+    start = time.perf_counter()
+    result = ncrank(m, seed=0)
+    pencil, border = linearize_matrix(m)
+    cert = fullness_scaling(homogenize(pencil), seed=0)
+    elapsed = time.perf_counter() - start
+    assert (result.rho, result.cross["scaling"], border) == (3, "full", 54)
+    assert (cert.verdict, cert.detail) == ("full", "blow-up rank mod p at d = 2")
+    assert elapsed < 2.0
+
+
 def test_doubled_pencils_are_certified_over_plain_letters():
     # X - X^T vanishes at d = 1, but x1 - x1* is x1 - x2 in the plain letters
     diff = poly_from_string("x1 - x1'", n_vars=1)
@@ -330,14 +359,13 @@ def test_zero_pattern_reads_exact_coefficients():
     tiny = Fraction(1, 10**400)  # 0.0 as a float
     cert = fullness_scaling(_pencil([[[0]], [[tiny]]], 1), seed=0)
     assert (cert.verdict, cert.iterations) == ("full", 0)
-    # x1 * diag(1, tiny) is full; substitution reads the underflowed float
-    # coefficients, so the engines may disagree, but rho is never 1
-    pencil = _pencil([[[0, 0], [0, 0]], [[1, 0], [0, tiny]]], 1)
-    assert fullness_scaling(pencil, seed=0).verdict == "full"
-    try:
-        assert ncrank(pencil.to_matrix(), seed=0).rho == 2
-    except MethodDisagreement:
-        pass
+    # x1 * diag(1, tiny) and x1 * diag(1, huge) are full; substitution scales
+    # each row by an exact power of two before the float conversion
+    for extreme in (tiny, 1 / tiny):
+        pencil = _pencil([[[0, 0], [0, 0]], [[1, 0], [0, extreme]]], 1)
+        assert fullness_scaling(pencil, seed=0).verdict == "full"
+        result = ncrank(pencil.to_matrix(), seed=0)
+        assert (result.rho, result.cross["scaling"]) == (2, "full")
 
 
 def test_substitution_rank_on_diagonal_gap():

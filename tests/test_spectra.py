@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from ncfield import (
+    Letter,
     LinearPencil,
     NcMatrix,
     NcPoly,
@@ -24,6 +27,7 @@ from ncfield import (
     sample,
 )
 from ncfield.errors import InputError, NonSquareError
+from ncfield.randmat import block_spectrum
 from ncfield.scalars import GaussianRational
 from ncfield.spectra import flatness_constants
 
@@ -223,6 +227,160 @@ def test_polymatrix_normality_warning_only_off_normal():
         warnings.simplefilter("error")
         report = central_eigs_polymatrix(hermitian, d=40, seed=3, certify=False)
     assert report.diagnostics["hermitian"] is True
+
+
+def _block_diag(blocks, n_vars=2):
+    """The direct sum of square blocks (lists of rows of NcPoly)."""
+    size = sum(len(b) for b in blocks)
+    rows = [[NcPoly.zero(n_vars)] * size for _ in range(size)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+        at += len(b)
+    return NcMatrix(rows, n_vars)
+
+
+def _hidden_blocks(seed: int, family: str) -> NcMatrix:
+    """Zero, constant and polynomial blocks under a simultaneous permutation.
+
+    Family "hermitian" is Hermitian at GUE points, "normal" is i times such a
+    matrix (normal, not Hermitian), and "general" is neither.
+    """
+    rng = random.Random(seed)
+    g = GaussianRational
+
+    def scalar():
+        return g(rng.randint(-3, 3), rng.randint(-2, 2))
+
+    def poly():
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(Letter(rng.randint(1, 2)) for _ in range(rng.randint(1, 2)))
+            terms[word] = scalar()
+        return NcPoly(terms, 2) + NcPoly.const(scalar(), 2)
+
+    def square(k, entry):
+        if family == "general":
+            return [[entry() for _ in range(k)] for _ in range(k)]
+        rows = [[None] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                e = entry()
+                rows[i][j] = e + e.adjoint() if i == j else e
+                rows[j][i] = rows[i][j].adjoint()
+        return rows
+
+    def constant(k):
+        while True:
+            c = square(k, lambda: NcPoly.const(scalar(), 2))
+            eigs = np.linalg.eigvals(
+                np.array([[complex(p.constant_term()) for p in row] for row in c])
+            )
+            # distinct eigenvalues keep C (x) I_d well conditioned
+            if k == 1 or min(abs(a - b) for a, b in itertools.combinations(eigs, 2)) > 0.5:
+                return c
+
+    kinds = ["zero", "constant", "poly", rng.choice(["constant", "poly"])]
+    blocks = []
+    for kind in kinds:
+        k = rng.randint(1, 2)
+        if kind == "zero":
+            blocks.append([[NcPoly.zero(2)]])
+        elif kind == "constant":
+            blocks.append(constant(k))
+        else:
+            blocks.append(square(k, poly))
+    m = _block_diag(blocks)
+    if family == "normal":
+        m = m * GaussianRational(0, 1)
+    perm = list(range(m.rows))
+    rng.shuffle(perm)
+    return NcMatrix([[m[i, j] for j in perm] for i in perm], 2)
+
+
+@pytest.mark.parametrize("family", ["hermitian", "normal", "general"])
+def test_blockwise_spectrum_matches_the_whole_evaluated_matrix(family):
+    from scipy.optimize import linear_sum_assignment
+
+    d = 4
+    constant_blocks = 0
+    for seed in range(12):
+        matrix = _hidden_blocks(seed, family)
+        model = sample("gue", d, 2, seed)
+        value = matrix.evaluate(model)
+        scale = np.linalg.norm(value)
+        herm = bool(np.linalg.norm(value - value.conj().T) <= 1e-10 * scale)
+        normal_gap = np.linalg.norm(value @ value.conj().T - value.conj().T @ value)
+        warn = not herm and normal_gap > 1e-8 * scale * scale
+        assert (herm, warn) == (family == "hermitian", family == "general"), seed
+
+        spectrum = block_spectrum(matrix, model)
+        assert spectrum.hermitian == herm
+        assert sorted(i for rows, _ in spectrum.blocks for i in rows) == list(range(matrix.rows))
+        constant_blocks += sum(constant for _, constant in spectrum.blocks)
+        got = spectrum.eigenvalues
+        tol = 1e-9 * max(1.0, float(np.abs(got).max()))
+        if herm:
+            want = np.linalg.eigvalsh((value + value.conj().T) / 2)
+            assert np.all(np.diff(got) >= 0)
+            assert np.abs(got - want).max() <= tol, seed
+        else:
+            want = np.linalg.eigvals(value)
+            cost = np.abs(got[:, None] - want[None, :])
+            r, c = linear_sum_assignment(cost)
+            assert cost[r, c].max() <= tol, seed
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = central_eigs_polymatrix(matrix, d=d, seed=seed, certify=False)
+        assert report.diagnostics["hermitian"] == herm
+        assert any("far from normal" in str(w.message) for w in caught) == warn
+    assert constant_blocks >= 24
+
+
+def test_planted_blocks_are_solved_at_their_own_size(monkeypatch):
+    x1, x2 = NcPoly.var(1, 2), NcPoly.var(2, 2)
+    half, minus = NcPoly.const(Fraction(1, 2), 2), NcPoly.const(Fraction(-3, 2), 2)
+    matrix = NcMatrix.diag([x1 * x2 + x2 * x1, half, minus])
+    seen = []
+    for name in ("eigvalsh", "eigvals"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, _f=solver: seen.append(np.shape(a)) or _f(a)
+        )
+    report = central_eigs_polymatrix(matrix, d=200, seed=5)
+    assert seen[:3] == [(200, 200), (1, 1), (1, 1)]
+    assert max(max(shape) for shape in seen) <= 200
+    assert {(a.lam, a.mass) for a in report.atoms} == {
+        (GaussianRational(Fraction(1, 2)), Fraction(1, 3)),
+        (GaussianRational(Fraction(-3, 2)), Fraction(1, 3)),
+    }
+    assert report.diagnostics["blocks"] == [
+        {"rows": [0], "constant": False},
+        {"rows": [1], "constant": True},
+        {"rows": [2], "constant": True},
+    ]
+
+
+def test_report_does_not_depend_on_block_order():
+    x1, x2 = NcPoly.var(1, 2), NcPoly.var(2, 2)
+    g = GaussianRational
+
+    def c(x):
+        return NcPoly.const(x, 2)
+
+    disk = [[x1 + x2 * g(0, 1)]]  # circular law around 0, no atoms
+    rotation = [[c(-4), c(1)], [c(-1), c(-4)]]  # atoms at -4 +- i
+    four = [[c(4)]]
+    reports = []
+    for order in ([disk, rotation, four], [four, disk, rotation], [rotation, four, disk]):
+        with pytest.warns(UserWarning, match="far from normal"):
+            report = central_eigs_polymatrix(_block_diag(order), d=60, seed=7)
+        reports.append(report.to_dict())
+        del reports[-1]["diagnostics"]["blocks"]
+    assert reports[0] == reports[1] == reports[2]
+    assert sorted(a["lambda"] for a in reports[0]["atoms"]) == ["-4+1i", "-4-1i", "4"]
 
 
 def test_atom_masses_exact_points():
