@@ -752,7 +752,7 @@ class LinearPencil:
             out.append(block)
         return LinearPencil(out, self.n_vars, self.star_letters)
 
-    def evaluate(self, model, shift: complex = 0) -> np.ndarray:
+    def evaluate(self, model) -> np.ndarray:
         """Kronecker evaluation at a matrix tuple."""
         d = model.d
         mats = self.numeric_coeffs()
@@ -761,8 +761,6 @@ class LinearPencil:
             if not mats[pos].any():
                 continue
             out += np.kron(mats[pos], model.letter_value(self.letter(pos)))
-        if shift != 0:
-            out -= shift * np.eye(out.shape[0], dtype=complex)
         return out
 
     def __eq__(self, other) -> bool:

@@ -8,13 +8,14 @@ matrices use GUE tuples; matrices with adjoint letters use Ginibre tuples,
 whose limits generate the same free field in the doubled letters.
 
 The fullness engine decides whether a homogeneous square pencil is full,
-and how depends on the kind of input.  Exact coefficients get exact
-certificates only.  A blow-up A1 (x) X1 + ... of full rank mod p proves
-fullness; it is read at d = 1 first, and at d = 2, 4, ..., N - 1 last.
-In between, a hollow zero pattern, then the exact second Wong sequence on
-the tuple and on its transpose, prove nonfullness.  When none decides, the
-result is Inconclusive.  Numerically shifted coefficients, which have no
-exact form, get operator scaling: with L(B) the sum of Ai B Ai*, the pencil is full
+and how depends on the kind of input.  Exact coefficients are reduced mod p
+once and get exact certificates only, each read from those residues.  A
+blow-up A1 (x) X1 + ... of full rank mod p proves fullness; it is read at
+d = 1 first, and at d = 2, 4, ..., N - 1 last.  In between, a hollow zero
+pattern, then the exact second Wong sequence on the tuple and on its
+transpose, prove nonfullness.  When none decides, the result is
+Inconclusive.  Numerically shifted coefficients, which have no exact form,
+get operator scaling: with L(B) the sum of Ai B Ai*, the pencil is full
 exactly when L never decreases rank on positive semidefinite arguments, and
 once the doubly-stochasticity defect of the scaled tuple drops below
 1/(N+1), a numeric blow-up confirms fullness.  A collapse or a spent budget
@@ -50,9 +51,9 @@ from .errors import (
 from .ncpoly import LinearPencil, NcMatrix, NcPoly, _zero_block, zero_matrix
 from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_rank, sample
 from .scalars import (
+    _IOTA,
     _P,
     GaussianRational,
-    colspace_mod_p,
     kernel_mod_p,
     lift_mod_p,
     matmul_mod_p,
@@ -203,7 +204,7 @@ def _row_balanced(matrix: NcMatrix) -> NcMatrix:
     whose coefficients under- or overflow a float is brought near 1 first.
     With every e_i at 0 the matrix itself is returned.
     """
-    exps = [_row_exponent(row) for row in matrix.entries]
+    exps = [_balance_exponent(c for p in row for c in p.coefficients()) for row in matrix.entries]
     if not any(exps):
         return matrix
     return NcMatrix(
@@ -215,13 +216,12 @@ def _row_balanced(matrix: NcMatrix) -> NcMatrix:
     )
 
 
-def _row_exponent(row: Sequence[NcPoly]) -> int:
-    """e_i of ``_row_balanced``; bit lengths give each exponent within one."""
+def _balance_exponent(scalars) -> int:
+    """e_i of ``_row_balanced`` for these scalars; bit lengths give it within one."""
     top = max(
         (
             part.numerator.bit_length() - part.denominator.bit_length()
-            for p in row
-            for c in p.coefficients()
+            for c in scalars
             for part in (c.re, c.im)
             if part
         ),
@@ -262,9 +262,11 @@ def fullness_scaling(
     read at d = 1 first, which proves most full pencils at one N x N matrix,
     and only after Wong at d = 2, 4, ... below N - 1, then at N - 1, stopping
     at the first full reading, so a nonfull pencil never builds a large one.
-    ``detail`` names the d that decided.  When nothing decides, the result
-    is Inconclusive.  Every nonfull witness is re-verified, and every
-    certificate has ``iterations == 0``.  A doubled pencil is read over its 2n plain letters.
+    ``detail`` names the d that decided.  Every step reads one reduction of
+    the coefficients mod p.  When nothing decides, or p divides a denominator,
+    the result is Inconclusive.  Every nonfull witness is re-verified, and
+    every certificate has ``iterations == 0``.  A doubled pencil is read over
+    its 2n plain letters.
     """
     pencil = pencil.plain()
     if not pencil.is_square():
@@ -274,27 +276,50 @@ def fullness_scaling(
     if pencil.is_zero():
         raise ZeroPencilError("the zero pencil is nowhere full")
     n = pencil.rows
-    if _confirm_full_exact(pencil, seed, d=1):
-        return _full_by_blowup(n, 1)
     coeffs = pencil.coeffs[1:]
-    mats = pencil.numeric_coeffs()[1:]
+    forms = _residue_forms(coeffs)
+    if _confirm_full_exact(forms[0], seed, d=1):
+        return _full_by_blowup(n, 1)
+    mats = _float_coeffs(coeffs)
     nonzero = [
         [any(not a[i][j].is_zero() for a in coeffs) for j in range(n)] for i in range(n)
     ]
     b = _zero_pattern_witness(mats, nonzero, policy)
     if b is not None:
         return FullnessCertificate("nonfull", "hollow", n, math.inf, 0, b, "zero pattern")
+    ints = [_gaussian_integers(a) for a in coeffs]
     for flip, detail in ((False, "exact Wong"), (True, "exact Wong (adjoint)")):
-        block = _exact_hollow_block(coeffs, seed + (303 if flip else 101), flip)
+        block = _exact_hollow_block(forms, ints, seed + (303 if flip else 101), flip)
         if block is not None:
             v = _orthonormal(np.array(block[1], dtype=complex))
             b = v @ v.conj().T
             if _verify_witness(mats, b, policy):
                 return FullnessCertificate("nonfull", "exact", n, math.inf, 0, b, detail)
     for d in _blowup_degrees(n):
-        if _confirm_full_exact(pencil, seed, d=d):
+        if _confirm_full_exact(forms[0], seed, d=d):
             return _full_by_blowup(n, d)
     raise Inconclusive("no exact certificate of fullness or nonfullness", {"size": n})
+
+
+def _residue_forms(coeffs) -> List[List[np.ndarray]]:
+    """The Ai mod p at i = iota, then at i = -iota unless the tuple is real.
+
+    Inconclusive when p divides a denominator, where reduction is undefined.
+    """
+    plus = [residues_mod_p(a) for a in coeffs]
+    if any(r is None for r in plus):
+        raise Inconclusive("p divides a denominator", {"size": len(coeffs[0]), "prime": _P})
+    if not any(x.im for a in coeffs for row in a for x in row):
+        return [plus]
+    ims = [residues_mod_p([[x.im for x in row] for row in a]) for a in coeffs]
+    return [plus, [(r - 2 * _IOTA % _P * s) % _P for r, s in zip(plus, ims)]]
+
+
+def _float_coeffs(coeffs) -> List[np.ndarray]:
+    """The Ai as floats times one power of two: no overflow, the same witnesses."""
+    e = _balance_exponent(x for a in coeffs for row in a for x in row)
+    scale = GaussianRational(Fraction(2) ** e)
+    return [np.array([[complex(x * scale if e else x) for x in row] for row in a]) for a in coeffs]
 
 
 def _blowup_degrees(n: int) -> List[int]:
@@ -408,49 +433,37 @@ def _kernel(m: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
     return vh[r:, :].conj().T
 
 
-def _confirm_full_exact(
-    pencil: LinearPencil, seed: int, d: Optional[int] = None
-) -> bool:
-    """Blow-up rank check over F_p at d x d points; True certifies fullness.
+def _confirm_full_exact(residues, seed: int, d: int) -> bool:
+    """Blow-up rank check over F_p of the residues A1..Am; True certifies fullness.
 
     For any d x d substitution the evaluated rank is at most rho * d: an
     inner factorization through rho columns evaluates to a factorization
     through rho * d columns.  A substitution of full rank n * d therefore
-    proves rho = n at every d.  The default d = n - 1 is large enough for
-    some substitution to reach that rank whenever the pencil is full
+    proves rho = n at every d.  d = n - 1 is large enough for some
+    substitution to reach that rank whenever the pencil is full
     (Derksen-Makam); d = 1 already does when some scalar point does.
 
     Each Xi is one d x d matrix drawn uniformly from F_p, lifted to the
     integer matrix of its residues.  Over Q(i) the lifted blow-up
-    A0 (x) I + sum Ai (x) Xi reduces entrywise to the int64 blow-up built
-    here, and reduction mod p is a ring homomorphism (i maps to a square
-    root of -1), so every minor maps to the reduced minor and rank mod p
-    never exceeds the rank of the lifted substitution.  Rank n * d mod p
-    therefore proves fullness.  When det of the blow-up is nonzero as a
-    polynomial mod p, of degree n * d in the entries of the Xi, one uniform
-    draw misses it with probability at most n * d / p (Schwartz-Zippel).
-    False (a miss, an unlucky prime, or a denominator divisible by p) only
-    means "not confirmed", never nonfullness.
+    sum Ai (x) Xi reduces entrywise to the int64 blow-up built here, and
+    reduction mod p is a ring homomorphism (i maps to a square root of -1),
+    so every minor maps to the reduced minor and rank mod p never exceeds
+    the rank of the lifted substitution.  Rank n * d mod p therefore proves
+    fullness.  When det of the blow-up is nonzero as a polynomial mod p, of
+    degree n * d in the entries of the Xi, one uniform draw misses it with
+    probability at most n * d / p (Schwartz-Zippel).  False (a miss or an
+    unlucky prime) only means "not confirmed", never nonfullness.
     """
-    n = pencil.rows
-    d = max(1, n - 1) if d is None else d
+    n = len(residues[0])
     rng = np.random.default_rng(((seed << 8) ^ 0x5CA1E) % 2**64)
-    subs = [rng.integers(0, _P, size=(d, d)) for _ in range(pencil.n_letters)]
-    big = _blowup_mod_p(pencil, subs)
-    return big is not None and rank_mod_p(big) == n * d
+    subs = [rng.integers(0, _P, size=(d, d)) for _ in residues]
+    return rank_mod_p(_blowup_mod_p(residues, subs)) == n * d
 
 
-def _blowup_mod_p(pencil: LinearPencil, subs) -> Optional[np.ndarray]:
-    """A0 (x) I + sum Ai (x) Xi mod p.
-
-    ``subs[k]`` is the residue matrix for coefficient slot k + 1.  None when
-    a coefficient has a denominator divisible by p.
-    """
-    residues = [residues_mod_p(mat) for mat in pencil.coeffs]
-    if any(r is None for r in residues):
-        return None
-    big = np.kron(residues[0], np.eye(subs[0].shape[0], dtype=np.int64))
-    for a, x in zip(residues[1:], subs):
+def _blowup_mod_p(residues, subs) -> np.ndarray:
+    """sum Ai (x) Xi mod p, with ``subs[k]`` the residue matrix for A(k+1)."""
+    big = 0
+    for a, x in zip(residues, subs):
         # a product of residues is below 2^62, so adding one residue fits int64
         big = (big + np.kron(a, x)) % _P
     return big
@@ -504,14 +517,13 @@ def verify_nonfull_witness(
     pencil: LinearPencil, b: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> bool:
     """Public re-verification hook for nonfull certificates."""
-    mats = pencil.numeric_coeffs()[1:]
     herm_gap = np.linalg.norm(b - b.conj().T)
     if herm_gap > 1e-8 * max(np.linalg.norm(b), 1e-300):
         return False
     eigs = np.linalg.eigvalsh((b + b.conj().T) / 2)
     if eigs[0] < -1e-9 * max(abs(eigs[-1]), 1e-300):
         return False
-    return _verify_witness(mats, b, policy)
+    return _verify_witness(_float_coeffs(pencil.coeffs[1:]), b, policy)
 
 
 def _left_to_right_witness(mats, v_basis, policy):
@@ -572,39 +584,34 @@ def _zero_pattern_witness(mats, nonzero, policy):
     return b if _verify_witness(mats, b, policy) else None
 
 
-def _exact_hollow_block(coeffs, seed, transpose=False):
+def _exact_hollow_block(forms, ints, seed, transpose=False):
     """Exact hollow block of a Q(i) tuple, found threshold-free: (U, V) or None.
 
-    U^T Ai V = 0 for every i with rank U + rank V > N proves nonfullness.
-    The second Wong sequence runs mod p at sum wi Ai, wi uniform in F_p and
-    read as real integers, and the kernel bases of U and V are lifted entry
-    by entry by rational reconstruction.  Gaussian-rational coefficients take
-    a second run on their conjugates with the same weights; it reduces the
-    same bases at i = -iota, which splits each entry into its real and
-    imaginary parts.  Each basis comes back as rows of scalars, and only
-    after the exact check; a failed lift or check tries one more point.
-    With ``transpose`` the sequence runs on the Ai^T and the pair comes
-    back swapped, so it is a block of the Ai.
+    ``forms`` and ``ints`` are the tuple as ``_residue_forms`` and as Gaussian
+    integers.  U^T Ai V = 0 for every i with rank U + rank V > N proves
+    nonfullness.  The second Wong sequence runs mod p at sum wi Ai, wi
+    uniform in F_p and read as real integers, and the kernel bases of U and V
+    are lifted entry by entry by rational reconstruction.  A Gaussian tuple
+    runs it on both forms with the same weights, which splits each entry
+    into its real and imaginary parts.  Each basis comes back as rows of
+    scalars, and only after the exact check; a failed lift or check tries
+    one more point.  With ``transpose`` the sequence runs on the transposed
+    residues and the pair comes back swapped, so it is a block of the Ai.
     """
-    mats = [list(zip(*mat)) for mat in coeffs] if transpose else coeffs
-    plus = minus = [residues_mod_p(mat) for mat in mats]
-    if any(r is None for r in plus):
-        return None
-    if any(x.im for mat in mats for row in mat for x in row):
-        conj = [[[x.conjugate() for x in row] for row in mat] for mat in mats]
-        minus = [residues_mod_p(mat) for mat in conj]
+    if transpose:
+        forms = [[r.T for r in form] for form in forms]
     rng = random.Random(seed)
     for _ in range(2):
-        weights = [rng.randrange(_P) for _ in mats]
-        found = _wong_mod_p(plus, weights)
+        weights = [rng.randrange(_P) for _ in forms[0]]
+        found = _wong_mod_p(forms[0], weights)
         if found is None:
             return None
-        other = found if minus is plus else _wong_mod_p(minus, weights)
+        other = found if len(forms) == 1 else _wong_mod_p(forms[1], weights)
         if other is None or [m.shape for m in found] != [m.shape for m in other]:
             continue
         pair = [lift_mod_p(f, o) for f, o in zip(found, other)]
         u, v = pair[::-1] if transpose else pair
-        if u is not None and v is not None and _holds_exactly(coeffs, u, v):
+        if u is not None and v is not None and _holds_exactly(ints, u, v):
             return u, v
     return None
 
@@ -613,35 +620,34 @@ def _wong_mod_p(residues, weights):
     """Second Wong sequence over F_p at P = sum wi Ai: (U, V) or None.
 
     W starts at zero; V = P^-1(W) is the kernel of U^T P, where U spans the
-    kernel of W^T, and W becomes the span of the Ai V.  Dimensions grow until
-    W repeats; then U^T Ai V = 0 for every i, and dim V > dim W means
-    rank U + rank V > N.  Both are the canonical bases of kernel_mod_p.
+    kernel of W^T = [A1 V, ..., Am V]^T, so dim W = N - cols(U).  Dimensions
+    grow until W repeats; then U^T Ai V = 0 for every i, and dim V > dim W
+    means rank U + rank V > N.  Both are the canonical bases of kernel_mod_p.
     """
     point = sum(w * a % _P for w, a in zip(weights, residues)) % _P
-    u, dim_w = np.eye(len(point), dtype=np.int64), 0
+    u = np.eye(len(point), dtype=np.int64)
     for _ in range(len(point) + 1):
         v = kernel_mod_p(matmul_mod_p(u.T, point))
         if v.shape[1] == 0:
             return None
-        w = colspace_mod_p(np.hstack([matmul_mod_p(a, v) for a in residues]))
-        if w.shape[1] == dim_w:
-            return (u, v) if v.shape[1] > dim_w else None
-        u, dim_w = kernel_mod_p(w.T), w.shape[1]
+        u_next = kernel_mod_p(np.hstack([matmul_mod_p(a, v) for a in residues]).T)
+        if u_next.shape[1] == u.shape[1]:
+            return (u, v) if u.shape[1] + v.shape[1] > len(point) else None
+        u = u_next
     return None
 
 
-def _holds_exactly(coeffs, u, v) -> bool:
+def _holds_exactly(ints, u, v) -> bool:
     """U^T Ai V = 0 for every i and rank U + rank V > N, on Python ints.
 
-    Each matrix is scaled to Gaussian integers by the lcm of its denominators.
-    Full column rank mod p is exact, since reduction never raises rank.
+    ``ints`` holds the Ai as ``_gaussian_integers``.  Full column rank mod p
+    is exact, since reduction never raises rank.
     """
     ranks = [rank_mod_p(residues_mod_p(basis)) for basis in (u, v)]
     if ranks != [len(u[0]), len(v[0])] or sum(ranks) <= len(u):
         return False
     (ur, ui), (vr, vi) = _gaussian_integers(u), _gaussian_integers(v)
-    for mat in coeffs:
-        ar, ai = _gaussian_integers(mat)
+    for ar, ai in ints:
         lr, li = ur.T @ ar - ui.T @ ai, ur.T @ ai + ui.T @ ar
         if np.any(lr @ vr - li @ vi) or np.any(lr @ vi + li @ vr):
             return False

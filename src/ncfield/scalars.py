@@ -211,7 +211,7 @@ def echelon_mod_p(m: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     """Row echelon form over F_p with unit pivots, by int64 elimination.
 
     Works on a copy.  Returns the nonzero echelon rows and their pivot
-    columns; every rank, kernel and column space mod p is read from these.
+    columns; every rank and kernel mod p is read from these.
     """
     m = np.array(m, dtype=np.int64)
     n_rows, n_cols = m.shape
@@ -257,11 +257,6 @@ def kernel_mod_p(m: np.ndarray) -> np.ndarray:
     basis = np.eye(m.shape[1], dtype=np.int64)[:, free]
     basis[pivots] = -rows[:, free] % _P
     return basis
-
-
-def colspace_mod_p(m: np.ndarray) -> np.ndarray:
-    """Basis of the column space over F_p: the pivot columns of ``m``."""
-    return m[:, echelon_mod_p(m)[1]]
 
 
 def matmul_mod_p(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -41,8 +41,10 @@ from ncfield.ncrank import (
     _blowup_mod_p,
     _confirm_full_exact,
     _exact_hollow_block,
+    _gaussian_integers,
     _holds_exactly,
     _orthonormal,
+    _residue_forms,
     _scaling_verdict,
 )
 from ncfield.randmat import DEFAULT_POLICY
@@ -54,6 +56,21 @@ ncrank_module = importlib.import_module("ncfield.ncrank")
 
 def _pencil(coeff_lists, n_vars):
     return LinearPencil(coeff_lists, n_vars)
+
+
+def _hollow_block(coeffs, seed, transpose=False):
+    """_exact_hollow_block on the residue and Gaussian-integer forms of coeffs."""
+    ints = [_gaussian_integers(mat) for mat in coeffs]
+    return _exact_hollow_block(_residue_forms(coeffs), ints, seed, transpose)
+
+
+def _holds(coeffs, u, v):
+    return _holds_exactly([_gaussian_integers(mat) for mat in coeffs], u, v)
+
+
+def _residues(pencil):
+    """A1..Am of a plain pencil mod p at i = iota."""
+    return _residue_forms(pencil.coeffs[1:])[0]
 
 
 def test_quantum_op_is_the_coefficient_sandwich_sum():
@@ -136,7 +153,7 @@ def test_exact_common_kernel_witness_is_accepted():
     # The exact Wong sequence finds a vector v with Ai v = 0 for every i, so
     # L(vv*) is pure roundoff and must read as rank 0, not as rank 1.
     pencil = conjugated_hollow_matrix(4, 2, seed=19).to_pencil()
-    block = _exact_hollow_block(pencil.coeffs[1:], seed=101)
+    block = _hollow_block(pencil.coeffs[1:], seed=101)
     assert block is not None
     v = _orthonormal(np.array(block[1], dtype=complex))
     assert v.shape == (4, 1)
@@ -184,16 +201,27 @@ def _wong_oracle(coeffs, n, weights):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(size=st.integers(3, 6), n_vars=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
-def test_exact_hollow_block_is_checked_and_matches_the_wong_oracle(size, n_vars, seed):
+@given(
+    size=st.integers(3, 6),
+    n_vars=st.integers(1, 3),
+    seed=st.integers(0, 2**31 - 1),
+    transpose=st.booleans(),
+)
+def test_exact_hollow_block_is_checked_and_matches_the_wong_oracle(
+    size, n_vars, seed, transpose
+):
     coeffs = conjugated_hollow_matrix(size, n_vars, seed).to_pencil().coeffs[1:]
-    block = _exact_hollow_block(coeffs, seed)
+    block = _hollow_block(coeffs, seed, transpose)
     assert block is not None
     u, v = block
-    assert _holds_exactly(coeffs, u, v)
+    # a run on the transposes comes back swapped: a block of the tuple itself
+    assert _holds(coeffs, u, v)
     assert len(u[0]) + len(v[0]) > size
     rng = random.Random(seed)
     weights = [GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in coeffs]
+    if transpose:
+        coeffs = [list(zip(*mat)) for mat in coeffs]
+        u, v = v, u
     oracle = _wong_oracle(coeffs, size, weights)
     assert oracle is not None
     lifted = [list(col) for col in zip(*v)]
@@ -203,12 +231,12 @@ def test_exact_hollow_block_is_checked_and_matches_the_wong_oracle(size, n_vars,
 
 def test_altered_hollow_block_fails_the_exact_check():
     coeffs = conjugated_hollow_matrix(4, 2, seed=19).to_pencil().coeffs[1:]
-    u, v = _exact_hollow_block(coeffs, seed=101)
-    assert _holds_exactly(coeffs, u, v)
+    u, v = _hollow_block(coeffs, seed=101)
+    assert _holds(coeffs, u, v)
     for delta in (GaussianRational(1), GaussianRational(0, 1)):
         altered = [list(row) for row in v]
         altered[0][0] += delta
-        assert not _holds_exactly(coeffs, u, altered), delta
+        assert not _holds(coeffs, u, altered), delta
 
 
 def _gaussian_factor(size, rng):
@@ -228,7 +256,7 @@ def test_gaussian_conjugated_hollow_block_is_lifted_from_two_roots():
         m = _gaussian_factor(4, rng) @ hollow_matrix(4, 2, seed) @ _gaussian_factor(4, rng)
         pencil = m.to_pencil()
         assert m.hollow_block() is None, seed
-        u, v = _exact_hollow_block(pencil.coeffs[1:], seed)
+        u, v = _hollow_block(pencil.coeffs[1:], seed)
         assert any(x.im for basis in (u, v) for row in basis for x in row), seed
         cert = fullness_scaling(pencil, seed=seed)
         assert cert.verdict == "nonfull", seed
@@ -242,8 +270,8 @@ def test_ill_conditioned_hollow_block_is_exact_and_accepted():
     # kernel basis with its identity block.
     pencil = conjugated_hollow_matrix(7, 2, seed=7203).to_pencil()
     coeffs = pencil.coeffs[1:]
-    u, v = _exact_hollow_block(coeffs, seed=104)
-    assert _holds_exactly(coeffs, u, v)
+    u, v = _hollow_block(coeffs, seed=104)
+    assert _holds(coeffs, u, v)
     assert len(u[0]) + len(v[0]) == 8
     cert = fullness_scaling(pencil, seed=3)
     assert (cert.verdict, cert.detail) == ("nonfull", "exact Wong")
@@ -270,28 +298,50 @@ def test_exact_pencils_are_decided_without_scaling(monkeypatch):
         assert verify_nonfull_witness(hidden, cert.witness), seed
 
 
+def _skew_pencil(scale=1):
+    """scale times the 3x3 skew-symmetric pencil in three letters."""
+    def skew(i, j):
+        rows = [[GaussianRational(0)] * 3 for _ in range(3)]
+        rows[i][j], rows[j][i] = scale, -scale
+        return rows
+
+    return LinearPencil([[[0] * 3] * 3, skew(0, 1), skew(0, 2), skew(1, 2)], 3)
+
+
 def test_full_pencil_with_no_invertible_point_needs_the_large_blowup(monkeypatch):
     # The 3x3 skew-symmetric pencil is singular at every scalar point (odd
     # size) but full: d = 1 cannot prove it, Wong finds no block, and the
     # blow-up at d = N - 1 = 2 does.
-    def skew(i, j):
-        rows = [[0] * 3 for _ in range(3)]
-        rows[i][j], rows[j][i] = 1, -1
-        return rows
-
     # with no shrunk subspace at the first point, Wong tries no second one
     calls = []
     wong = ncrank_module._wong_mod_p
     monkeypatch.setattr(
         ncrank_module, "_wong_mod_p", lambda *args: calls.append(args) or wong(*args)
     )
-    pencil = LinearPencil([[[0] * 3] * 3, skew(0, 1), skew(0, 2), skew(1, 2)], 3)
-    assert not _confirm_full_exact(pencil, 0, d=1)
+    pencil = _skew_pencil()
+    assert not _confirm_full_exact(_residues(pencil), 0, d=1)
     for seed in range(3):
         calls.clear()
         cert = fullness_scaling(pencil, seed=seed)
         assert (cert.verdict, cert.detail) == ("full", "blow-up rank mod p at d = 2"), seed
         assert len(calls) == 2, seed  # once on the tuple, once on its transpose
+
+
+def test_fullness_reduces_each_coefficient_once(monkeypatch):
+    # d = 1, the zero pattern, Wong on the tuple and on its transpose, and
+    # d = 2 all read one residue form of A1, A2, A3; a Gaussian tuple adds
+    # one reduction of each imaginary part for its form at i = -iota
+    calls = []
+    reduce = ncrank_module.residues_mod_p
+    monkeypatch.setattr(
+        ncrank_module, "residues_mod_p", lambda rows: calls.append(rows) or reduce(rows)
+    )
+    gaussian = GaussianRational(Fraction(1, 2), 3)
+    for scale, reductions in ((GaussianRational(1), 3), (gaussian, 6)):
+        calls.clear()
+        cert = fullness_scaling(_skew_pencil(scale), seed=0)
+        assert (cert.verdict, cert.detail) == ("full", "blow-up rank mod p at d = 2"), scale
+        assert len(calls) == reductions, scale
 
 
 def test_commutator_matrix_is_proved_full_at_a_small_blowup():
@@ -366,6 +416,18 @@ def test_zero_pattern_reads_exact_coefficients():
         assert fullness_scaling(pencil, seed=0).verdict == "full"
         result = ncrank(pencil.to_matrix(), seed=0)
         assert (result.rho, result.cross["scaling"]) == (2, "full")
+
+
+def test_nonfull_pencil_beyond_the_float_range_gets_a_witness():
+    # [[x1, huge x1], [x1, huge x1]] is nonfull; its float witness is built
+    # after one exact power-of-two scaling, where 1 underflows but huge does not
+    huge = 10**400
+    pencil = _pencil([[[0, 0], [0, 0]], [[1, huge], [1, huge]]], 1)
+    cert = fullness_scaling(pencil, seed=0)
+    assert (cert.verdict, cert.detail) == ("nonfull", "exact Wong (adjoint)")
+    assert verify_nonfull_witness(pencil, cert.witness)
+    result = ncrank(pencil.to_matrix(), seed=0)
+    assert (result.rho, result.cross["scaling"]) == (1, "nonfull")
 
 
 def test_substitution_rank_on_diagonal_gap():
@@ -536,15 +598,12 @@ def test_nonfull_linearized_products_are_decided_quickly(inner, size):
 
 
 def _blowup_over_q(pencil: LinearPencil, subs) -> list:
-    """The Q(i) blow-up of a plain pencil at the integer lift of subs."""
+    """The Q(i) blow-up of a homogeneous plain pencil at the integer lift of subs."""
     n, d = pencil.rows, subs[0].shape[0]
     big = [[GaussianRational(0)] * (n * d) for _ in range(n * d)]
-    for pos in range(pencil.n_vars + 1):
-        if pos == 0:
-            block = [[GaussianRational(int(p == q)) for q in range(d)] for p in range(d)]
-        else:
-            x = subs[pos - 1]
-            block = [[GaussianRational(int(x[p, q])) for q in range(d)] for p in range(d)]
+    for pos in range(1, pencil.n_vars + 1):
+        x = subs[pos - 1]
+        block = [[GaussianRational(int(x[p, q])) for q in range(d)] for p in range(d)]
         for i in range(n):
             for j in range(n):
                 c = pencil.coeffs[pos][i][j]
@@ -573,25 +632,29 @@ def test_blowup_mod_p_reduces_the_exact_blowup(n, n_vars, star, d):
         ]
         for _ in range(slots)
     ]
+    coeffs[0] = [[0] * n for _ in range(n)]  # fullness reads homogeneous pencils only
     # a doubled pencil is blown up over its 2n plain letters, one draw each
     pencil = LinearPencil(coeffs, n_vars, star_letters=star).plain()
     draw = np.random.default_rng(n * d)
     subs = [draw.integers(0, _P, size=(d, d)) for _ in range(pencil.n_vars)]
-    assert (_blowup_mod_p(pencil, subs) == residues_mod_p(_blowup_over_q(pencil, subs))).all()
+    residues = [residues_mod_p(mat) for mat in pencil.coeffs[1:]]
+    assert (_blowup_mod_p(residues, subs) == residues_mod_p(_blowup_over_q(pencil, subs))).all()
 
 
 @pytest.mark.parametrize("size", [3, 4, 5])
 def test_confirmation_rejects_conjugated_hollow_pencils(size):
     for seed in range(5):
         pencil = conjugated_hollow_matrix(size, 2, seed=100 * size + seed).to_pencil()
-        assert not _confirm_full_exact(pencil, seed)
+        assert not _confirm_full_exact(_residues(pencil), seed, size - 1)
 
 
 def test_confirmation_without_residues_is_not_full():
     full = LinearPencil([[[0]], [[1]]], 1)
-    assert _confirm_full_exact(full, 0)
+    assert _confirm_full_exact(_residues(full), 0, 1)
+    # a denominator divisible by p has no residue form, so nothing is decided
     no_residue = LinearPencil([[[0]], [[Fraction(1, _P)]]], 1)
-    assert not _confirm_full_exact(no_residue, 0)
+    with pytest.raises(Inconclusive, match="p divides a denominator"):
+        fullness_scaling(no_residue, seed=0)
 
 
 def test_zero_and_identity_matrices():
