@@ -255,10 +255,15 @@ def _json_ready(value):
 
 
 def _emit(args, report: dict, csv_table=None, summary: str = "") -> None:
+    """Write the report as JSON, or as CSV under ``--format csv``.
+
+    ``csv_table`` is a function returning (header, rows); it is called only
+    when CSV is asked for, so JSON output never builds the rows.
+    """
     if args.format == "csv":
         if csv_table is None:
             raise InputError(f"{report['command']}: no tabular form, use json")
-        header, rows = csv_table
+        header, rows = csv_table()
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
@@ -313,13 +318,16 @@ def cmd_atoms(args) -> int:
             "entropy dimension needs a fully certified atom list",
             {"uncertified": spectrum.uncertified},
         )
-    rows = [
-        (a["lambda"], a["rho"], a["mass"], a["certified"]) for a in report["atoms"]
-    ]
     _emit(
         args,
         report,
-        csv_table=(("lambda", "rho", "mass", "certified"), rows),
+        csv_table=lambda: (
+            ("lambda", "rho", "mass", "certified"),
+            [
+                (a["lambda"], a["rho"], a["mass"], a["certified"])
+                for a in report["atoms"]
+            ],
+        ),
         summary=(
             f"{len(spectrum.atoms)} certified atom(s), "
             f"{len(spectrum.uncertified)} uncertified candidate(s)"
@@ -358,11 +366,6 @@ def cmd_eval(args) -> int:
             "matrix": [[[z.real, z.imag] for z in row] for row in value],
         }
     )
-    rows = [
-        (i, j, value[i, j].real, value[i, j].imag)
-        for i in range(value.shape[0])
-        for j in range(value.shape[1])
-    ]
     direct_note = (
         "direct evaluation failed" if residual_direct is None
         else f"residual to direct evaluation {residual_direct:.2e}"
@@ -370,7 +373,14 @@ def cmd_eval(args) -> int:
     _emit(
         args,
         report,
-        csv_table=(("row", "col", "re", "im"), rows),
+        csv_table=lambda: (
+            ("row", "col", "re", "im"),
+            [
+                (i, j, value[i, j].real, value[i, j].imag)
+                for i in range(value.shape[0])
+                for j in range(value.shape[1])
+            ],
+        ),
         summary=f"evaluated {args.kind} model at d={args.d}; {direct_note}",
     )
     return EXIT_OK
@@ -380,11 +390,13 @@ def cmd_dualcheck(args) -> int:
     result = dual_system_report(args.n, args.R)
     report = _report_skeleton(args, "dualcheck", n=args.n, R=args.R)
     report.update(result)
-    rows = [(p["i"], p["j"], p["defect"], p["pass"]) for p in result["pairs"]]
     _emit(
         args,
         report,
-        csv_table=(("i", "j", "defect", "pass"), rows),
+        csv_table=lambda: (
+            ("i", "j", "defect", "pass"),
+            [(p["i"], p["j"], p["defect"], p["pass"]) for p in result["pairs"]],
+        ),
         summary=(
             f"n={args.n} R={args.R}: {len(result['pairs'])} pairs on "
             f"{result['interior_count']} interior vectors, "
@@ -427,21 +439,28 @@ def cmd_scan(args) -> int:
             kind=args.kind,
         )
         report.update(result)
-        rows = [
-            (
-                r["index"],
-                r["rank"],
-                f"{r['rank_over_d']:.6f}",
-                r["nearest_int"],
-                f"{r['distance']:.6f}",
-                r["flagged"],
-            )
-            for r in result["rows"]
-        ]
         header = ("index", "rank", "rank_over_d", "nearest_int", "distance", "flagged")
         flagged = sum(1 for r in result["rows"] if r["flagged"])
         summary = f"{len(result['rows'])} matrices at d={args.d}, {flagged} flagged"
-        _emit(args, report, csv_table=(header, rows), summary=summary)
+        _emit(
+            args,
+            report,
+            csv_table=lambda: (
+                header,
+                [
+                    (
+                        r["index"],
+                        r["rank"],
+                        f"{r['rank_over_d']:.6f}",
+                        r["nearest_int"],
+                        f"{r['distance']:.6f}",
+                        r["flagged"],
+                    )
+                    for r in result["rows"]
+                ],
+            ),
+            summary=summary,
+        )
         return EXIT_OK
     # convergence ladder for one named input
     matrix, label = _load_matrix_input(args)
@@ -456,14 +475,16 @@ def cmd_scan(args) -> int:
     )
     report["input"] = label
     report["rows"] = table
-    rows = [
-        (r["d"], r["rank"], f"{r['rank_over_d']:.6f}", f"{r['gap']:.3e}")
-        for r in table
-    ]
     _emit(
         args,
         report,
-        csv_table=(("d", "rank", "rank_over_d", "gap"), rows),
+        csv_table=lambda: (
+            ("d", "rank", "rank_over_d", "gap"),
+            [
+                (r["d"], r["rank"], f"{r['rank_over_d']:.6f}", f"{r['gap']:.3e}")
+                for r in table
+            ],
+        ),
         summary=f"convergence over dims {list(dims)}",
     )
     return EXIT_OK

@@ -1,11 +1,10 @@
 """Truncated left regular representation of a free group, with dual operators.
 
-Words of the free group on n generators are stored as tuples of nonzero
-integers, +i for the generator g_i and -i for its inverse, always in reduced
-form.  The ball of radius R (all reduced words of length at most R) carries
-truncated versions of the left regular operators U_i = lambda(g_i) and of the
-dual operators V_i, which act by right multiplication with g_i^{-1} on words
-ending with g_i and by zero on all other words.
+Words of the free group on n generators are reduced words in the letters g_i
+and g_i^{-1}.  The ball of radius R (all reduced words of length at most R)
+carries truncated versions of the left regular operators U_i = lambda(g_i)
+and of the dual operators V_i, which act by right multiplication with
+g_i^{-1} on words ending with g_i and by zero on all other words.
 
 On interior basis vectors (words of length at most R-1, which cannot leave
 the ball under a single U_i) the pair satisfies the exact commutator relation
@@ -19,6 +18,34 @@ finite-dimensional shadow of the criterion for maximal free entropy-like
 defect of the generators.  Everything in this module runs in exact
 arithmetic; there is no floating point anywhere, so a nonzero defect is a
 genuine failure and not noise.
+
+Array layout.  A letter is stored as a slot, g_i -> 2(i-1) and
+g_i^{-1} -> 2(i-1)+1, so the inverse of slot s is s ^ 1.  The ball lists its
+words by length, then lexicographically by slot, with the empty word at
+index 0.  Shell k (the words of length k) starts at off[k] = ball_size(n,
+k-1) and holds 2n q^(k-1) words, q = 2n-1.  Inside a shell the order is a
+mixed-radix code: the word s_0 s_1 ... s_{k-1} sits at index off[k] + pos,
+
+    pos = s_0 q^(k-1) + d_1 q^(k-2) + ... + d_{k-1},
+    d_t = s_t - [s_t > s_{t-1} ^ 1],
+
+where the digit d_t ranks s_t among the q letters allowed after s_{t-1}.  A
+``GroupBall`` stores the offsets and, for every word, the slots of its first
+and last letters (-1 for the empty word); no word tuples are formed unless
+``words`` or ``index`` is read.
+
+Operators.  For the slot a of g_i, U_i sends a word of length k < R whose
+first slot s_0 is not a ^ 1 to
+
+    off[k+1] + a q^k + pos - [s_0 > a ^ 1] q^(k-1),
+
+the empty word to 1 + a, and a word starting with a ^ 1 to its tail.  Both
+moves keep the order, so U_i is two order-preserving matchings: the interior
+words not starting with g_i^{-1} onto the words starting with g_i, and the
+words starting with g_i^{-1} onto the interior words not starting with g_i.
+In the same way V_j matches the words ending with g_j, in order, onto the
+interior words not ending with g_j^{-1}: the word at off[k] + pos goes to
+off[k-1] + pos // q.  Each operator is a few whole-array numpy calls.
 
 Note on one-sided inverses: U_i is injective on the interior, but V_i U_i is
 not the identity there.  V_i U_i prepends g_i and then strips a trailing
@@ -34,7 +61,8 @@ in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,20 +92,6 @@ def ball_size(n: int, radius: int) -> int:
     return total
 
 
-def left_multiply(letter: int, word: Word) -> Word:
-    """Reduced product g_letter * word (letter is +i or -i)."""
-    if word and word[0] == -letter:
-        return word[1:]
-    return (letter,) + word
-
-
-def right_multiply(word: Word, letter: int) -> Word:
-    """Reduced product word * g_letter."""
-    if word and word[-1] == -letter:
-        return word[:-1]
-    return word + (letter,)
-
-
 def word_str(word: Word) -> str:
     """Human-readable form of a word, empty word rendered as 'e'."""
     if not word:
@@ -90,67 +104,97 @@ class GroupBall:
     """All reduced words of length <= radius, in length-then-lex order.
 
     Letters are ordered g_1 < g_1^{-1} < g_2 < g_2^{-1} < ...; the empty
-    word sits at index 0.  ``index`` maps each word back to its position.
+    word sits at index 0.  ``offsets[k]`` is the index of the first word of
+    length k (``offsets[radius + 1]`` is the size), and ``first_slot`` and
+    ``last_slot`` give the slot of each word's first and last letter, -1 at
+    the empty word (see the module docstring).  ``words`` and ``index``
+    (word -> position) are derived from these arrays on first use, for
+    display and tests.
     """
 
     n: int
     radius: int
-    words: Tuple[Word, ...]
-    index: Dict[Word, int] = field(compare=False)
+    offsets: Tuple[int, ...] = field(repr=False)
+    first_slot: np.ndarray = field(compare=False, repr=False)
+    last_slot: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return self.size
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return self.offsets[-1]
 
     @property
     def interior_count(self) -> int:
         """Number of words of length <= radius - 1 (safe under one U_i)."""
-        return ball_size(self.n, self.radius - 1)
+        return self.offsets[-2]
 
     def interior_indices(self) -> range:
         """Indices of the interior words, a prefix of the canonical order."""
         return range(self.interior_count)
+
+    @cached_property
+    def words(self) -> Tuple[Word, ...]:
+        """Every word as a tuple (+i for g_i, -i for g_i^{-1}), in order.
+
+        Each word is its parent, the word at off[k-1] + pos // q, followed
+        by its last letter.
+        """
+        q, off, last = 2 * self.n - 1, self.offsets, self.last_slot
+        letters = ((last // 2 + 1) * (1 - 2 * (last & 1))).tolist()
+        out: List[Word] = [()]
+        out.extend((v,) for v in letters[1 : off[2]])
+        for k in range(2, self.radius + 1):
+            for h in range(off[k], off[k + 1]):
+                out.append(out[off[k - 1] + (h - off[k]) // q] + (letters[h],))
+        return tuple(out)
+
+    @cached_property
+    def index(self) -> Dict[Word, int]:
+        return {w: k for k, w in enumerate(self.words)}
 
     def contains(self, word: Word) -> bool:
         return word in self.index
 
 
 def build_ball(n: int, radius: int) -> GroupBall:
-    """Enumerate the ball of the given radius in canonical order."""
+    """Lay out the ball of the given radius in canonical order."""
     if n < 1:
         raise InputError(f"need at least one generator, got n={n}")
     if radius < 1:
         raise InputError(f"ball radius must be at least 1, got {radius}")
     # Count shell by shell and stop at the guard, so a huge radius is
     # refused at once instead of forming a count with thousands of digits.
-    count, shell_size = 1, 2 * n
+    offsets, shell_size = [0, 1], 2 * n
     for _ in range(radius):
-        count += shell_size
-        if count > BALL_SIZE_GUARD:
+        if offsets[-1] + shell_size > BALL_SIZE_GUARD:
             raise InputError(
                 f"ball of radius {radius} over {n} generators holds more "
                 f"than {BALL_SIZE_GUARD} words"
             )
+        offsets.append(offsets[-1] + shell_size)
         shell_size *= 2 * n - 1
-    letters: List[int] = []
-    for i in range(1, n + 1):
-        letters.extend((i, -i))
-    words: List[Word] = [()]
-    shell: List[Word] = [()]
-    for _ in range(radius):
-        grown: List[Word] = []
-        for w in shell:
-            last = w[-1] if w else 0
-            for ltr in letters:
-                if ltr != -last:
-                    grown.append(w + (ltr,))
-        words.extend(grown)
-        shell = grown
-    index = {w: k for k, w in enumerate(words)}
-    return GroupBall(n=n, radius=radius, words=tuple(words), index=index)
+    q, size = 2 * n - 1, offsets[-1]
+    slots = np.arange(2 * n)
+    # follow[s] lists, in slot order, the q slots allowed after slot s.  The
+    # words of shell k are the children of shell k-1 in order, so their last
+    # slots are the parents' last slots each replaced by its row of follow,
+    # and their first slots are the parents' first slots each repeated q times.
+    digits = np.arange(q)
+    follow = digits + (digits >= (slots ^ 1)[:, None])
+    first = np.empty(size, dtype=np.int64)
+    last = np.empty(size, dtype=np.int64)
+    first[0] = last[0] = -1
+    first[1 : offsets[2]] = last[1 : offsets[2]] = slots
+    for k in range(2, radius + 1):
+        start, stop, end = offsets[k - 1], offsets[k], offsets[k + 1]
+        first[stop:end] = first[start:stop].repeat(q)
+        # A contiguous slice reshapes to a view, so take writes into last.
+        follow.take(last[start:stop], axis=0, out=last[stop:end].reshape(-1, q))
+    return GroupBall(
+        n=n, radius=radius, offsets=tuple(offsets), first_slot=first, last_slot=last
+    )
 
 
 def left_regular(i: int, ball: GroupBall) -> np.ndarray:
@@ -159,15 +203,19 @@ def left_regular(i: int, ball: GroupBall) -> np.ndarray:
     Entry h holds the index of g_i h, or -1 where that word leaves the ball;
     U_i is a partial permutation, so this array is the whole operator.
     Dropping the images that leave the ball is exactly why the commutator
-    identity is only asserted on interior vectors.
+    identity is only asserted on interior vectors.  Prepending g_i and
+    cancelling a leading g_i^{-1} both keep the canonical order, so each is
+    an order-preserving matching between sets read off ``first_slot``.
     """
     _check_generator(i, ball)
-    index = ball.index
-    return np.fromiter(
-        (index.get(left_multiply(i, w), -1) for w in ball.words),
-        dtype=np.int64,
-        count=ball.size,
-    )
+    a = 2 * (i - 1)
+    first, interior = ball.first_slot, ball.interior_count
+    cancels = first == a + 1
+    image = np.empty(ball.size, dtype=np.int64)
+    image.fill(-1)
+    image[:interior][~cancels[:interior]] = (first == a).nonzero()[0]
+    image[cancels] = (first[:interior] != a).nonzero()[0]
+    return image
 
 
 def dual_op(i: int, ball: GroupBall) -> np.ndarray:
@@ -176,25 +224,21 @@ def dual_op(i: int, ball: GroupBall) -> np.ndarray:
     Returned as an index array like ``left_regular``: -1 marks the words not
     ending with g_i (including the empty word), which V_i sends to zero.
     Right multiplication by g_i^{-1} shortens the word, so every other image
-    stays inside the ball.
+    stays inside the ball; it keeps the canonical order, so V_i matches the
+    words ending with g_i onto the interior words not ending with g_i^{-1}.
     """
     _check_generator(i, ball)
-    index = ball.index
-    return np.fromiter(
-        (index[w[:-1]] if w and w[-1] == i else -1 for w in ball.words),
-        dtype=np.int64,
-        count=ball.size,
-    )
+    a = 2 * (i - 1)
+    last = ball.last_slot
+    image = np.empty(ball.size, dtype=np.int64)
+    image.fill(-1)
+    image[last == a] = (last[: ball.interior_count] != a + 1).nonzero()[0]
+    return image
 
 
 def _check_generator(i: int, ball: GroupBall) -> None:
     if not 1 <= i <= ball.n:
         raise InputError(f"generator index {i} outside 1..{ball.n}")
-
-
-def _then(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Index array of ``second`` after ``first``; -1 (zero) stays -1."""
-    return np.where(first >= 0, second[first], -1)
 
 
 def commutator_defect(i: int, j: int, ball: GroupBall) -> Tuple[int, bool]:
@@ -208,25 +252,48 @@ def commutator_defect(i: int, j: int, ball: GroupBall) -> Tuple[int, bool]:
     defect is the largest of their absolute values, together with a pass
     flag.  A passing run reports a defect of exactly 0.
     """
-    return _defect(i == j, left_regular(i, ball), dual_op(j, ball), ball.interior_count)
+    u_op, v_op = _padded([left_regular(i, ball)]), _padded([dual_op(j, ball)])
+    return _defects(u_op[0], v_op, ball.interior_count, 0 if i == j else None)[0]
 
 
-def _defect(
-    same: bool, u_op: np.ndarray, v_op: np.ndarray, interior: int
-) -> Tuple[int, bool]:
-    """``commutator_defect`` from the index arrays of U_i and V_j."""
-    forward = _then(v_op[:interior], u_op)
-    backward = _then(u_op[:interior], v_op)
+def _padded(ops: List[np.ndarray]) -> np.ndarray:
+    """Index arrays stacked as rows, each with a trailing -1.
+
+    Index -1 stands for the zero vector, and in a padded row it reads that
+    trailing -1, so composing two operators is a single fancy index.
+    """
+    out = np.empty((len(ops), ops[0].size + 1), dtype=np.int64)
+    for row, op in zip(out, ops):
+        row[:-1] = op
+    out[:, -1] = -1
+    return out
+
+
+def _defects(
+    u_op: np.ndarray, v_ops: np.ndarray, interior: int, same: Optional[int]
+) -> List[Tuple[int, bool]]:
+    """``commutator_defect`` of U_i against each row V_j of ``v_ops``.
+
+    All operators are padded (see ``_padded``); ``same`` is the row holding
+    V_i, if any, which owes the delta_e term.
+    """
+    forward = u_op[v_ops[:, :interior]]
+    backward = v_ops[:, u_op[:interior]]
     # Off h = e each side is one basis vector or zero, so the difference has
     # entries +-1 exactly where the two index arrays disagree.
-    worst = int(np.any(forward[1:] != backward[1:]))
-    # At h = e the difference is delta_f - delta_b, plus delta_e when i = j.
-    at_e: Dict[int, int] = {0: 1} if same else {}
-    for image, sign in ((int(forward[0]), 1), (int(backward[0]), -1)):
-        if image >= 0:
-            at_e[image] = at_e.get(image, 0) + sign
-    worst = max([worst] + [abs(v) for v in at_e.values()])
-    return worst, worst == 0
+    off_e = (forward[:, 1:] != backward[:, 1:]).any(axis=1).tolist()
+    results = []
+    for row, (worst, f_e, b_e) in enumerate(
+        zip(off_e, forward[:, 0].tolist(), backward[:, 0].tolist())
+    ):
+        # At h = e the difference is delta_f - delta_b, plus delta_e when i = j.
+        at_e: Dict[int, int] = {0: 1} if row == same else {}
+        for image, sign in ((f_e, 1), (b_e, -1)):
+            if image >= 0:
+                at_e[image] = at_e.get(image, 0) + sign
+        worst = max([int(worst)] + [abs(v) for v in at_e.values()])
+        results.append((worst, worst == 0))
+    return results
 
 
 def vu_fixed_indices(i: int, ball: GroupBall) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -234,42 +301,36 @@ def vu_fixed_indices(i: int, ball: GroupBall) -> Tuple[Tuple[int, ...], Tuple[in
 
     V_i U_i delta_h is delta_{g_i h} with a trailing g_i stripped, so the
     fixed words are exactly the powers of g_i, the empty word included.
-    The second tuple holds the interior words not ending with g_i^{-1},
-    which V_i V_i* fixes because the adjoint of V_i acts by right
-    multiplication with g_i on exactly those words.
+    g_i^k sits at off[k] + a (1 + q + ... + q^(k-1)) for the slot a of g_i,
+    and 1 + q + ... + q^(k-1) = (off[k+1] - 1) / 2n.  The second tuple holds
+    the interior words not ending with g_i^{-1}, which V_i V_i* fixes
+    because the adjoint of V_i acts by right multiplication with g_i on
+    exactly those words.
     """
     _check_generator(i, ball)
-    vu_fixed: List[int] = []
-    vvstar_fixed: List[int] = []
-    for h in ball.interior_indices():
-        word = ball.words[h]
-        if all(v == i for v in word):
-            vu_fixed.append(h)
-        if not word or word[-1] != -i:
-            vvstar_fixed.append(h)
-    return tuple(vu_fixed), tuple(vvstar_fixed)
+    a, off = 2 * (i - 1), ball.offsets
+    powers = tuple(
+        off[k] + a * ((off[k + 1] - 1) // (2 * ball.n)) for k in range(ball.radius)
+    )
+    last = ball.last_slot[: ball.interior_count]
+    return powers, tuple(np.flatnonzero(last != a + 1).tolist())
 
 
 def dual_system_report(n: int, radius: int) -> dict:
     """Run all (i, j) commutator checks and package the results."""
     ball = build_ball(n, radius)
-    u_ops = [left_regular(i, ball) for i in range(1, n + 1)]
-    v_ops = [dual_op(j, ball) for j in range(1, n + 1)]
+    u_ops = _padded([left_regular(i, ball) for i in range(1, n + 1)])
+    v_ops = _padded([dual_op(j, ball) for j in range(1, n + 1)])
     interior = ball.interior_count
     pairs = []
-    all_pass = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            defect, ok = _defect(i == j, u_ops[i - 1], v_ops[j - 1], interior)
-            all_pass = all_pass and ok
-            pairs.append(
-                {"i": i, "j": j, "defect": str(defect), "pass": ok}
-            )
+    for i, u_op in enumerate(u_ops, 1):
+        for j, (defect, ok) in enumerate(_defects(u_op, v_ops, interior, i - 1), 1):
+            pairs.append({"i": i, "j": j, "defect": str(defect), "pass": ok})
     return {
         "n": n,
         "R": radius,
         "ball_size": ball.size,
-        "interior_count": ball.interior_count,
+        "interior_count": interior,
         "pairs": pairs,
-        "all_pass": all_pass,
+        "all_pass": all(p["pass"] for p in pairs),
     }

@@ -44,8 +44,10 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # A Fraction is immutable, so a part that already is one is stored as
+        # it is; Fraction() on it would only build a copy.
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")

@@ -16,14 +16,52 @@ from ncfield import (
     left_regular,
 )
 from ncfield.errors import InputError
-from ncfield.freegroup import (
-    BALL_SIZE_GUARD,
-    ball_size,
-    left_multiply,
-    right_multiply,
-    vu_fixed_indices,
-    word_str,
-)
+from ncfield.freegroup import BALL_SIZE_GUARD, ball_size, vu_fixed_indices, word_str
+
+
+# Reference implementation: words as tuples of nonzero integers, +i for g_i
+# and -i for its inverse, enumerated and multiplied letter by letter.
+
+
+def left_multiply(letter: int, word):
+    """Reduced product g_letter * word (letter is +i or -i)."""
+    if word and word[0] == -letter:
+        return word[1:]
+    return (letter,) + word
+
+
+def right_multiply(word, letter: int):
+    """Reduced product word * g_letter."""
+    if word and word[-1] == -letter:
+        return word[:-1]
+    return word + (letter,)
+
+
+def _enumerate_ball(n: int, radius: int):
+    """All reduced words up to the radius in length-then-lex order."""
+    letters = [s * i for i in range(1, n + 1) for s in (1, -1)]
+    words = [()]
+    shell = [()]
+    for _ in range(radius):
+        shell = [
+            w + (ltr,) for w in shell for ltr in letters if not (w and w[-1] == -ltr)
+        ]
+        words.extend(shell)
+    return words
+
+
+def _oracle_operators(n: int, radius: int):
+    """U_i and V_i index arrays read word by word from the tuple enumeration."""
+    words = _enumerate_ball(n, radius)
+    index = {w: k for k, w in enumerate(words)}
+    u_ops = [
+        [index.get(left_multiply(i, w), -1) for w in words] for i in range(1, n + 1)
+    ]
+    v_ops = [
+        [index[right_multiply(w, -i)] if w and w[-1] == i else -1 for w in words]
+        for i in range(1, n + 1)
+    ]
+    return words, index, u_ops, v_ops
 
 
 def _after(second: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -82,6 +120,32 @@ def test_build_ball_is_ordered_and_reduced():
     assert set(ball.words) == _brute_force_words(2, 3)
     for k, w in enumerate(ball.words):
         assert ball.index[w] == k
+
+
+ORACLE_BALLS = [(n, r) for n in (1, 2, 3, 4) for r in (1, 2, 3, 4, 5)]
+ORACLE_BALLS += [(1, 12), (2, 7)]
+
+
+@pytest.mark.parametrize("n,radius", ORACLE_BALLS)
+def test_array_ball_matches_the_tuple_enumeration(n, radius):
+    words, index, u_ops, v_ops = _oracle_operators(n, radius)
+    ball = build_ball(n, radius)
+    assert ball.words == tuple(words)
+    assert ball.index == index
+    assert ball.size == len(ball) == len(words)
+    assert ball.interior_count == sum(1 for w in words if len(w) < radius)
+    for i in range(1, n + 1):
+        assert left_regular(i, ball).tolist() == u_ops[i - 1]
+        assert dual_op(i, ball).tolist() == v_ops[i - 1]
+
+
+def test_guard_refuses_before_allocating(monkeypatch):
+    # with numpy unreachable from the module, any array built before the
+    # guard fires would raise something other than InputError
+    monkeypatch.setattr(freegroup, "np", None)
+    for n, radius in ((26, 5), (2, 30000)):
+        with pytest.raises(InputError, match=f"more than {BALL_SIZE_GUARD} words"):
+            build_ball(n, radius)
 
 
 def test_interior_words_are_those_shorter_than_the_radius():
@@ -250,7 +314,9 @@ def test_dual_system_scales_to_large_balls():
     report = dual_system_report(2, 8)
     assert time.perf_counter() - start < 1.0
     assert report["all_pass"]
+    start = time.perf_counter()
     big = dual_system_report(2, 11)
+    assert time.perf_counter() - start < 1.0
     assert big["ball_size"] == 354293 <= BALL_SIZE_GUARD
     assert big["all_pass"]
     assert [p["defect"] for p in big["pairs"]] == ["0"] * 4
