@@ -19,8 +19,8 @@ get operator scaling: with L(B) the sum of Ai B Ai*, the pencil is full
 exactly when L never decreases rank on positive semidefinite arguments, and
 once the doubly-stochasticity defect of the scaled tuple drops below
 1/(N+1), a numeric blow-up confirms fullness.  A collapse or a spent budget
-leads to the collapse directions of the scaled tuple.  Every nonfull witness
-is re-verified before the verdict is issued.
+leads to the same second Wong sequence as on exact input, run in floating
+point.  Every nonfull witness is re-verified before the verdict is issued.
 
 Affine pencils are homogenized first; matrices of higher degree are rewritten
 as enlarged pencils with a known rank offset.  Adjoint letters need no second
@@ -245,7 +245,7 @@ class FullnessCertificate:
     witness: object = None  # the PSD matrix B of a nonfull verdict
     # what decided: "blow-up rank mod p at d = 1" (or at the larger d that
     # proved it), "zero pattern", "exact Wong", "exact Wong (adjoint)", the
-    # defect criterion or "collapse directions"
+    # defect criterion or "Wong" (the float sequence on a numeric shift)
     detail: str = ""
 
 
@@ -344,8 +344,12 @@ def _scaling_verdict(
     """Operator scaling on numerically shifted coefficients (no exact form).
 
     Once the defect of the scaled tuple drops below 1/(N+1), a numeric
-    blow-up substitution confirms fullness; a collapse or a spent budget of
-    SCALING_BUDGET_FACTOR * N^2 iterations leads to the collapse directions.
+    blow-up substitution confirms fullness.  A collapse or a spent budget of
+    SCALING_BUDGET_FACTOR * N^2 iterations leads to the second Wong sequence
+    in floats at a random complex point of the span, on the tuple and then
+    on its transpose.  Its kernels drop singular values up to one threshold
+    for the whole tuple, policy.threshold(N, max ||Ai||_2), and B = VV* from
+    the block it finds is re-verified.
     """
     n = mats[0].shape[0]
     budget = SCALING_BUDGET_FACTOR * n * n
@@ -359,8 +363,6 @@ def _scaling_verdict(
         return FullnessCertificate("nonfull", "hollow", n, math.inf, 0, b, "zero pattern")
 
     target = 1.0 / (n + 1)
-    l_cum = np.eye(n, dtype=complex)
-    r_cum = np.eye(n, dtype=complex)
     eye = np.eye(n, dtype=complex)
     defect = math.inf
     reason = "scaling budget exhausted without certificate"
@@ -394,19 +396,23 @@ def _scaling_verdict(
         if it % 2 == 0:
             half = _inv_sqrt(s_eigs, s_vecs)
             live = [half @ a for a in live]
-            l_cum = half @ l_cum
         else:
             half = _inv_sqrt(t_eigs, t_vecs)
             live = [a @ half for a in live]
-            r_cum = r_cum @ half
     else:
         it = budget
 
-    witness = _search_witness(mats, n, policy, live, l_cum, r_cum)
-    if witness is not None:
-        return FullnessCertificate(
-            "nonfull", "scaling", n, defect, it, witness, "collapse directions"
-        )
+    thr = policy.threshold(n, max(np.linalg.norm(a, 2) for a in mats))
+    rng = np.random.default_rng(seed)
+    point = sum(complex(*rng.standard_normal(2)) * a for a in mats)
+    for flip in (0, 1):  # on the transpose the pair comes back swapped
+        found = _wong([a.T for a in mats] if flip else mats, point.T if flip else point,
+                      lambda m: _float_kernel(m, thr), np.matmul)
+        if found is not None:
+            v = found[1 - flip]
+            b = v @ v.conj().T
+            if _verify_witness(mats, b, policy):
+                return FullnessCertificate("nonfull", "scaling", n, defect, it, b, "Wong")
     raise Inconclusive(reason, {"defect": defect, "iterations": it, "size": n})
 
 
@@ -423,14 +429,10 @@ def _orthonormal(cols: np.ndarray) -> np.ndarray:
     return q[:, keep]
 
 
-def _kernel(m: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
-    if m.size == 0:
-        return np.eye(m.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    if len(s) == 0 or s[0] == 0.0:
-        return np.eye(m.shape[1], dtype=complex)
-    r = int(np.count_nonzero(s > policy.threshold(max(m.shape), float(s[0]))))
-    return vh[r:, :].conj().T
+def _float_kernel(m: np.ndarray, thr: float) -> np.ndarray:
+    """Right kernel in floats: the singular vectors of values at most ``thr``."""
+    _, s, vh = np.linalg.svd(m)
+    return vh[np.count_nonzero(s > thr):].conj().T
 
 
 def _confirm_full_exact(residues, seed: int, d: int) -> bool:
@@ -526,48 +528,6 @@ def verify_nonfull_witness(
     return _verify_witness(_float_coeffs(pencil.coeffs[1:]), b, policy)
 
 
-def _left_to_right_witness(mats, v_basis, policy):
-    """Convert a shrunk subspace of the adjoint tuple into a direct witness.
-
-    If the adjoint coefficients shrink V, the original coefficients map the
-    orthogonal complement of sum_i A_i* V into the orthogonal complement of
-    V, which is again a strict shrink.
-    """
-    if v_basis.shape[1] == 0:
-        return None
-    img = np.hstack([a.conj().T @ v_basis for a in mats])
-    w = _kernel(img.conj().T, policy)
-    if w.shape[1] == 0:
-        return None
-    return w @ w.conj().T
-
-
-def _search_witness(mats, n, policy, scaled, l_cum, r_cum):
-    """Hunt for a PSD argument where the quantum operator drops rank.
-
-    Refines the collapse directions of the scaled tuple, mapped back through
-    the accumulated transforms on either side, and returns the first B that
-    passes re-verification, or None.
-    """
-    adj = [a.conj().T for a in mats]
-    _, s_vecs = np.linalg.eigh(sum(a @ a.conj().T for a in scaled))
-    _, t_vecs = np.linalg.eigh(sum(a.conj().T @ a for a in scaled))
-    for k in range(1, n):
-        v0 = _orthonormal(r_cum @ t_vecs[:, :k])
-        v_ref = _refine_shrunk(mats, v0, policy) if v0.shape[1] else None
-        if v_ref is not None:
-            b = v_ref @ v_ref.conj().T
-            if _verify_witness(mats, b, policy):
-                return b
-        v0 = _orthonormal(l_cum.conj().T @ s_vecs[:, :k])
-        v_ref = _refine_shrunk(adj, v0, policy) if v0.shape[1] else None
-        if v_ref is not None:
-            b = _left_to_right_witness(mats, v_ref, policy)
-            if b is not None and _verify_witness(mats, b, policy):
-                return b
-    return None
-
-
 def _zero_pattern_witness(mats, nonzero, policy):
     """B on the columns of a hollow block of the pattern ``nonzero``, or None.
 
@@ -617,22 +577,30 @@ def _exact_hollow_block(forms, ints, seed, transpose=False):
 
 
 def _wong_mod_p(residues, weights):
-    """Second Wong sequence over F_p at P = sum wi Ai: (U, V) or None.
+    """Second Wong sequence over F_p at P = sum wi Ai: (U, V) or None."""
+    point = sum(w * a % _P for w, a in zip(weights, residues)) % _P
+    return _wong(residues, point, kernel_mod_p, matmul_mod_p)
+
+
+def _wong(mats, point, kernel, mul):
+    """Second Wong sequence of the tuple at P = ``point`` in its span: (U, V) or None.
 
     W starts at zero; V = P^-1(W) is the kernel of U^T P, where U spans the
     kernel of W^T = [A1 V, ..., Am V]^T, so dim W = N - cols(U).  Dimensions
     grow until W repeats; then U^T Ai V = 0 for every i, and dim V > dim W
-    means rank U + rank V > N.  Both are the canonical bases of kernel_mod_p.
+    means rank U + rank V > N.  ``kernel`` (a right kernel basis as columns)
+    and ``mul`` (the product) fix the field: F_p residues, where the bases
+    are the canonical ones of kernel_mod_p, or floats.
     """
-    point = sum(w * a % _P for w, a in zip(weights, residues)) % _P
-    u = np.eye(len(point), dtype=np.int64)
-    for _ in range(len(point) + 1):
-        v = kernel_mod_p(matmul_mod_p(u.T, point))
+    n = len(point)
+    u = np.eye(n, dtype=point.dtype)
+    for _ in range(n + 1):
+        v = kernel(mul(u.T, point))
         if v.shape[1] == 0:
             return None
-        u_next = kernel_mod_p(np.hstack([matmul_mod_p(a, v) for a in residues]).T)
+        u_next = kernel(np.hstack([mul(a, v) for a in mats]).T)
         if u_next.shape[1] == u.shape[1]:
-            return (u, v) if u.shape[1] + v.shape[1] > len(point) else None
+            return (u, v) if u.shape[1] + v.shape[1] > n else None
         u = u_next
     return None
 
@@ -660,26 +628,6 @@ def _gaussian_integers(rows):
     scale = math.lcm(*(x.denominator for x in parts.flat))
     as_int = np.frompyfunc(lambda x: x.numerator * (scale // x.denominator), 1, 1)
     return as_int(parts.transpose(2, 0, 1))
-
-
-def _refine_shrunk(mats, v0, policy, rounds: int = 8):
-    """Alternate between covering spaces and preimages to tighten a candidate."""
-    v = v0
-    for _ in range(rounds):
-        s = v.shape[1]
-        if s == 0:
-            return None
-        stacked = np.hstack([a @ v for a in mats])
-        if empirical_rank(stacked, policy).rank < s:
-            return v
-        u, _, _ = np.linalg.svd(stacked)
-        w = u[:, : s - 1]
-        proj = np.eye(v.shape[0], dtype=complex) - w @ w.conj().T
-        v_new = _kernel(np.vstack([proj @ a for a in mats]), policy)
-        if v_new.shape[1] >= s:
-            return v_new
-        v = v_new
-    return None
 
 
 # degree reduction

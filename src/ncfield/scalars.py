@@ -38,12 +38,15 @@ def _im_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 class GaussianRational:
     """A complex number a + b*i with exact rational parts."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
+    def __init__(self, re: Rationalish = _FRACTION_ZERO, im: Rationalish = _FRACTION_ZERO):
         # A Fraction is immutable, so a part that already is one is stored as
         # it is; Fraction() on it would only build a copy.
         object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))

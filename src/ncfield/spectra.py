@@ -95,12 +95,7 @@ def _dimension_from_atoms(size: int, atoms: Sequence[SpectralAtom]) -> Fraction:
 
 
 def _rho_of_shift(
-    matrix: NcMatrix,
-    lam,
-    seed: int,
-    policy: TolerancePolicy,
-    dims=None,
-    trials: int = 2,
+    matrix: NcMatrix, lam, seed: int, policy: TolerancePolicy
 ) -> Optional[int]:
     """Rank of matrix - lam*1, cross-checked by the orchestrated rank.
 
@@ -114,9 +109,7 @@ def _rho_of_shift(
     else:
         shift = complex(lam)
     try:
-        result = ncrank(
-            matrix, dims=dims, trials=trials, seed=seed, policy=policy, shift=shift
-        )
+        result = ncrank(matrix, seed=seed, policy=policy, shift=shift)
     except (NoConsensus, Inconclusive):
         return None
     return result.rho
@@ -126,8 +119,6 @@ def central_eigs_pencil(
     pencil: LinearPencil,
     seed: int = 0,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    dims=None,
-    trials: int = 2,
 ) -> SpectrumReport:
     """Central eigenvalues of an affine pencil.
 
@@ -149,7 +140,7 @@ def central_eigs_pencil(
         [[complex(x) for x in row] for row in pencil.coeffs[0]], dtype=complex
     )
     candidates = _cluster_points(np.linalg.eigvals(a0), tol=1e-8 * max(1.0, float(np.linalg.norm(a0))))
-    _certify_candidates(report, pencil.to_matrix(), candidates, seed, policy, dims, trials)
+    _certify_candidates(report, pencil.to_matrix(), candidates, seed, policy)
     _finalize(report)
     return report
 
@@ -206,7 +197,7 @@ def central_eigs_polymatrix(
         }
     )
     if certify:
-        _certify_candidates(report, matrix, candidates, seed, policy, None, 2)
+        _certify_candidates(report, matrix, candidates, seed, policy)
     else:
         for z in candidates:
             report.uncertified.append(
@@ -216,24 +207,20 @@ def central_eigs_polymatrix(
     return report
 
 
-def _certify_candidates(report, matrix, candidates, seed, policy, dims, trials):
+def _certify_candidates(report, matrix, candidates, seed, policy):
     n = matrix.rows
     for k, z in enumerate(candidates):
         snapped = snap_to_gaussian_rational(complex(z))
         rho = None
         exact = False
         if snapped is not None:
-            rho = _rho_of_shift(
-                matrix, snapped, seed + 100 + 7 * k, policy, dims, trials
-            )
+            rho = _rho_of_shift(matrix, snapped, seed + 100 + 7 * k, policy)
             exact = rho is not None
         same_point = snapped is not None and complex(snapped) == complex(z)
         if rho is None or (rho == n and not same_point):
             # retry at the raw numeric location before discarding, unless
             # that is the point just decided
-            rho_num = _rho_of_shift(
-                matrix, complex(z), seed + 500 + 7 * k, policy, dims, trials
-            )
+            rho_num = _rho_of_shift(matrix, complex(z), seed + 500 + 7 * k, policy)
             if rho_num is not None and rho_num < n:
                 rho, exact, snapped = rho_num, False, None
             elif rho is None:

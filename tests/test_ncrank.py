@@ -19,6 +19,7 @@ from conftest import (
     exact_rref,
     hollow_matrix,
     invertible_scalar_matrix,
+    random_linear_entry,
 )
 
 from ncfield import (
@@ -46,6 +47,7 @@ from ncfield.ncrank import (
     _orthonormal,
     _residue_forms,
     _scaling_verdict,
+    _verify_witness,
 )
 from ncfield.randmat import DEFAULT_POLICY
 from ncfield.scalars import _P, GaussianRational, residues_mod_p
@@ -492,11 +494,103 @@ def _golden_matrix() -> NcMatrix:
     return NcMatrix([[z, one, z], [one, one, z], [z, z, x1]])
 
 
+def _hidden_lower_golden() -> NcMatrix:
+    """S [[0, 1, 0], [1, 1, 0], [x1, x1, x1]] S^-1, S = [[1, 0, 1], [0, 1, 1], [0, 0, 1]].
+
+    The block-lower-triangular form hides an obstruction on the left side:
+    at (1 +- sqrt 5)/2 a common left kernel vector, and no right one.
+    """
+    z, one, x1 = NcPoly.zero(1), NcPoly.const(1, 1), NcPoly.var(1, 1)
+    base = NcMatrix([[z, one, z], [one, one, z], [x1, x1, x1]])
+    s = NcMatrix.from_scalars([[1, 0, 1], [0, 1, 1], [0, 0, 1]], 1)
+    s_inv = NcMatrix.from_scalars([[1, 0, -1], [0, 1, -1], [0, 0, 1]], 1)
+    return s @ base @ s_inv
+
+
 def test_numeric_shift_runs_both_engines():
     result = ncrank(_golden_matrix(), seed=0, shift=(1 + math.sqrt(5)) / 2)
     assert result.rho == 2
     assert result.cross["scaling"] == "nonfull"
     assert ncrank(_golden_matrix(), seed=0, shift=0.5).rho == 3
+    hidden = _hidden_lower_golden()
+    x1 = NcPoly.var(1, 1)
+    c = lambda k: NcPoly.const(k, 1)  # noqa: E731
+    assert [list(row) for row in hidden.entries] == [
+        [x1, x1 + c(1), -x1 - c(1)],
+        [x1 + c(1), x1 + c(1), -x1 - c(2)],
+        [x1, x1, -x1],
+    ]
+    for shift in ((1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2):
+        result = ncrank(hidden, seed=0, shift=shift)
+        assert result.rho == 2
+        assert result.cross["scaling"] == "nonfull"
+
+
+def _unimodular_pair(size: int, rng: random.Random):
+    """An integer matrix of determinant 1 and its integer inverse, as rows."""
+    s = [[int(i == j) for j in range(size)] for i in range(size)]
+    t = [row[:] for row in s]
+    for _ in range(3 * size):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        s[i] = [a + c * b for a, b in zip(s[i], s[j])]  # S <- (1 + c e_ij) S
+        for row in t:  # S^-1 <- S^-1 (1 - c e_ij)
+            row[j] -= c * row[i]
+    return s, t
+
+
+def _blocks(grid) -> list:
+    """Rows of the block matrix whose blocks (lists of rows) are ``grid``."""
+    return [sum(row, []) for brow in grid for row in zip(*brow)]
+
+
+def _pencils_with_constant_block(seed: int, n_vars: int = 2):
+    """C and Q in four forms, hidden by a unimodular similarity, with C's eigenvalues.
+
+    C is a 2 x 2 integer matrix with non-integer eigenvalues, Q a q x q
+    affine block.  The forms are C (+) Q, [[C, X], [0, Q]], [[C, 0], [Y, Q]]
+    and C (+) C (+) Q; each eigenvalue of C lowers rho by its multiplicity
+    in the constant blocks, 1 or 2.
+    """
+    rng = random.Random(seed)
+    while True:
+        a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
+        disc = (a + d) ** 2 - 4 * (a * d - b * c)
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            break
+    q = rng.randint(1, 2)
+    affine = lambda: random_linear_entry(rng, n_vars) + NcPoly.const(rng.randint(-2, 2), n_vars)  # noqa: E731
+    zero = lambda r, k: [[NcPoly.zero(n_vars)] * k for _ in range(r)]  # noqa: E731
+    cc = [[NcPoly.const(x, n_vars) for x in row] for row in ((a, b), (c, d))]
+    qq, xx, yy = ([[affine() for _ in range(k)] for _ in range(r)] for r, k in ((q, q), (2, q), (q, 2)))
+    forms = [
+        ([[cc, zero(2, q)], [zero(q, 2), qq]], 1),
+        ([[cc, xx], [zero(q, 2), qq]], 1),
+        ([[cc, zero(2, q)], [yy, qq]], 1),
+        ([[cc, zero(2, 2), zero(2, q)], [zero(2, 2), cc, zero(2, q)], [zero(q, 2), zero(q, 2), qq]], 2),
+    ]
+    lams = np.linalg.eigvals(np.array([[a, b], [c, d]], dtype=float))
+    for grid, mult in forms:
+        m = NcMatrix(_blocks(grid), n_vars)
+        s, t = _unimodular_pair(m.rows, rng)
+        hidden = NcMatrix.from_scalars(s, n_vars) @ m @ NcMatrix.from_scalars(t, n_vars)
+        yield hidden, lams, mult
+
+
+def test_numeric_shifts_at_hidden_constant_blocks_are_certified_nonfull():
+    for seed in range(6):
+        for matrix, lams, mult in _pencils_with_constant_block(seed):
+            n = matrix.rows
+            for lam in lams:
+                result = ncrank(matrix, seed=seed, shift=complex(lam))
+                assert result.rho == n - mult, (seed, lam)
+                assert result.cross["scaling"] == "nonfull", (seed, lam)
+                coeffs = matrix.to_pencil().numeric_coeffs()
+                coeffs[0] -= lam * np.eye(n)
+                mats = coeffs[1:] + coeffs[:1]
+                cert = _scaling_verdict(mats, DEFAULT_POLICY, seed)
+                assert (cert.verdict, cert.detail) == ("nonfull", "Wong"), (seed, lam)
+                assert _verify_witness(mats, cert.witness, DEFAULT_POLICY), (seed, lam)
 
 
 def test_shifted_zero_matrix_is_full():
