@@ -306,7 +306,7 @@ def cmd_atoms(args) -> int:
     if not matrix.is_square():
         raise InputError("atoms need a square input")
     spectrum = _spectrum(
-        matrix, args.seed, args.d, args.kind, _policy(args), certify=args.certify
+        matrix, args.seed, _policy(args), certify=args.certify, d=args.d, kind=args.kind
     )
     report = _report_skeleton(
         args, "atoms", d=args.d, kind=args.kind, certify=args.certify
@@ -545,7 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_atoms = sub.add_parser("atoms", help="central eigenvalues and their masses")
     p_atoms.add_argument("--pencil", help="pencil JSON file")
     p_atoms.add_argument("--expr", help="polynomial expression")
-    p_atoms.add_argument("--d", type=int, default=500, help="sample dimension")
+    p_atoms.add_argument(
+        "--d", type=int, default=500, help="sample dimension (with --no-certify)"
+    )
     p_atoms.add_argument("--kind", choices=("gue", "haar", "ginibre"), default="gue")
     p_atoms.add_argument(
         "--certify",

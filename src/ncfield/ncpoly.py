@@ -18,6 +18,7 @@ identity, and returns a complex numpy block matrix.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -30,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     VariableMismatch,
 )
-from .scalars import GaussianRational, Scalarish
+from .scalars import GaussianRational, GaussInt, Scalarish
 
 
 class Letter(NamedTuple):
@@ -492,6 +493,43 @@ class NcMatrix:
             if self.rows != self.cols:
                 raise NonSquareError("shift needs a square matrix")
             out -= shift * np.eye(self.rows * d, dtype=complex)
+        return out
+
+    def denominator(self) -> int:
+        """The lcm of the denominators of every coefficient's two parts."""
+        den = 1
+        for row in self.entries:
+            for p in row:
+                for c in p.coefficients():
+                    den = math.lcm(den, c.re.denominator, c.im.denominator)
+        return den
+
+    def scaled_value(
+        self, point: Sequence[GaussInt], scale: int
+    ) -> List[List[GaussInt]]:
+        """scale times the value at a scalar point, as Gaussian-integer pairs.
+
+        ``point[s]`` is the Gaussian integer (re, im) taken by the letter in
+        plain slot s >= 1 (``letter_slot``), so xi and xi* are independent.
+        ``scale`` must be a multiple of ``denominator()``; then every entry
+        of scale * P(point) is a Gaussian integer, computed exactly.
+        """
+        n = self.n_vars
+        out = []
+        for row in self.entries:
+            out_row = []
+            for p in row:
+                re = im = 0
+                for word, c in p._terms.items():
+                    a = c.re.numerator * (scale // c.re.denominator)
+                    b = c.im.numerator * (scale // c.im.denominator)
+                    for letter in word:
+                        x, y = point[letter_slot(letter, n)]
+                        a, b = a * x - b * y, a * y + b * x
+                    re += a
+                    im += b
+                out_row.append((re, im))
+            out.append(out_row)
         return out
 
     def principal(self, indices: Sequence[int]) -> "NcMatrix":

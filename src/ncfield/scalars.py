@@ -302,3 +302,117 @@ def lift_mod_p(plus: np.ndarray, minus: np.ndarray) -> Optional[list]:
     if any(None in pair for row in parts for pair in row):
         return None
     return [[GaussianRational(*pair) for pair in row] for row in parts]
+
+
+
+# Polynomials over the Gaussian integers Z[i], for characteristic
+# polynomials and their gcds.  A Gaussian integer is an (re, im) pair of
+# Python ints.  A polynomial is the list of its coefficients from the
+# leading one down to the constant, with no leading zero; [] is the zero
+# polynomial.  Results are defined up to a nonzero scalar factor, which the
+# gcd and the quotient drop to keep coefficients small (``_primitive``):
+# callers need a polynomial only for its roots.
+
+GaussInt = Tuple[int, int]
+
+
+def _gdot(xs, ys) -> GaussInt:
+    """sum of x*y over the pairs, in Z[i]."""
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c - b * d
+        im += a * d + b * c
+    return (re, im)
+
+
+def charpoly_zi(rows: List[List[GaussInt]]) -> List[GaussInt]:
+    """det(t - M) for a square Gaussian-integer matrix M, by Berkowitz.
+
+    Division free: the characteristic polynomial of the leading k x k block
+    M_k goes to size k + 1 through a lower triangular Toeplitz matrix whose
+    first column is 1, -a, -RC, -R M_k C, ..., -R M_k^(k-1) C, with R, C
+    and a the new row, column and corner.  That product is the leading
+    k + 2 coefficients of the polynomial product with this column.
+    """
+    poly: List[GaussInt] = [(1, 0)]
+    for k in range(len(rows)):
+        lead = [row[:k] for row in rows[:k]]
+        col = [rows[i][k] for i in range(k)]
+        vec = [(1, 0), (-rows[k][k][0], -rows[k][k][1])]
+        for _ in range(k):
+            re, im = _gdot(rows[k][:k], col)
+            vec.append((-re, -im))
+            col = [_gdot(row, col) for row in lead]
+        poly = mul_zi(vec, poly)[: k + 2]
+    return poly
+
+
+def _strip(f: List[GaussInt]) -> List[GaussInt]:
+    k = 0
+    while k < len(f) and f[k] == (0, 0):
+        k += 1
+    return f[k:]
+
+
+def _primitive(f: List[GaussInt]) -> List[GaussInt]:
+    """f divided by the integer gcd of all its parts."""
+    g = 0
+    for re, im in f:
+        g = math.gcd(g, re, im)
+    return [(re // g, im // g) for re, im in f] if g > 1 else f
+
+
+def pseudo_divmod_zi(a: List[GaussInt], b: List[GaussInt]):
+    """(q, r) with c*a = q*b + r and deg r < deg b, c a power of lc(b).
+
+    For a monic b, c = 1 and this is plain division.
+    """
+    lc = b[0]
+    q = [(0, 0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b):
+        lead, k = r[0], len(r) - len(b)
+        q = [_gdot([lc], [c]) for c in q]
+        q[-1 - k] = (q[-1 - k][0] + lead[0], q[-1 - k][1] + lead[1])
+        padded = b + [(0, 0)] * k
+        r = _strip([_gdot([lc, lead], [c, (-re, -im)]) for c, (re, im) in zip(r, padded)][1:])
+    return q, r
+
+
+def gcd_zi(a: List[GaussInt], b: List[GaussInt]) -> List[GaussInt]:
+    """A gcd of two polynomials in Q(i)[t], with Gaussian-integer coefficients."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(pseudo_divmod_zi(a, b)[1])
+    return _primitive(a)
+
+
+def mul_zi(a: List[GaussInt], b: List[GaussInt]) -> List[GaussInt]:
+    """The product of two polynomials."""
+    if not a or not b:
+        return []
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            re, im = _gdot([x], [y])
+            out[i + j] = (out[i + j][0] + re, out[i + j][1] + im)
+    return out
+
+
+def squarefree_zi(f: List[GaussInt]) -> List[GaussInt]:
+    """The squarefree part f / gcd(f, f'): each root of f once."""
+    deg = len(f) - 1
+    if deg < 1:
+        return f
+    derivative = [((deg - k) * re, (deg - k) * im) for k, (re, im) in enumerate(f[:-1])]
+    return _primitive(pseudo_divmod_zi(f, gcd_zi(f, derivative))[0])
+
+
+def eval_zi(f: List[GaussInt], w: GaussInt) -> GaussInt:
+    """f(w) in Z[i], by Horner's rule."""
+    acc = (0, 0)
+    for re, im in f:
+        acc = _gdot([acc], [w])
+        acc = (acc[0] + re, acc[1] + im)
+    return acc

@@ -1,21 +1,32 @@
 """Central eigenvalues, atom masses and the entropy dimension.
 
 A scalar lambda is a central eigenvalue of a square matrix P over the free
-skew field when P - lambda*1 fails to be full.  For an affine pencil the
-candidates are confined to the eigenvalues of the constant coefficient, and
-a full homogeneous part rules out any central eigenvalue at all.  Each
-candidate is certified by an actual rank decision on the shifted matrix, so
-a certified atom carries the exact mass (N - rho)/N and the certified
-spectrum yields the entropy dimension 1 - sum((N - rho)^2)/N^2.
+skew field when P - lambda*1 fails to be full.  Then P(a) - lambda is
+singular at every scalar point a, so every central eigenvalue is a root of
 
-For a general polynomial matrix the candidates are read off atom clusters in
-the empirical spectral distribution of one evaluated sample, snapped to
-nearby Gaussian rationals where possible and certified the same way.
+    g(t) = gcd over scalar points a of det(t - P(a)),
+
+a polynomial over Q(i) of degree at most N.  The certified entry points
+compute g exactly, one diagonal block at a time: a constant block gives the
+characteristic polynomial of its scalar matrix, and a nonconstant block the
+gcd over a = 0 and a few seeded Gaussian-integer points (xi and xi*
+independent), stopping once the gcd is 1.  A root of g that lies in Q(i)
+is found exactly and shifted exactly; any other root is shifted
+numerically.  For an affine pencil a full homogeneous part rules out any
+central eigenvalue, and is checked first.  Each candidate is certified by
+an actual rank decision on the shifted matrix, so a certified atom carries
+the exact mass (N - rho)/N and the certified spectrum yields the entropy
+dimension 1 - sum((N - rho)^2)/N^2.
+
+Without certification, a polynomial matrix's candidates are read off atom
+clusters in the empirical spectral distribution of one evaluated sample and
+reported as uncertified.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,12 +44,25 @@ from .errors import (
 from .ncpoly import LinearPencil, NcMatrix
 from .ncrank import ncrank
 from .randmat import DEFAULT_POLICY, TolerancePolicy, block_spectrum, sample
-from .scalars import GaussianRational, snap_to_gaussian_rational
+from .scalars import (
+    GaussianRational,
+    charpoly_zi,
+    eval_zi,
+    gcd_zi,
+    mul_zi,
+    pseudo_divmod_zi,
+    squarefree_zi,
+)
 
 LambdaLike = Union[GaussianRational, complex, int, Fraction]
 
 WINDOW_FACTOR = 4.0
 COUNT_FACTOR = 0.6
+# Scalar points per nonconstant block: a = 0, then seeded Gaussian integers
+# with parts in [-POINT_BOUND, POINT_BOUND].  More points can only remove
+# candidates that certification would reject anyway.
+CANDIDATE_POINTS = 3
+POINT_BOUND = 8
 
 
 @dataclass
@@ -62,7 +86,7 @@ class SpectrumReport:
     atoms: List[SpectralAtom] = field(default_factory=list)
     uncertified: List[dict] = field(default_factory=list)
     dimension: Optional[Fraction] = None
-    source: str = "constant-term"
+    source: str = "candidate-polynomial"
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -122,13 +146,15 @@ def central_eigs_pencil(
 ) -> SpectrumReport:
     """Central eigenvalues of an affine pencil.
 
-    Candidates are the eigenvalues of the constant coefficient; a certified
-    full homogeneous part short-circuits to the empty spectrum.
+    A certified full homogeneous part short-circuits to the empty spectrum.
+    Otherwise the candidates are the roots of the candidate polynomial g,
+    whose point a = 0 gives the characteristic polynomial of the constant
+    coefficient.
     """
     if not pencil.is_square():
         raise NonSquareError("central eigenvalues need a square pencil")
     n = pencil.rows
-    report = SpectrumReport(size=n, source="constant-term")
+    report = SpectrumReport(size=n)
     hom = pencil.homogeneous_part()
     if not hom.is_zero():
         hom_rank = ncrank(hom.to_matrix(), seed=seed + 1, policy=policy)
@@ -136,11 +162,7 @@ def central_eigs_pencil(
         if hom_rank.rho == n:
             report.dimension = Fraction(1)
             return report
-    a0 = np.array(
-        [[complex(x) for x in row] for row in pencil.coeffs[0]], dtype=complex
-    )
-    candidates = _cluster_points(np.linalg.eigvals(a0), tol=1e-8 * max(1.0, float(np.linalg.norm(a0))))
-    _certify_candidates(report, pencil.to_matrix(), candidates, seed, policy)
+    _certify_candidates(report, pencil.to_matrix(), seed, policy)
     _finalize(report)
     return report
 
@@ -153,18 +175,26 @@ def central_eigs_polymatrix(
     policy: TolerancePolicy = DEFAULT_POLICY,
     certify: bool = True,
 ) -> SpectrumReport:
-    """Central eigenvalues of a polynomial matrix from one spectral sample.
+    """Central eigenvalues of a polynomial matrix.
 
-    The sample's spectrum is solved one diagonal block at a time, and a
-    constant block is read exactly from its scalar matrix without being
-    evaluated (``randmat.block_spectrum``); ``diagnostics["blocks"]`` lists
-    the blocks.  Atom candidates are windows of width WINDOW_FACTOR/sqrt(d)
-    holding at least COUNT_FACTOR*d/N eigenvalues.  With certification on,
-    each candidate must pass a rank decision on the shifted matrix.
+    With certification on, the candidates are the roots of the candidate
+    polynomial g, and each must pass a rank decision on the shifted matrix;
+    ``d`` and ``kind`` are then unused.  With it off, one sample of the given
+    kind and dimension d is evaluated and its spectrum is solved one
+    diagonal block at a time, with constant blocks read from their scalar
+    matrices (``randmat.block_spectrum``).  Candidates are windows of width
+    WINDOW_FACTOR/sqrt(d) holding at least COUNT_FACTOR*d/N eigenvalues, and
+    they are listed as uncertified.  Both modes list the diagonal blocks in
+    ``diagnostics["blocks"]``.
     """
     if not matrix.is_square():
         raise NonSquareError("central eigenvalues need a square matrix")
     n = matrix.rows
+    if certify:
+        report = SpectrumReport(size=n)
+        _certify_candidates(report, matrix, seed, policy)
+        _finalize(report)
+        return report
     spectrum = block_spectrum(matrix, sample(kind, d, matrix.n_vars, seed))
     hermitian = spectrum.hermitian
     window = WINDOW_FACTOR / math.sqrt(d)
@@ -196,42 +226,138 @@ def central_eigs_polymatrix(
             ],
         }
     )
-    if certify:
-        _certify_candidates(report, matrix, candidates, seed, policy)
-    else:
-        for z in candidates:
-            report.uncertified.append(
-                {"lambda": [z.real, z.imag], "reason": "certification disabled"}
-            )
+    for z in candidates:
+        report.uncertified.append(
+            {"lambda": [z.real, z.imag], "reason": "certification disabled"}
+        )
     _finalize(report)
     return report
 
 
-def _certify_candidates(report, matrix, candidates, seed, policy):
+def _candidate_polynomial(matrix: NcMatrix, seed: int):
+    """g in the variable s = scale*t, with the scale and the diagnostics.
+
+    Returns (g, scale, points, blocks): g has Gaussian-integer coefficients
+    and is squarefree, scale = ``matrix.denominator()``, points counts the
+    scalar points evaluated, and blocks lists each diagonal block.  Working
+    with scale*P(a), a Gaussian-integer matrix, keeps every characteristic
+    polynomial over Z[i].  Each block draws its points from a fresh
+    Random(seed), so g does not depend on the order of the blocks.
+    """
+    scale = matrix.denominator()
+    slots = 2 * matrix.n_vars + 1
+    origin = [(0, 0)] * slots
+    g, points, blocks = [(1, 0)], 0, []
+    for rows in matrix.diagonal_blocks():
+        sub = matrix.principal(rows)
+        constant = sub.degree <= 0
+        blocks.append({"rows": list(rows), "constant": constant})
+        factor = charpoly_zi(sub.scaled_value(origin, scale))
+        if not constant:
+            rng = random.Random(seed)
+            points += 1
+            for _ in range(CANDIDATE_POINTS - 1):
+                if len(factor) == 1:
+                    break  # gcd 1: the block has no central eigenvalue
+                point = [
+                    (rng.randint(-POINT_BOUND, POINT_BOUND),
+                     rng.randint(-POINT_BOUND, POINT_BOUND))
+                    for _ in range(slots)
+                ]
+                factor = gcd_zi(factor, charpoly_zi(sub.scaled_value(point, scale)))
+                points += 1
+        g = mul_zi(g, squarefree_zi(factor))
+    return squarefree_zi(g), scale, points, blocks
+
+
+def _monic(g, scale: int) -> List[GaussianRational]:
+    """Coefficients of the monic g(t), from the leading one down.
+
+    g is given in the variable s = scale*t, so the coefficient of s^j
+    becomes the coefficient of t^j times scale^j.
+    """
+    a, b = g[0]
+    norm = a * a + b * b
+    return [
+        GaussianRational(
+            Fraction(x * a + y * b, norm * scale**k),
+            Fraction(y * a - x * b, norm * scale**k),
+        )
+        for k, (x, y) in enumerate(g)
+    ]
+
+
+def _roots(g, scale: int) -> list:
+    """The roots t = s/scale of g, exact where they lie in Q(i), by (re, im).
+
+    Every root s of g is an eigenvalue of the Gaussian-integer matrix
+    scale*P(0), hence an algebraic integer.  So a root t in Q(i) has s in
+    Z[i], and rounding its float value finds it; g(s) = 0 confirms it
+    exactly.  The exact roots are divided out, and the roots of the
+    cofactor are the numeric ones.
+    """
+    zs = _float_roots(g, scale)
+    exact: list = []
+    for z in zs:
+        w = (round(z.real * scale), round(z.imag * scale))
+        if w not in exact and eval_zi(g, w) == (0, 0):
+            exact.append(w)
+    if exact:
+        for re, im in exact:
+            g = pseudo_divmod_zi(g, [(1, 0), (-re, -im)])[0]
+        zs = _float_roots(g, scale)
+    out = [GaussianRational(Fraction(re, scale), Fraction(im, scale)) for re, im in exact]
+    out.extend(complex(z) for z in zs)
+    return sorted(out, key=lambda lam: (complex(lam).real, complex(lam).imag))
+
+
+def _float_roots(g, scale: int) -> np.ndarray:
+    if len(g) < 2:
+        return np.zeros(0, dtype=complex)
+    return np.roots([complex(c) for c in _monic(g, scale)])
+
+
+def _poly_text(coeffs: Sequence[GaussianRational]) -> str:
+    """A polynomial in t as text, such as 't^2 - t - 1'."""
+    deg = len(coeffs) - 1
+    chunks: List[str] = []
+    for k, c in enumerate(coeffs):
+        if c.is_zero():
+            continue
+        negative = c.re < 0 or (c.re == 0 and c.im < 0)
+        c = -c if negative else c
+        power = deg - k
+        monomial = "" if power == 0 else "t" if power == 1 else f"t^{power}"
+        factor = f"({c})" if c.re != 0 and c.im != 0 else str(c)
+        body = monomial if monomial and c == 1 else "*".join(filter(None, (factor, monomial)))
+        if not chunks:
+            chunks.append("-" + body if negative else body)
+        else:
+            chunks.append(("- " if negative else "+ ") + body)
+    return " ".join(chunks)
+
+
+def _certify_candidates(report, matrix, seed, policy):
+    """Certify every root of the candidate polynomial g on the shifted matrix."""
+    g, scale, points, blocks = _candidate_polynomial(matrix, seed)
+    candidates = _roots(g, scale)
+    report.diagnostics.update(
+        {
+            "candidate_polynomial": _poly_text(_monic(g, scale)),
+            "candidate_points": points,
+            "candidates": [[complex(z).real, complex(z).imag] for z in candidates],
+            "blocks": blocks,
+        }
+    )
     n = matrix.rows
-    for k, z in enumerate(candidates):
-        snapped = snap_to_gaussian_rational(complex(z))
-        rho = None
-        exact = False
-        if snapped is not None:
-            rho = _rho_of_shift(matrix, snapped, seed + 100 + 7 * k, policy)
-            exact = rho is not None
-        same_point = snapped is not None and complex(snapped) == complex(z)
-        if rho is None or (rho == n and not same_point):
-            # retry at the raw numeric location before discarding, unless
-            # that is the point just decided
-            rho_num = _rho_of_shift(matrix, complex(z), seed + 500 + 7 * k, policy)
-            if rho_num is not None and rho_num < n:
-                rho, exact, snapped = rho_num, False, None
-            elif rho is None:
-                report.uncertified.append(
-                    {"lambda": [complex(z).real, complex(z).imag], "reason": "no consensus"}
-                )
-                continue
-        if rho == n:
-            continue  # numeric cluster was not an actual atom
-        lam = snapped if exact else complex(z)
-        report.atoms.append(SpectralAtom(lam, rho, Fraction(n - rho, n), True, exact))
+    for k, lam in enumerate(candidates):
+        rho = _rho_of_shift(matrix, lam, seed + 100 + 7 * k, policy)
+        if rho is None:
+            z = complex(lam)
+            report.uncertified.append({"lambda": [z.real, z.imag], "reason": "no consensus"})
+        elif rho < n:
+            exact = isinstance(lam, GaussianRational)
+            report.atoms.append(SpectralAtom(lam, rho, Fraction(n - rho, n), True, exact))
 
 
 def _finalize(report: SpectrumReport):
@@ -240,24 +366,13 @@ def _finalize(report: SpectrumReport):
         raise InvariantViolation(
             f"{len(report.atoms)} certified central eigenvalues on a size {n} matrix"
         )
+    if len(set(a.lam for a in report.atoms)) < len(report.atoms):
+        raise InvariantViolation("two certified atoms share one central eigenvalue")
     total_mass = sum(a.mass for a in report.atoms)
     if total_mass > 1:
         raise InvariantViolation(f"atom masses sum to {total_mass} > 1")
     if not report.uncertified:
         report.dimension = _dimension_from_atoms(n, report.atoms)
-
-
-def _cluster_points(points: np.ndarray, tol: float) -> List[complex]:
-    out: List[complex] = []
-    counts: List[int] = []
-    for z in sorted(points, key=lambda w: (w.real, w.imag)):
-        if out and abs(z - out[-1]) <= tol:
-            counts[-1] += 1
-            out[-1] += (z - out[-1]) / counts[-1]
-        else:
-            out.append(complex(z))
-            counts.append(1)
-    return out
 
 
 def _real_atom_clusters(sorted_eigs: np.ndarray, window: float, min_count: float):
@@ -331,12 +446,16 @@ def atom_masses(
 def _spectrum(
     matrix: NcMatrix,
     seed: int,
-    d: int,
-    kind: str,
     policy: TolerancePolicy,
     certify: bool = True,
+    d: int = 500,
+    kind: str = "gue",
 ) -> SpectrumReport:
-    """The pencil spectrum for certified affine input, else the sampled one."""
+    """The pencil spectrum for certified affine input, else the polymatrix one.
+
+    ``d`` and ``kind`` set the spectral sample, which only an uncertified
+    spectrum draws.
+    """
     if certify and matrix.degree <= 1:
         return central_eigs_pencil(matrix.to_pencil(), seed=seed, policy=policy)
     return central_eigs_polymatrix(
@@ -347,12 +466,10 @@ def _spectrum(
 def entropy_dimension(
     matrix: NcMatrix,
     seed: int = 0,
-    d: int = 500,
-    kind: str = "gue",
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> Fraction:
     """1 - sum((N - rho)^2)/N^2 over the certified central eigenvalues."""
-    report = _spectrum(matrix, seed, d, kind, policy)
+    report = _spectrum(matrix, seed, policy)
     if report.uncertified:
         raise Inconclusive(
             "uncertified atom candidates remain", {"uncertified": report.uncertified}

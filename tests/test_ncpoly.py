@@ -328,3 +328,20 @@ def test_random_generators_are_deterministic():
     q = random_pencil(2, 4, seed=77, homogeneous=True)
     assert p.to_matrix() == q.to_matrix()
     assert p.is_homogeneous()
+
+
+def test_scaled_value_is_exact_evaluation_at_a_scalar_point():
+    rng = random.Random(43)
+    for seed in range(10):
+        m = random_poly_matrix(2, 2, 3, degree=2, seed=seed, complex_coeffs=True)
+        m = m * GaussianRational(Fraction(1, 6), Fraction(1, 4))
+        scale = m.denominator()
+        assert scale == 12
+        point = [(0, 0)] + [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)]
+        got = m.scaled_value(point, scale)
+        model = custom_model([np.array([[complex(*point[i])]]) for i in (1, 2)])
+        want = scale * m.evaluate(model)
+        assert np.abs(np.array([[complex(*x) for x in row] for row in got]) - want).max() < 1e-9
+    # x1 and x1* take independent values, from slots 1 and 2
+    star = NcMatrix([[poly_from_string("x1*x1' + 2", 1)]])
+    assert star.scaled_value([(0, 0), (1, 2), (3, -1)], 1) == [[(7, 5)]]

@@ -26,6 +26,8 @@ from ncfield import (
     LinearPencil,
     NcMatrix,
     NcPoly,
+    central_eigs_pencil,
+    central_eigs_polymatrix,
     fullness_scaling,
     homogenize,
     linearize_matrix,
@@ -591,6 +593,21 @@ def test_numeric_shifts_at_hidden_constant_blocks_are_certified_nonfull():
                 cert = _scaling_verdict(mats, DEFAULT_POLICY, seed)
                 assert (cert.verdict, cert.detail) == ("nonfull", "Wong"), (seed, lam)
                 assert _verify_witness(mats, cert.witness, DEFAULT_POLICY), (seed, lam)
+
+
+def test_hidden_constant_blocks_give_certified_atoms():
+    # Every eigenvalue of C is one atom, through either certified entry point.
+    for seed in range(6):
+        for matrix, lams, mult in _pencils_with_constant_block(seed):
+            n = matrix.rows
+            for report in (
+                central_eigs_pencil(matrix.to_pencil(), seed=seed),
+                central_eigs_polymatrix(matrix, seed=seed),
+            ):
+                assert report.uncertified == [], seed
+                for lam in lams:
+                    near = [a for a in report.atoms if abs(complex(a.lam) - lam) < 1e-9]
+                    assert [(a.rho, a.certified) for a in near] == [(n - mult, True)], (seed, lam)
 
 
 def test_shifted_zero_matrix_is_full():

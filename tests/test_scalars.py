@@ -21,13 +21,18 @@ from ncfield.scalars import (
     I,
     ONE,
     ZERO,
+    charpoly_zi,
+    eval_zi,
+    gcd_zi,
     kernel_mod_p,
     lift_mod_p,
     matmul_mod_p,
+    mul_zi,
     rank_mod_p,
     reconstruct,
     residues_mod_p,
     snap_to_gaussian_rational,
+    squarefree_zi,
 )
 
 
@@ -270,3 +275,33 @@ def test_lift_splits_gaussian_entries():
     # the conjugate reductions really are the reductions at i = -iota
     assert residues_mod_p([[I]])[0, 0] == _IOTA
     assert residues_mod_p([[-I]])[0, 0] == _P - _IOTA
+
+
+def test_charpoly_matches_numpy_on_gaussian_integer_matrices():
+    rng = random.Random(41)
+    for n in range(1, 6):
+        for _ in range(10):
+            m = [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+            want = np.poly(np.array([[complex(*x) for x in row] for row in m]))
+            # integer coefficients far below 2^53, so rounding is exact
+            want = [(round(z.real), round(z.imag)) for z in want]
+            assert charpoly_zi(m) == want
+
+
+def _from_roots(roots):
+    f = [(1, 0)]
+    for re, im in roots:
+        f = mul_zi(f, [(1, 0), (-re, -im)])
+    return f
+
+
+def test_gcd_and_squarefree_part_keep_each_common_root_once():
+    f = _from_roots([(1, 0), (1, 0), (0, -1), (2, 3)])
+    h = _from_roots([(1, 0), (2, 3), (2, 3), (-5, 0)])
+    g = gcd_zi(f, h)
+    assert len(g) == 3  # (t - 1)(t - 2 - 3i), up to a scalar
+    assert eval_zi(g, (1, 0)) == eval_zi(g, (2, 3)) == (0, 0)
+    sf = squarefree_zi(f)
+    assert len(sf) == 4
+    assert all(eval_zi(sf, w) == (0, 0) for w in ((1, 0), (0, -1), (2, 3)))
+    assert len(gcd_zi(f, _from_roots([(4, 4)]))) == 1  # coprime: a constant

@@ -95,7 +95,8 @@ def test_affine_diagonal_atom_sits_at_the_constant():
 
 
 def test_full_exact_candidate_is_decided_once(monkeypatch):
-    # [[x1, 0], [0, 0]] + diag(0, 1): candidate 0 is full, candidate 1 an atom.
+    # [[x1, 0], [0, 0]] + diag(0, 1): A0 has eigenvalues 0 and 1, but
+    # det(t - P(a)) = (t - a)(t - 1), so g = t - 1 drops 0 with no rank call.
     spectra = importlib.import_module("ncfield.spectra")
     results = []
 
@@ -107,8 +108,9 @@ def test_full_exact_candidate_is_decided_once(monkeypatch):
     z, one, x1 = NcPoly.zero(1), NcPoly.const(1, 1), NcPoly.var(1, 1)
     report = central_eigs_pencil(NcMatrix([[x1, z], [z, one]]).to_pencil(), seed=0)
     assert [complex(a.lam) for a in report.atoms] == [1 + 0j]
-    # the homogeneous part and candidate 1 have rho 1; only candidate 0 is full
-    assert sorted(r.rho for r in results) == [1, 1, 2]
+    # the homogeneous part and candidate 1, each decided once, have rho 1
+    assert sorted(r.rho for r in results) == [1, 1]
+    assert report.diagnostics["candidate_polynomial"] == "t - 1"
 
 
 def test_irrational_atoms_are_certified_at_numeric_shifts():
@@ -127,6 +129,52 @@ def test_irrational_atoms_are_certified_at_numeric_shifts():
         assert (atom.rho, atom.mass) == (2, Fraction(1, 3))
         assert not atom.exact and atom.certified
     assert report.dimension == Fraction(7, 9)
+
+
+def test_jordan_constant_gives_one_atom():
+    # A0 is a Jordan block at -1, whose float eigenvalues split; g = t + 1
+    # has the root once, so -1 is certified once.
+    g = GaussianRational
+    pencil = LinearPencil(
+        [
+            [[g(-2), g(1)], [g(-1), g(0)]],
+            [[g(0), g(-2)], [g(0), g(-2)]],
+            [[g(2), g(0)], [g(2), g(0)]],
+        ],
+        2,
+    )
+    report = central_eigs_pencil(pencil, seed=1)
+    assert [(a.lam, a.rho, a.mass) for a in report.atoms] == [(g(-1), 1, Fraction(1, 2))]
+    assert report.uncertified == []
+    assert report.dimension == Fraction(3, 4)
+    assert report.diagnostics["candidate_polynomial"] == "t + 1"
+
+
+def _hidden_golden() -> NcMatrix:
+    """H2 = S G S^-1 with G = [[x1x2 + x2x1, 0, 0], [0, 0, 1], [0, 1, 1]]."""
+    x1, x2 = NcPoly.var(1, 2), NcPoly.var(2, 2)
+    z, one = NcPoly.zero(2), NcPoly.one(2)
+    inner = NcMatrix([[x1 * x2 + x2 * x1, z, z], [z, z, one], [z, one, one]])
+    s = NcMatrix.from_scalars([[1, 0, 1], [0, 1, 1], [0, 0, 1]], 2)
+    s_inv = NcMatrix.from_scalars([[1, 0, -1], [0, 1, -1], [0, 0, 1]], 2)
+    return s @ inner @ s_inv
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hidden_golden_atoms_are_found(seed):
+    # det(t - H2(a)) = (t - 2 a1 a2)(t^2 - t - 1) at every scalar point a.
+    matrix = _hidden_golden()
+    report = central_eigs_polymatrix(matrix, seed=seed)
+    assert report.uncertified == []
+    root5 = math.sqrt(5)
+    lams = [complex(a.lam) for a in report.atoms]
+    assert len(lams) == 2
+    assert abs(lams[0] - (1 - root5) / 2) < 1e-9
+    assert abs(lams[1] - (1 + root5) / 2) < 1e-9
+    assert [(a.rho, a.mass) for a in report.atoms] == [(2, Fraction(1, 3))] * 2
+    assert report.dimension == Fraction(7, 9)
+    assert entropy_dimension(matrix, seed=seed) == Fraction(7, 9)
+    assert report.diagnostics["candidate_polynomial"] == "t^2 - t - 1"
 
 
 def test_full_homogeneous_part_rules_out_atoms():
@@ -196,13 +244,14 @@ def test_polymatrix_detection_finds_certified_atom():
     zero = NcPoly.zero(n_vars)
     matrix = NcMatrix([[NcPoly.var(1, n_vars), zero], [zero, two]])
     report = central_eigs_polymatrix(matrix, d=400, seed=23)
-    assert report.source == "numeric-detection"
+    assert report.source == "candidate-polynomial"
     assert report.uncertified == []
-    assert len(report.atoms) == 1
-    atom = report.atoms[0]
-    assert atom.exact
-    assert complex(atom.lam) == 2 + 0j
-    assert atom.mass == Fraction(1, 2)
+    assert [(a.lam, a.rho, a.mass) for a in report.atoms] == [
+        (GaussianRational(2), 1, Fraction(1, 2))
+    ]
+    assert report.atoms[0].exact
+    assert report.diagnostics["candidate_polynomial"] == "t - 2"
+    assert report.dimension == Fraction(3, 4)
 
 
 def test_polymatrix_detection_without_certification_lists_candidates():
@@ -349,9 +398,13 @@ def test_planted_blocks_are_solved_at_their_own_size(monkeypatch):
         monkeypatch.setattr(
             np.linalg, name, lambda a, _f=solver: seen.append(np.shape(a)) or _f(a)
         )
-    report = central_eigs_polymatrix(matrix, d=200, seed=5)
+    central_eigs_polymatrix(matrix, d=200, seed=5, certify=False)
     assert seen[:3] == [(200, 200), (1, 1), (1, 1)]
     assert max(max(shape) for shape in seen) <= 200
+    seen.clear()
+    # the certified call reads its candidates off g, with no spectral sample
+    report = central_eigs_polymatrix(matrix, d=200, seed=5)
+    assert seen == []
     assert {(a.lam, a.mass) for a in report.atoms} == {
         (GaussianRational(Fraction(1, 2)), Fraction(1, 3)),
         (GaussianRational(Fraction(-3, 2)), Fraction(1, 3)),
@@ -376,6 +429,9 @@ def test_report_does_not_depend_on_block_order():
     reports = []
     for order in ([disk, rotation, four], [four, disk, rotation], [rotation, four, disk]):
         with pytest.warns(UserWarning, match="far from normal"):
+            central_eigs_polymatrix(_block_diag(order), d=60, seed=7, certify=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = central_eigs_polymatrix(_block_diag(order), d=60, seed=7)
         reports.append(report.to_dict())
         del reports[-1]["diagnostics"]["blocks"]
