@@ -64,6 +64,7 @@ from .ncrank import (
     ncrank,
     quantum_op_apply,
     rank_by_substitution,
+    verify_certificate,
     verify_nonfull_witness,
 )
 from .spectra import (
@@ -148,6 +149,7 @@ __all__ = [
     "ncrank",
     "rank_by_substitution",
     "fullness_scaling",
+    "verify_certificate",
     "verify_nonfull_witness",
     "homogenize",
     "linearize_matrix",

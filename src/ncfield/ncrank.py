@@ -9,18 +9,22 @@ whose limits generate the same free field in the doubled letters.
 
 The fullness engine decides whether a homogeneous square pencil is full,
 and how depends on the kind of input.  Exact coefficients are reduced mod p
-once and get exact certificates only, each read from those residues.  A
-blow-up A1 (x) X1 + ... of full rank mod p proves fullness; it is read at
-d = 1 first, and at d = 2, 4, ..., N - 1 last.  In between, a hollow zero
-pattern, then the exact second Wong sequence on the tuple and on its
-transpose, prove nonfullness.  When none decides, the result is
-Inconclusive.  Numerically shifted coefficients, which have no exact form,
+once and get exact certificates only, each read from those residues, with no
+floating point.  A blow-up A1 (x) X1 + ... of full rank mod p proves
+fullness; it is read at d = 1 first, and at d = 2, 4, ..., N - 1 last.  In
+between, a hollow zero pattern, then the exact second Wong sequence on the
+tuple and on its transpose, prove nonfullness by a pair (U, V) with
+U^T Ai V = 0, checked exactly before the verdict is issued.  When none
+decides, the result is Inconclusive.  An exact certificate carries its data,
+the pair or the (d, seed, prime) of the blow-up, and ``verify_certificate``
+re-checks it.  Numerically shifted coefficients, which have no exact form,
 get operator scaling: with L(B) the sum of Ai B Ai*, the pencil is full
 exactly when L never decreases rank on positive semidefinite arguments, and
 once the doubly-stochasticity defect of the scaled tuple drops below
 1/(N+1), a numeric blow-up confirms fullness.  A collapse or a spent budget
 leads to the same second Wong sequence as on exact input, run in floating
-point.  Every nonfull witness is re-verified before the verdict is issued.
+point, and its witness B is re-verified in floats before the verdict is
+issued.
 
 Affine pencils are homogenized first; matrices of higher degree are rewritten
 as enlarged pencils with a known rank offset.  Adjoint letters need no second
@@ -36,6 +40,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +62,7 @@ from .scalars import (
     kernel_mod_p,
     lift_mod_p,
     matmul_mod_p,
+    moduli_above,
     rank_mod_p,
     residues_mod_p,
 )
@@ -240,34 +246,99 @@ class FullnessCertificate:
     # 'scaling' (operator scaling on numerically shifted coefficients)
     method: str
     size: int
-    defect: float  # scaled-tuple defect; inf when no scaling ran
-    iterations: int  # scaling iterations; 0 on exact input
-    witness: object = None  # the PSD matrix B of a nonfull verdict
+    defect: float = math.inf  # scaled-tuple defect; inf when no scaling ran
+    iterations: int = 0  # scaling iterations; 0 on exact input
     # what decided: "blow-up rank mod p at d = 1" (or at the larger d that
     # proved it), "zero pattern", "exact Wong", "exact Wong (adjoint)", the
     # defect criterion or "Wong" (the float sequence on a numeric shift)
     detail: str = ""
+    # exact nonfull: bases (U, V) as rows of Q(i) scalars, with U^T Ai V = 0
+    # for every i and rank U + rank V > N; coordinate bases for a zero pattern
+    pair: Optional[Tuple[list, list]] = field(default=None, repr=False)
+    # exact full: (d, seed, prime) of the blow-up whose rank mod prime is N * d
+    blowup: Optional[Tuple[int, int, int]] = None
+    # numeric-shift nonfull: the float B that was verified
+    numeric_witness: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @cached_property
+    def witness(self) -> Optional[np.ndarray]:
+        """The PSD matrix B of a nonfull verdict, with rank L(B) < rank B.
+
+        An exact certificate derives it on first read as VV*, for an
+        orthonormal basis of the span of V; the verdict itself rests on the
+        exact pair.  None for a full verdict.
+        """
+        if self.pair is None:
+            return self.numeric_witness
+        v = _orthonormal(np.array(self.pair[1], dtype=complex))
+        return v @ v.conj().T
 
 
-def fullness_scaling(
-    pencil: LinearPencil,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-    seed: int = 0,
-) -> FullnessCertificate:
+def fullness_scaling(pencil: LinearPencil, seed: int = 0) -> FullnessCertificate:
     """Decide fullness of a homogeneous square pencil by exact certificates.
 
-    No scaling runs on exact coefficients.  A full rank mod p of the blow-up
-    proves fullness; a hollow zero pattern, or the exact second Wong sequence
-    on the tuple or on its transpose, proves nonfullness.  The blow-up is
-    read at d = 1 first, which proves most full pencils at one N x N matrix,
-    and only after Wong at d = 2, 4, ... below N - 1, then at N - 1, stopping
-    at the first full reading, so a nonfull pencil never builds a large one.
-    ``detail`` names the d that decided.  Every step reads one reduction of
-    the coefficients mod p.  When nothing decides, or p divides a denominator,
-    the result is Inconclusive.  Every nonfull witness is re-verified, and
-    every certificate has ``iterations == 0``.  A doubled pencil is read over
-    its 2n plain letters.
+    No scaling and no floating point run on exact coefficients.  A full rank
+    mod p of the blow-up proves fullness; a hollow zero pattern, or the exact
+    second Wong sequence on the tuple or on its transpose, proves
+    nonfullness.  The blow-up is read at d = 1 first, which proves most full
+    pencils at one N x N matrix, and only after Wong at d = 2, 4, ... below
+    N - 1, then at N - 1, stopping at the first full reading, so a nonfull
+    pencil never builds a large one.  ``detail`` names the step that decided.
+    Every step reads one reduction of the coefficients mod p.  When nothing
+    decides, or p divides a denominator, the result is Inconclusive.  The
+    certificate carries its exact data, the pair (U, V) of a nonfull verdict
+    or the (d, seed, prime) of a full one, which ``verify_certificate``
+    re-checks; ``witness`` derives a float B from the pair on first read.  A
+    doubled pencil is read over its 2n plain letters.
     """
+    coeffs = _exact_tuple(pencil)
+    n = len(coeffs[0])
+    forms = _residue_forms(coeffs)
+    if _confirm_full_exact(forms[0], seed, d=1):
+        return _full_by_blowup(n, 1, seed)
+    ints = _integer_parts(coeffs)
+    block = _zero_block((ints[0] != 0).any(axis=(0, 1)).tolist())
+    if block is not None:
+        pair = tuple(_coordinate_basis(n, index) for index in block)
+        return FullnessCertificate("nonfull", "hollow", n, detail="zero pattern", pair=pair)
+    for flip, detail in ((False, "exact Wong"), (True, "exact Wong (adjoint)")):
+        pair = _exact_hollow_block(forms, ints, seed + (303 if flip else 101), flip)
+        if pair is not None:
+            return FullnessCertificate("nonfull", "exact", n, detail=detail, pair=pair)
+    for d in _blowup_degrees(n):
+        if _confirm_full_exact(forms[0], seed, d=d):
+            return _full_by_blowup(n, d, seed)
+    raise Inconclusive("no exact certificate of fullness or nonfullness", {"size": n})
+
+
+def verify_certificate(pencil: LinearPencil, cert: FullnessCertificate) -> bool:
+    """Re-check an exact fullness verdict from its certificate alone.
+
+    A nonfull certificate passes when its pair (U, V) has full column ranks
+    that sum past N and U^T Ai V = 0 for every i, checked exactly.  A full
+    one passes when the blow-up drawn for its (d, seed, prime) has rank N * d
+    mod prime; p is the one prime this module reduces modulo.  A certificate
+    with no exact data, from a numeric shift, does not pass here:
+    ``verify_nonfull_witness`` checks its witness.
+    """
+    coeffs = _exact_tuple(pencil)
+    n = len(coeffs[0])
+    if cert.size != n:
+        return False
+    if cert.verdict == "nonfull" and cert.pair is not None:
+        u, v = cert.pair
+        return len(u) == len(v) == n and _holds_exactly(_integer_parts(coeffs), u, v)
+    if cert.verdict == "full" and cert.blowup is not None:
+        d, seed, prime = cert.blowup
+        residues = [residues_mod_p(a) for a in coeffs]
+        if prime != _P or d < 1 or any(r is None for r in residues):
+            return False
+        return _confirm_full_exact(residues, seed, d)
+    return False
+
+
+def _exact_tuple(pencil: LinearPencil) -> list:
+    """A1..Am of a homogeneous square pencil, read over its plain letters."""
     pencil = pencil.plain()
     if not pencil.is_square():
         raise NonSquareError("fullness is defined for square pencils")
@@ -275,30 +346,12 @@ def fullness_scaling(
         raise InputError("fullness needs a homogeneous pencil; homogenize first")
     if pencil.is_zero():
         raise ZeroPencilError("the zero pencil is nowhere full")
-    n = pencil.rows
-    coeffs = pencil.coeffs[1:]
-    forms = _residue_forms(coeffs)
-    if _confirm_full_exact(forms[0], seed, d=1):
-        return _full_by_blowup(n, 1)
-    mats = _float_coeffs(coeffs)
-    nonzero = [
-        [any(not a[i][j].is_zero() for a in coeffs) for j in range(n)] for i in range(n)
-    ]
-    b = _zero_pattern_witness(mats, nonzero, policy)
-    if b is not None:
-        return FullnessCertificate("nonfull", "hollow", n, math.inf, 0, b, "zero pattern")
-    ints = [_gaussian_integers(a) for a in coeffs]
-    for flip, detail in ((False, "exact Wong"), (True, "exact Wong (adjoint)")):
-        block = _exact_hollow_block(forms, ints, seed + (303 if flip else 101), flip)
-        if block is not None:
-            v = _orthonormal(np.array(block[1], dtype=complex))
-            b = v @ v.conj().T
-            if _verify_witness(mats, b, policy):
-                return FullnessCertificate("nonfull", "exact", n, math.inf, 0, b, detail)
-    for d in _blowup_degrees(n):
-        if _confirm_full_exact(forms[0], seed, d=d):
-            return _full_by_blowup(n, d)
-    raise Inconclusive("no exact certificate of fullness or nonfullness", {"size": n})
+    return pencil.coeffs[1:]
+
+
+def _coordinate_basis(n: int, index) -> list:
+    """The coordinate vectors e_j for j in ``index``, as the rows of an N x k basis."""
+    return [[GaussianRational(int(i == j)) for j in index] for i in range(n)]
 
 
 def _residue_forms(coeffs) -> List[List[np.ndarray]]:
@@ -332,9 +385,9 @@ def _blowup_degrees(n: int) -> List[int]:
     return degrees + [n - 1] if n > 2 else degrees
 
 
-def _full_by_blowup(n: int, d: int) -> FullnessCertificate:
+def _full_by_blowup(n: int, d: int, seed: int) -> FullnessCertificate:
     return FullnessCertificate(
-        "full", "exact", n, math.inf, 0, None, f"blow-up rank mod p at d = {d}"
+        "full", "exact", n, detail=f"blow-up rank mod p at d = {d}", blowup=(d, seed, _P)
     )
 
 
@@ -358,9 +411,9 @@ def _scaling_verdict(
         raise ZeroPencilError("the zero pencil is nowhere full")
 
     # A hollow zero pattern settles the question without iterating.
-    b = _zero_pattern_witness(mats, np.any(np.array(mats) != 0, axis=0), policy)
+    b = _zero_pattern_witness(mats, policy)
     if b is not None:
-        return FullnessCertificate("nonfull", "hollow", n, math.inf, 0, b, "zero pattern")
+        return FullnessCertificate("nonfull", "hollow", n, detail="zero pattern", numeric_witness=b)
 
     target = 1.0 / (n + 1)
     eye = np.eye(n, dtype=complex)
@@ -388,8 +441,8 @@ def _scaling_verdict(
             # by an independent substitution rank before certifying.
             if _confirm_full_numeric(mats, n, policy, seed):
                 return FullnessCertificate(
-                    "full", "scaling", n, defect, it, None,
-                    "defect below 1/(N+1), confirmed by substitution",
+                    "full", "scaling", n, defect, it,
+                    detail="defect below 1/(N+1), confirmed by substitution",
                 )
             reason = "scaling crossed the defect target without a sound certificate"
             break
@@ -412,7 +465,9 @@ def _scaling_verdict(
             v = found[1 - flip]
             b = v @ v.conj().T
             if _verify_witness(mats, b, policy):
-                return FullnessCertificate("nonfull", "scaling", n, defect, it, b, "Wong")
+                return FullnessCertificate(
+                    "nonfull", "scaling", n, defect, it, detail="Wong", numeric_witness=b
+                )
     raise Inconclusive(reason, {"defect": defect, "iterations": it, "size": n})
 
 
@@ -454,12 +509,20 @@ def _confirm_full_exact(residues, seed: int, d: int) -> bool:
     fullness.  When det of the blow-up is nonzero as a polynomial mod p, of
     degree n * d in the entries of the Xi, one uniform draw misses it with
     probability at most n * d / p (Schwartz-Zippel).  False (a miss or an
-    unlucky prime) only means "not confirmed", never nonfullness.
+    unlucky prime) only means "not confirmed", never nonfullness.  At d = 1
+    the blow-up is the point sum xi Ai itself.
     """
     n = len(residues[0])
-    rng = np.random.default_rng(((seed << 8) ^ 0x5CA1E) % 2**64)
-    subs = [rng.integers(0, _P, size=(d, d)) for _ in residues]
+    subs = _blowup_draws(seed, d, len(residues))
+    if d == 1:
+        return rank_mod_p(_point_mod_p(residues, [x[0, 0] for x in subs])) == n
     return rank_mod_p(_blowup_mod_p(residues, subs)) == n * d
+
+
+def _blowup_draws(seed: int, d: int, count: int) -> List[np.ndarray]:
+    """The d x d residue matrices X1..X(count) that ``seed`` draws for the blow-up."""
+    rng = np.random.default_rng(((seed << 8) ^ 0x5CA1E) % 2**64)
+    return [rng.integers(0, _P, size=(d, d)) for _ in range(count)]
 
 
 def _blowup_mod_p(residues, subs) -> np.ndarray:
@@ -528,18 +591,13 @@ def verify_nonfull_witness(
     return _verify_witness(_float_coeffs(pencil.coeffs[1:]), b, policy)
 
 
-def _zero_pattern_witness(mats, nonzero, policy):
-    """B on the columns of a hollow block of the pattern ``nonzero``, or None.
-
-    ``nonzero[i][j]`` says whether any coefficient has a nonzero (i, j)
-    entry; the exact caller reads it from the exact coefficients, so an
-    entry that underflows in ``mats`` still counts.
-    """
-    block = _zero_block(nonzero)
+def _zero_pattern_witness(mats, policy):
+    """B on the columns of a hollow block of the common zero pattern, or None."""
+    block = _zero_block(np.any(np.array(mats) != 0, axis=0).tolist())
     if block is None:
         return None
     _, zero_cols = block
-    b = np.zeros((len(nonzero),) * 2, dtype=complex)
+    b = np.zeros(mats[0].shape, dtype=complex)
     b[zero_cols, zero_cols] = 1.0
     return b if _verify_witness(mats, b, policy) else None
 
@@ -547,9 +605,9 @@ def _zero_pattern_witness(mats, nonzero, policy):
 def _exact_hollow_block(forms, ints, seed, transpose=False):
     """Exact hollow block of a Q(i) tuple, found threshold-free: (U, V) or None.
 
-    ``forms`` and ``ints`` are the tuple as ``_residue_forms`` and as Gaussian
-    integers.  U^T Ai V = 0 for every i with rank U + rank V > N proves
-    nonfullness.  The second Wong sequence runs mod p at sum wi Ai, wi
+    ``forms`` and ``ints`` are the tuple as ``_residue_forms`` and as
+    ``_integer_parts``.  U^T Ai V = 0 for every i with rank U + rank V > N
+    proves nonfullness.  The second Wong sequence runs mod p at sum wi Ai, wi
     uniform in F_p and read as real integers, and the kernel bases of U and V
     are lifted entry by entry by rational reconstruction.  A Gaussian tuple
     runs it on both forms with the same weights, which splits each entry
@@ -578,8 +636,12 @@ def _exact_hollow_block(forms, ints, seed, transpose=False):
 
 def _wong_mod_p(residues, weights):
     """Second Wong sequence over F_p at P = sum wi Ai: (U, V) or None."""
-    point = sum(w * a % _P for w, a in zip(weights, residues)) % _P
-    return _wong(residues, point, kernel_mod_p, matmul_mod_p)
+    return _wong(residues, _point_mod_p(residues, weights), kernel_mod_p, matmul_mod_p)
+
+
+def _point_mod_p(residues, weights) -> np.ndarray:
+    """sum wi Ai mod p for weights in F_p; each product stays below 2^62."""
+    return sum(w * a % _P for w, a in zip(weights, residues)) % _P
 
 
 def _wong(mats, point, kernel, mul):
@@ -606,28 +668,71 @@ def _wong(mats, point, kernel, mul):
 
 
 def _holds_exactly(ints, u, v) -> bool:
-    """U^T Ai V = 0 for every i and rank U + rank V > N, on Python ints.
+    """U^T Ai V = 0 for every i and rank U + rank V > N, in int64 arithmetic.
 
-    ``ints`` holds the Ai as ``_gaussian_integers``.  Full column rank mod p
-    is exact, since reduction never raises rank.
+    ``ints`` holds the Ai as ``_integer_parts``, and U and V are scaled to
+    Gaussian integers the same way.  Full column rank mod p is exact, since
+    reduction never raises rank.  A real or imaginary part of U^T Ai V is a
+    sum of N^2 products of three Gaussian integers, so its absolute value is
+    at most 4 N^2 hU hA hV, with h the largest absolute part.  It is zero
+    once it vanishes modulo primes whose product exceeds twice that bound;
+    real and imaginary parts are checked apart, so no square root of -1 is
+    needed.  The products run on the side of the smaller basis first.
     """
-    ranks = [rank_mod_p(residues_mod_p(basis)) for basis in (u, v)]
-    if ranks != [len(u[0]), len(v[0])] or sum(ranks) <= len(u):
+    n, k, l = len(u), len(u[0]), len(v[0])
+    if min(k, l) == 0 or k + l <= n:
         return False
-    (ur, ui), (vr, vi) = _gaussian_integers(u), _gaussian_integers(v)
-    for ar, ai in ints:
-        lr, li = ur.T @ ar - ui.T @ ai, ur.T @ ai + ui.T @ ar
-        if np.any(lr @ vr - li @ vi) or np.any(lr @ vi + li @ vr):
+    uu, vv = _gaussian_integers(u), _gaussian_integers(v)
+    for basis in (uu, vv):
+        re, im = _mod(basis, _P)
+        if rank_mod_p((re + _IOTA * im) % _P) != basis.shape[2]:
+            return False
+    parts, height = ints
+    if k > l:  # V^T Ai^T U = 0 says the same
+        uu, vv, parts, k = vv, uu, parts.swapaxes(2, 3), l
+    for q in moduli_above(8 * n * n * height * _height(uu) * _height(vv)):
+        (ar, ai), (ur, ui), (vr, vi) = _mod(parts, q), _mod(uu, q), _mod(vv, q)
+        # U^T Ai stacked as [re; im], then U^T Ai V as [re; im] from its real form
+        left = matmul_mod_p(_real_form(ur.T, ui.T, q), np.concatenate([ar, ai], -2), q)
+        right = np.concatenate([vr, vi])
+        if matmul_mod_p(_real_form(left[:, :k], left[:, k:], q), right, q).any():
             return False
     return True
 
 
+def _real_form(re, im, q: int) -> np.ndarray:
+    """[[re, -im], [im, re]] mod q, the real form of re + i im; stacks broadcast."""
+    return np.concatenate(
+        [np.concatenate([re, -im % q], -1), np.concatenate([im, re], -1)], -2
+    )
+
+
+def _integer_parts(coeffs):
+    """The Ai times one common integer, parts first (shape 2 x m x N x N), and their height."""
+    n = len(coeffs[0])
+    parts = _gaussian_integers([row for a in coeffs for row in a])
+    return parts.reshape(2, len(coeffs), n, n), _height(parts)
+
+
 def _gaussian_integers(rows):
-    """Real and imaginary parts of a Q(i) matrix times the lcm of its denominators."""
-    parts = np.array([[(x.re, x.im) for x in row] for row in rows], dtype=object)
-    scale = math.lcm(*(x.denominator for x in parts.flat))
-    as_int = np.frompyfunc(lambda x: x.numerator * (scale // x.denominator), 1, 1)
-    return as_int(parts.transpose(2, 0, 1))
+    """Real and imaginary parts of a Q(i) matrix times the lcm of its denominators.
+
+    An object array of Python ints, real parts first: shape 2 x rows x cols.
+    """
+    parts = [x.re for row in rows for x in row] + [x.im for row in rows for x in row]
+    scale = math.lcm(*{f.denominator for f in parts})
+    ints = [f.numerator * (scale // f.denominator) for f in parts]
+    return np.array(ints, dtype=object).reshape(2, len(rows), len(rows[0]))
+
+
+def _height(parts) -> int:
+    """The largest absolute value of an array of Python ints."""
+    return int(np.abs(parts).max(initial=0))
+
+
+def _mod(parts, q: int) -> np.ndarray:
+    """An array of Python ints reduced mod q, as int64."""
+    return (parts % q).astype(np.int64)
 
 
 # degree reduction
@@ -703,7 +808,8 @@ def ncrank(
     scaling then runs on the numerically shifted coefficients and confirms
     fullness numerically; pass exact shifts through ``matrix.shift``
     instead.  An inconclusive fullness engine defers to substitution;
-    ``cross["scaling"]`` records its verdict.
+    ``cross["scaling"]`` records its verdict and ``cross["scaling_detail"]``
+    the step that decided it.
     """
     if shift != 0 and not matrix.is_square():
         raise NonSquareError("shift needs a square matrix")
@@ -722,7 +828,7 @@ def ncrank(
     try:
         if shift == 0:
             target = pencil if pencil.is_homogeneous() else homogenize(pencil)
-            cert = fullness_scaling(target, policy=policy, seed=seed)
+            cert = fullness_scaling(target, seed=seed)
         else:
             coeffs = pencil.numeric_coeffs()
             coeffs[0][:n, :n] -= shift * np.eye(n)
@@ -741,6 +847,7 @@ def ncrank(
         )
     cross["scaling"] = cert.verdict
     cross["scaling_method"] = cert.method
+    cross["scaling_detail"] = cert.detail
     cross["defect"] = cert.defect
     sub.cross = cross
     return sub

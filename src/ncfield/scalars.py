@@ -264,14 +264,49 @@ def kernel_mod_p(m: np.ndarray) -> np.ndarray:
     return basis
 
 
-def matmul_mod_p(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b mod p for residue matrices, with no int64 overflow.
+def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int = _P) -> np.ndarray:
+    """a @ b mod a prime p < 2^31 for residue matrices, with no int64 overflow.
 
     A plain ``a @ b`` overflows once a row sums two products near 2^62.
     Splitting b at 2^16 keeps each product below 2^47, so the sums are exact
-    for inner dimensions below 2^15.
+    for inner dimensions below 2^15.  Stacks of matrices broadcast as in @.
     """
-    return ((a @ (b >> 16) % _P << 16) + a @ (b & 0xFFFF)) % _P
+    return ((a @ (b >> 16) % p << 16) + a @ (b & 0xFFFF)) % p
+
+
+def moduli_above(bound: int) -> List[int]:
+    """Primes below 2^31, p first and then downward, whose product exceeds ``bound``.
+
+    There is always at least one.  An integer of absolute value at most
+    bound / 2 that vanishes modulo each of them is zero.  Primality is read
+    by Miller-Rabin at the bases 2, 3, 5 and 7, which is deterministic below
+    3.2 * 10^9.
+    """
+    moduli, product, q = [_P], _P, _P
+    while product <= bound:
+        q -= 2
+        if _is_prime(q):
+            moduli.append(q)
+            product *= q
+    return moduli
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin for an odd q above 7 and below 3.2 * 10^9."""
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def reconstruct(r: int) -> Optional[Fraction]:

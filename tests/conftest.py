@@ -6,14 +6,56 @@ with r + s exceeding the matrix size), which gives the rank engines a supply
 of inputs with a known verdict.  The conjugated variant hides the zero block
 behind exact invertible scalar matrices so that the zero-pattern shortcut
 cannot fire and the iterative machinery has to do real work.
+
+Every exact certificate a test obtains from ``fullness_scaling`` must also
+pass ``verify_certificate``; an autouse fixture checks this after each test.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import random
 from fractions import Fraction
 
-from ncfield import GaussianRational, NcMatrix, NcPoly
+import pytest
+
+import ncfield
+from ncfield import GaussianRational, NcMatrix, NcPoly, verify_certificate
+
+# Every certificate a test obtains from fullness_scaling, directly or through
+# ncrank, is recorded here and re-checked by verify_certificate when the test
+# ends.  The wrapper is installed before any test module imports the name.
+_certificates: list = []
+_ncrank_module = importlib.import_module("ncfield.ncrank")
+
+
+def _recording(fullness_scaling):
+    @functools.wraps(fullness_scaling)
+    def recorded(pencil, *args, **kwargs):
+        cert = fullness_scaling(pencil, *args, **kwargs)
+        _certificates.append((pencil, cert))
+        return cert
+
+    return recorded
+
+
+ncfield.fullness_scaling = _ncrank_module.fullness_scaling = _recording(
+    _ncrank_module.fullness_scaling
+)
+
+
+@pytest.fixture(autouse=True)
+def every_exact_certificate_verifies():
+    """Teardown check, after any monkeypatch of the test is undone."""
+    _certificates.clear()
+    yield
+    rejected = [
+        (cert.verdict, cert.detail) for pencil, cert in _certificates
+        if not verify_certificate(pencil, cert)
+    ]
+    _certificates.clear()
+    assert not rejected, rejected
 
 
 def random_linear_entry(rng: random.Random, n_vars: int) -> NcPoly:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import itertools
 import math
@@ -23,6 +24,7 @@ from conftest import (
 )
 
 from ncfield import (
+    FullnessCertificate,
     LinearPencil,
     NcMatrix,
     NcPoly,
@@ -37,16 +39,19 @@ from ncfield import (
     random_pencil,
     random_poly_matrix,
     rank_by_substitution,
+    verify_certificate,
     verify_nonfull_witness,
 )
 from ncfield.errors import Inconclusive, InputError, NonSquareError
 from ncfield.ncrank import (
+    _blowup_draws,
     _blowup_mod_p,
     _confirm_full_exact,
     _exact_hollow_block,
-    _gaussian_integers,
     _holds_exactly,
+    _integer_parts,
     _orthonormal,
+    _point_mod_p,
     _residue_forms,
     _scaling_verdict,
     _verify_witness,
@@ -64,12 +69,11 @@ def _pencil(coeff_lists, n_vars):
 
 def _hollow_block(coeffs, seed, transpose=False):
     """_exact_hollow_block on the residue and Gaussian-integer forms of coeffs."""
-    ints = [_gaussian_integers(mat) for mat in coeffs]
-    return _exact_hollow_block(_residue_forms(coeffs), ints, seed, transpose)
+    return _exact_hollow_block(_residue_forms(coeffs), _integer_parts(coeffs), seed, transpose)
 
 
 def _holds(coeffs, u, v):
-    return _holds_exactly([_gaussian_integers(mat) for mat in coeffs], u, v)
+    return _holds_exactly(_integer_parts(coeffs), u, v)
 
 
 def _residues(pencil):
@@ -434,6 +438,125 @@ def test_nonfull_pencil_beyond_the_float_range_gets_a_witness():
     assert (result.rho, result.cross["scaling"]) == (1, "nonfull")
 
 
+def _altered(basis, row, delta):
+    altered = [list(r) for r in basis]
+    altered[row][0] += delta
+    return altered
+
+
+def _live_row(mats, basis):
+    """A row r with (Ai B)[r] != 0 for some i, so B's partner altered at r fails."""
+    zero = GaussianRational(0)
+    return next(
+        r for r in range(len(basis)) if any(
+            sum((a[r][j] * basis[j][c] for j in range(len(basis))), zero)
+            for a in mats for c in range(len(basis[0]))
+        )
+    )
+
+
+def test_verify_certificate_rejects_altered_pairs():
+    # pairs of dimensions (2, 3) and (2, 4): neither side is the whole space,
+    # which any altered basis of full rank would still span
+    for pencil in (
+        conjugated_hollow_matrix(4, 2, seed=16).to_pencil(),
+        hollow_matrix(5, 2, seed=3).to_pencil(),
+    ):
+        cert = fullness_scaling(pencil, seed=1)
+        assert cert.verdict == "nonfull" and verify_certificate(pencil, cert)
+        u, v = cert.pair
+        transposes = [list(zip(*a)) for a in pencil.coeffs[1:]]
+        u_row, v_row = _live_row(pencil.coeffs[1:], v), _live_row(transposes, u)
+        for delta in (GaussianRational(1), GaussianRational(0, 1)):
+            for pair in ((_altered(u, u_row, delta), v), (u, _altered(v, v_row, delta))):
+                assert not verify_certificate(pencil, dataclasses.replace(cert, pair=pair))
+        # a pair whose dimensions do not exceed N proves nothing
+        short = (u, [row[:len(u) - len(u[0])] for row in v])
+        assert not verify_certificate(pencil, dataclasses.replace(cert, pair=short))
+        assert not verify_certificate(pencil, dataclasses.replace(cert, verdict="full"))
+
+
+def test_verify_certificate_needs_independent_bases():
+    # x1 E11 + x2 E22 is full; U = (e1, e1) and V = e2 pass U^T Ai V = 0 and
+    # have three columns, but rank U + rank V is only 2
+    pencil = _pencil([[[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 0], [0, 1]]], 2)
+    one, zero = GaussianRational(1), GaussianRational(0)
+    forged = FullnessCertificate(
+        "nonfull", "exact", 2, pair=([[one, one], [zero, zero]], [[zero], [one]])
+    )
+    assert not verify_certificate(pencil, forged)
+    assert fullness_scaling(pencil, seed=0).verdict == "full"
+
+
+def test_verify_certificate_rejects_a_wrong_d_seed_or_prime():
+    # the skew pencil is singular at every scalar point, so only d = 2 proves it
+    pencil = _skew_pencil()
+    cert = fullness_scaling(pencil, seed=4)
+    assert cert.blowup == (2, 4, _P) and verify_certificate(pencil, cert)
+    for blowup in ((1, 4, _P), (0, 4, _P), (2, 4, _P - 2)):
+        assert not verify_certificate(pencil, dataclasses.replace(cert, blowup=blowup))
+    # x1 X1 + x2 X2 vanishes at the d = 1 draw of seed 7 when (x1, x2) is
+    # (X2, -X1) of that draw; at seed 8 it is full
+    x1, x2 = (int(x[0, 0]) for x in _blowup_draws(7, 1, 2))
+    line = _pencil([[[0]], [[x2]], [[-x1]]], 2)
+    cert = fullness_scaling(line, seed=8)
+    assert cert.blowup == (1, 8, _P) and verify_certificate(line, cert)
+    assert not verify_certificate(line, dataclasses.replace(cert, blowup=(1, 7, _P)))
+    # a certificate from another pencil size, or with no exact data, proves nothing
+    assert not verify_certificate(_pencil([[[0] * 2] * 2, [[1, 0], [0, 1]]], 1), cert)
+    assert not verify_certificate(line, dataclasses.replace(cert, blowup=None))
+
+
+def test_conjugated_hollow_sweep_verifies_exactly_and_in_floats():
+    rng = random.Random(17)
+    for k in range(150):
+        size, n_vars = 3 + k % 5, 1 + k % 3
+        pencil = conjugated_hollow_matrix(size, n_vars, rng.randrange(2**31)).to_pencil()
+        cert = fullness_scaling(pencil, seed=k)
+        assert cert.verdict == "nonfull", k
+        assert verify_certificate(pencil, cert), k
+        assert verify_nonfull_witness(pencil, cert.witness), k
+
+
+def test_exact_pencils_run_no_floating_point(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("floating point on exact input")
+
+    for name in ("svd", "qr", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(GaussianRational, "__complex__", refuse)
+    pencils = [random_pencil(1 + k % 3, 2 + k % 4, 50_000 + k, homogeneous=True) for k in range(8)]
+    pencils += [hollow_matrix(3 + k % 3, 1 + k % 2, seed=k).to_pencil() for k in range(4)]
+    pencils += [conjugated_hollow_matrix(3 + k % 3, 1 + k % 2, k).to_pencil() for k in range(4)]
+    pencils.append(_skew_pencil(GaussianRational(Fraction(1, 2), 3)))
+    details = set()
+    for k, pencil in enumerate(pencils):
+        cert = fullness_scaling(pencil, seed=k)
+        assert verify_certificate(pencil, cert), k
+        details.add(cert.detail)
+    assert {"zero pattern", "exact Wong", "blow-up rank mod p at d = 2"} <= details
+
+
+def test_blowup_at_d_one_is_the_point_of_its_draw():
+    for seed in range(5):
+        pencil = random_pencil(3, 4, seed=seed, homogeneous=True, complex_coeffs=True)
+        residues = _residues(pencil)
+        subs = _blowup_draws(seed, 1, len(residues))
+        point = _point_mod_p(residues, [x[0, 0] for x in subs])
+        assert (point == _blowup_mod_p(residues, subs)).all(), seed
+
+
+def test_hollow_check_reads_as_many_primes_as_the_bound_needs():
+    # x1 [[p, 0], [0, 0]]: e1^T A1 (e1, e2) = (p, 0) vanishes mod p alone
+    ones = [[GaussianRational(1)], [GaussianRational(0)]]
+    both = [[GaussianRational(1), GaussianRational(0)], [GaussianRational(0), GaussianRational(1)]]
+    zero = [[0, 0], [0, 0]]
+    assert not _holds(_pencil([zero, [[_P, 0], [0, 0]]], 1).coeffs[1:], ones, both)
+    # x1 [[0, h], [0, 0]] has a zero first column: (e1, e2)^T A1 e1 = 0 at any height
+    for h in (1, 10**40, GaussianRational(0, 10**400)):
+        assert _holds(_pencil([zero, [[0, h], [0, 0]]], 1).coeffs[1:], both, ones), h
+
+
 def test_substitution_rank_on_diagonal_gap():
     m = NcMatrix.diag([poly_from_string("x1"), poly_from_string("0", n_vars=1)])
     result = rank_by_substitution(m, seed=1)
@@ -780,6 +903,7 @@ def test_cross_check_reports_the_second_engine():
     result = ncrank(m, seed=4)
     assert result.cross is not None
     assert result.cross["scaling"] == "nonfull"
+    assert result.cross["scaling_detail"] == "zero pattern"
     assert result.rho < 3
 
 

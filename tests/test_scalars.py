@@ -6,6 +6,7 @@ against exact elimination over Q(i) (``exact_rref``) as the oracle.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from ncfield.scalars import (
     kernel_mod_p,
     lift_mod_p,
     matmul_mod_p,
+    moduli_above,
     mul_zi,
     rank_mod_p,
     reconstruct,
@@ -230,6 +232,27 @@ def test_residue_product_does_not_overflow():
     assert matmul_mod_p(a, a).tolist() == exact
     # a plain int64 product wraps around
     assert (a @ a % _P).tolist() != exact
+
+
+def test_moduli_are_primes_below_2_31_whose_product_clears_the_bound():
+    def is_prime(q):
+        return q > 1 and all(q % f for f in range(2, math.isqrt(q) + 1))
+
+    assert moduli_above(0) == moduli_above(_P - 1) == [_P]
+    assert len(moduli_above(_P)) == 2
+    moduli = moduli_above(2**400)
+    assert math.prod(moduli[:-1]) <= 2**400 < math.prod(moduli)
+    assert moduli[0] == _P and len(set(moduli)) == len(moduli)
+    assert all(q < 2**31 and is_prime(q) for q in moduli[:3])
+    # no prime between consecutive moduli is skipped
+    assert not any(is_prime(q) for q in range(moduli[2] + 1, moduli[1]))
+    rng = np.random.default_rng(3)
+    for q in moduli[:3]:
+        a = rng.integers(0, q, size=(2, 5, 6))
+        b = rng.integers(0, q, size=(6, 4))
+        exact = [[[sum(int(x) * int(y) for x, y in zip(row, col)) % q for col in b.T]
+                  for row in mat] for mat in a]
+        assert matmul_mod_p(a, b, q).tolist() == exact
 
 
 def test_kernel_and_column_space_mod_p_on_planted_ranks():
