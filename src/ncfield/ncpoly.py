@@ -13,7 +13,8 @@ rational expressions use.  Its coefficient order is that of the plain letters
 x1..x2n, with xi* in slot n + i (``letter_slot``), so the exact engine reads
 a doubled pencil as a plain one in 2n letters.  Evaluation substitutes
 concrete matrices for the letters, sends scalars to multiples of the
-identity, and returns a complex numpy block matrix.
+identity, and returns a complex numpy block matrix; every ``evaluate``
+calls the one kernel ``evaluate_form`` on a float form (``float_form``).
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ class Letter(NamedTuple):
 Word = Tuple[Letter, ...]
 
 EMPTY_WORD: Word = ()
+
+# Balancing skips rows within 2^8 of 1: rows within 2^16 of each other clear the SVD threshold
+ROW_EXPONENT_SLACK = 8
 
 
 def zero_matrix(rows: int, cols: int) -> List[List[GaussianRational]]:
@@ -254,13 +258,7 @@ class NcPoly:
 
     def evaluate(self, model, cache: Optional[dict] = None) -> np.ndarray:
         """Value at a tuple of matrices; scalars become multiples of identity."""
-        d = model.d
-        if cache is None:
-            cache = {}
-        out = np.zeros((d, d), dtype=complex)
-        for word, coeff in self._terms.items():
-            out += complex(coeff) * _word_value(word, model, cache)
-        return out
+        return NcMatrix([[self]], self.n_vars).evaluate(model, cache=cache)
 
 
 def _render_scalar_factor(c: GaussianRational) -> str:
@@ -270,15 +268,46 @@ def _render_scalar_factor(c: GaussianRational) -> str:
     return text
 
 
-def _word_value(word: Word, model, cache: dict) -> np.ndarray:
-    if word in cache:
-        return cache[word]
-    if not word:
-        value = np.eye(model.d, dtype=complex)
-    else:
-        value = _word_value(word[:-1], model, cache) @ model.letter_value(word[-1])
-    cache[word] = value
-    return value
+def evaluate_form(
+    words: Sequence[Word], coeffs: np.ndarray, models, shift: complex = 0, cache=None
+) -> np.ndarray:
+    """The (T, rows * d, cols * d) stack of sum_k coeffs[k] (x) words[k](X) - shift * I.
+
+    X runs over T models of one size d; each word's (T, d, d) value is kept
+    in ``cache``.  Terms are added in word order into the output blocks, so
+    an entry's value does not depend on the other entries or models.
+    """
+    t, d = len(models), models[0].d
+    _, rows, cols = coeffs.shape
+    if shift != 0 and rows != cols:
+        raise NonSquareError("shift needs a square matrix")
+    out = np.zeros((t, rows * d, cols * d), dtype=complex)
+    blocks = out.reshape(t, rows, d, cols, d)
+    cache = {} if cache is None else cache
+    step = max(1, 2**16 // (t * d * d * max(cols, 1)))  # rows per 2^16-entry temporary
+    for word, c in zip(words, coeffs):
+        if not word:  # einsum returns the block diagonals as a writable view
+            np.einsum("tirjr->tijr", blocks)[...] += c[:, :, None]
+            continue
+        value = _word_value(word, models, cache)[:, None, :, None, :]
+        for i in range(0, rows, step):
+            part = c[None, i : i + step, None, :, None]
+            if step >= rows or part.any():  # a single chunk is never all zero
+                blocks[:, i : i + step] += part * value
+    if shift != 0:
+        np.einsum("tii->ti", out)[...] -= shift
+    return out
+
+
+def _word_value(word: Word, models, cache: dict) -> np.ndarray:
+    """The (T, d, d) stack of values of a nonempty word, built from its prefix."""
+    if word not in cache:
+        if len(word) == 1:
+            cache[word] = np.array([m.letter_value(word[0]) for m in models])
+        else:
+            prefix = _word_value(word[:-1], models, cache)
+            cache[word] = prefix @ _word_value(word[-1:], models, cache)
+    return cache[word]
 
 
 class NcMatrix:
@@ -479,21 +508,29 @@ class NcMatrix:
         ``cache`` maps words to their values at ``model``; pass one dict to
         share word products between several evaluations at the same model.
         """
-        d = model.d
-        if cache is None:
-            cache = {}
-        out = np.zeros((self.rows * d, self.cols * d), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                p = self.entries[i][j]
-                if p.is_zero():
-                    continue
-                out[i * d : (i + 1) * d, j * d : (j + 1) * d] = p.evaluate(model, cache)
-        if shift != 0:
-            if self.rows != self.cols:
-                raise NonSquareError("shift needs a square matrix")
-            out -= shift * np.eye(self.rows * d, dtype=complex)
-        return out
+        return evaluate_form(*self.float_form(), [model], shift, cache)[0]
+
+    def float_form(self, balance_rows: bool = False) -> Tuple[Tuple[Word, ...], np.ndarray]:
+        """The words, by length and then by letter slots, with coefficients C.
+
+        C[k] holds word k's coefficients, each converted to complex once.  With
+        ``balance_rows``, row i is first scaled exactly by 2^e_i, which keeps
+        the inner rank: e_i is minus the binary exponent of its largest
+        coefficient unless that is within ROW_EXPONENT_SLACK of 0.
+        """
+        terms: Dict[Word, list] = {}  # word -> [(i, j, converted coefficient)]
+        for i, row in enumerate(self.entries):
+            e = _balance_exponent(c for p in row for c in p.coefficients()) if balance_rows else 0
+            for j, p in enumerate(row):
+                for w, c in p._terms.items():
+                    value = complex(c * Fraction(2) ** e if e else c)
+                    terms.setdefault(w, []).append((i, j, value))
+        words = sorted(terms, key=lambda w: (len(w), [letter_slot(x, self.n_vars) for x in w]))
+        coeffs = np.zeros((len(words), self.rows, self.cols), dtype=complex)
+        for k, w in enumerate(words):
+            for i, j, value in terms[w]:
+                coeffs[k, i, j] = value
+        return tuple(words), coeffs
 
     def denominator(self) -> int:
         """The lcm of the denominators of every coefficient's two parts."""
@@ -606,6 +643,13 @@ class NcMatrix:
                 for word, c in self.entries[i][j].terms():
                     coeffs[letter_slot(word[0], n) if word else 0][i][j] = c
         return LinearPencil(coeffs, n, star_letters=star)
+
+
+def _balance_exponent(scalars) -> int:
+    """e_i of ``NcMatrix.float_form`` for these scalars; bit lengths give it within one."""
+    parts = (part for c in scalars for part in (c.re, c.im) if part)
+    top = max((x.numerator.bit_length() - x.denominator.bit_length() for x in parts), default=0)
+    return -top if abs(top) > ROW_EXPONENT_SLACK else 0
 
 
 def _max_bipartite_matching(n: int, adj: List[List[int]]):
@@ -791,15 +835,8 @@ class LinearPencil:
         return LinearPencil(out, self.n_vars, self.star_letters)
 
     def evaluate(self, model) -> np.ndarray:
-        """Kronecker evaluation at a matrix tuple."""
-        d = model.d
-        mats = self.numeric_coeffs()
-        out = np.kron(mats[0], np.eye(d, dtype=complex))
-        for pos in range(1, self.n_letters + 1):
-            if not mats[pos].any():
-                continue
-            out += np.kron(mats[pos], model.letter_value(self.letter(pos)))
-        return out
+        """Value at a matrix tuple, by the kernel of ``NcMatrix.evaluate``."""
+        return self.to_matrix().evaluate(model)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearPencil):

@@ -53,7 +53,8 @@ from .errors import (
     NonSquareError,
     ZeroPencilError,
 )
-from .ncpoly import LinearPencil, NcMatrix, NcPoly, _zero_block, zero_matrix
+from .ncpoly import LinearPencil, NcMatrix, NcPoly, _zero_block, evaluate_form, zero_matrix
+from .ncpoly import _balance_exponent
 from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_rank, sample
 from .scalars import (
     _IOTA,
@@ -68,11 +69,6 @@ from .scalars import (
 )
 
 SCALING_BUDGET_FACTOR = 200
-
-# Substitution leaves a row as it is when its largest coefficient is within
-# 2^8 of 1 either way; rows within 2^16 of each other are far above the
-# relative SVD threshold, and ordinary integer input pays no rebuild.
-ROW_EXPONENT_SLACK = 8
 
 # Once the normalizers L(I) or L*(I) develop an eigenvalue below this
 # relative floor, floating point no longer tracks the exact scaling orbit
@@ -146,12 +142,13 @@ def rank_by_substitution(
 ) -> RankResult:
     """Inner rank via random matrix substitution.
 
-    Every (dimension, trial) pair gets its own derived seed.  All estimates
-    must agree on round(rank/d) and pass the singular value gap test.  At
-    shift 0 each row is first scaled by an exact power of two (see
-    ``_row_balanced``), so exact coefficients outside the float range still
-    reach the SVD; a row whose own entries differ by more than the whole
-    float range is out of reach and may still underflow.
+    Every (dimension, trial) pair gets its own derived seed; the trials at
+    one dimension are evaluated as one stack of the matrix's float form,
+    built once.  All estimates must agree on round(rank/d) and pass the
+    singular value gap test.  At shift 0 each row is first scaled by an
+    exact power of two (``NcMatrix.float_form``), so exact coefficients
+    outside the float range still reach the SVD; a row whose own entries
+    differ by more than the float range is out of reach and may underflow.
     """
     if dims is None:
         base = max(matrix.rows, matrix.cols) + 1
@@ -160,27 +157,20 @@ def rank_by_substitution(
         raise InputError("need at least one dimension")
     if trials < 1:
         raise InputError("need at least one trial")
+    words, coeffs = matrix.float_form(balance_rows=shift == 0)
     if kind is None:
-        kind = "ginibre" if matrix.has_star() else "gue"
-    balanced = _row_balanced(matrix) if shift == 0 else matrix
+        kind = "ginibre" if any(x.star for w in words for x in w) else "gue"
     estimates = []
-    pairs = ((d, t) for d in dims for t in range(trials))
-    for s, (d, t) in enumerate(pairs, start=seed):
-        model = sample(kind, d, matrix.n_vars, s)
-        report = empirical_rank(balanced.evaluate(model, shift=shift), policy)
-        ratio = report.rank / d
-        estimates.append(
-            {
-                "d": d,
-                "trial": t,
-                "seed": s,
-                "rank": report.rank,
-                "rank_over_d": ratio,
-                "rho_hat": int(math.floor(ratio + 0.5)),
-                "gap": report.gap,
-                "clean": report.clean,
-            }
-        )
+    for k, d in enumerate(dims):
+        seeds = range(seed + k * trials, seed + (k + 1) * trials)
+        models = [sample(kind, d, matrix.n_vars, s) for s in seeds]
+        for t, (s, value) in enumerate(zip(seeds, evaluate_form(words, coeffs, models, shift))):
+            report = empirical_rank(value, policy)
+            ratio = report.rank / d
+            estimates.append(
+                {"d": d, "trial": t, "seed": s, "rank": report.rank, "rank_over_d": ratio,
+                 "rho_hat": int(math.floor(ratio + 0.5)), "gap": report.gap, "clean": report.clean}
+            )
 
     unclean = [e for e in estimates if not e["clean"]]
     if unclean:
@@ -200,40 +190,6 @@ def rank_by_substitution(
         kind=kind,
         seed=seed,
     )
-
-
-def _row_balanced(matrix: NcMatrix) -> NcMatrix:
-    """matrix with row i scaled by 2^e_i, which keeps the inner rank.
-
-    e_i is minus the binary exponent of the largest exact coefficient in row
-    i, or 0 when that exponent is within ROW_EXPONENT_SLACK of 0, so a row
-    whose coefficients under- or overflow a float is brought near 1 first.
-    With every e_i at 0 the matrix itself is returned.
-    """
-    exps = [_balance_exponent(c for p in row for c in p.coefficients()) for row in matrix.entries]
-    if not any(exps):
-        return matrix
-    return NcMatrix(
-        [
-            [p * GaussianRational(Fraction(2) ** e) for p in row]
-            for row, e in zip(matrix.entries, exps)
-        ],
-        matrix.n_vars,
-    )
-
-
-def _balance_exponent(scalars) -> int:
-    """e_i of ``_row_balanced`` for these scalars; bit lengths give it within one."""
-    top = max(
-        (
-            part.numerator.bit_length() - part.denominator.bit_length()
-            for c in scalars
-            for part in (c.re, c.im)
-            if part
-        ),
-        default=0,
-    )
-    return -top if abs(top) > ROW_EXPONENT_SLACK else 0
 
 
 # fullness engine
@@ -282,8 +238,9 @@ def fullness_scaling(pencil: LinearPencil, seed: int = 0) -> FullnessCertificate
     second Wong sequence on the tuple or on its transpose, proves
     nonfullness.  The blow-up is read at d = 1 first, which proves most full
     pencils at one N x N matrix, and only after Wong at d = 2, 4, ... below
-    N - 1, then at N - 1, stopping at the first full reading, so a nonfull
-    pencil never builds a large one.  ``detail`` names the step that decided.
+    N - 1, then at N - 1 (at 2 when N <= 2), stopping at the first full
+    reading, so a nonfull pencil never builds a large one.  ``detail`` names
+    the step that decided.
     Every step reads one reduction of the coefficients mod p.  When nothing
     decides, or p divides a denominator, the result is Inconclusive.  The
     certificate carries its exact data, the pair (U, V) of a nonfull verdict
@@ -376,13 +333,17 @@ def _float_coeffs(coeffs) -> List[np.ndarray]:
 
 
 def _blowup_degrees(n: int) -> List[int]:
-    """d = 2, 4, 8, ... below N - 1, then N - 1; d = 1 is read before Wong."""
+    """d = 2, 4, 8, ... below N - 1, then N - 1, or 2 to redraw a small N.
+
+    d = 1 is read before Wong, so for N <= 2 a full pencil whose d = 1 draw
+    is singular mod p gets a second draw at d = 2.
+    """
     degrees = []
     d = 2
     while d < n - 1:
         degrees.append(d)
         d *= 2
-    return degrees + [n - 1] if n > 2 else degrees
+    return degrees + [max(n - 1, 2)]
 
 
 def _full_by_blowup(n: int, d: int, seed: int) -> FullnessCertificate:

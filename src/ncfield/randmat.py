@@ -72,14 +72,31 @@ class MatrixModel:
 
 
 def sample(kind: str, d: int, n_vars: int, seed: int) -> MatrixModel:
-    """Draw a model of the given kind, deterministically in the seed."""
+    """Draw a model of the given kind, deterministically in the seed.
+
+    One draw of all normals is the stream of two (d, d) draws per letter.
+    """
     if kind not in ("gue", "haar", "ginibre"):
         raise InputError(f"unknown model kind {kind!r}")
     if d < 1 or n_vars < 0:
         raise InputError("need d >= 1 and n_vars >= 0")
-    rng = np.random.default_rng(seed)
-    mats = tuple(_sample_one(kind, d, rng) for _ in range(n_vars))
-    return MatrixModel(kind, d, mats, seed)
+    normals = np.random.default_rng(seed).standard_normal((n_vars, 2, d, d))
+    # built in place and the draws freed early, to hold few tuple-sized arrays
+    g = normals[:, 1] * 1j
+    g += normals[:, 0]
+    del normals
+    if kind == "gue":
+        mats = g.conj().swapaxes(1, 2)
+        mats += g
+        mats /= 2.0 * math.sqrt(d)
+    elif kind == "ginibre":
+        mats = g / math.sqrt(2.0 * d)
+    else:
+        # QR with the phases of the R diagonal absorbed
+        q, r = np.linalg.qr(g)
+        diag = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
+        mats = q * (diag / np.abs(diag))
+    return MatrixModel(kind, d, tuple(mats), seed)
 
 
 def custom_model(matrices: Sequence[np.ndarray]) -> MatrixModel:
@@ -91,18 +108,6 @@ def custom_model(matrices: Sequence[np.ndarray]) -> MatrixModel:
         if m.shape != (d, d):
             raise InputError("custom model matrices must share a square shape")
     return MatrixModel("custom", d, mats, None)
-
-
-def _sample_one(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    if kind == "gue":
-        return (g + g.conj().T) / (2.0 * math.sqrt(d))
-    if kind == "ginibre":
-        return g / math.sqrt(2.0 * d)
-    # haar: QR with phase correction
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,8 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        re, im = self.re, self.im
+        return complex(re.numerator / re.denominator, im.numerator / im.denominator)
 
     def __abs__(self) -> float:
         return abs(complex(self))

@@ -20,6 +20,7 @@ from ncfield import (
     random_poly_matrix,
 )
 from ncfield.errors import NonSquareError, ShapeMismatch, VariableMismatch
+from ncfield.ncpoly import evaluate_form
 
 
 def _random_poly(rng: random.Random, n_vars: int, max_deg: int = 3, star: bool = False) -> NcPoly:
@@ -315,7 +316,38 @@ def test_pencil_evaluate_matches_matrix_evaluate():
     mats = _random_model(rng, 2, 5)
     a = pencil.evaluate(mats)
     b = pencil.to_matrix().evaluate(mats)
-    assert np.linalg.norm(a - b) < 1e-10
+    assert np.array_equal(a, b)
+    # one kernel, one answer: a stack of models, single models, pencils and
+    # shifts all give the same bits, on starred, sparse and rectangular input
+    prng, nprng = random.Random(15), np.random.default_rng(15)
+    pencils = 0
+    for trial in range(60):
+        rows, cols, max_deg = prng.randint(1, 4), prng.randint(1, 4), trial % 4
+        m = NcMatrix(
+            [
+                [
+                    _random_poly(prng, 2, max_deg, star=True) if prng.random() < 0.6 else NcPoly.zero(2)
+                    for _ in range(cols)
+                ]
+                for _ in range(rows)
+            ],
+            2,
+        )
+        d = prng.randint(1, 4)
+        models = [_random_model(nprng, 2, d) for _ in range(3)]
+        stack = evaluate_form(*m.float_form(), models)
+        assert stack.shape == (3, rows * d, cols * d)
+        for value, model in zip(stack, models):
+            assert np.array_equal(value, m.evaluate(model)), trial
+        if m.degree <= 1:
+            pencils += 1
+            pencil = m.to_pencil()
+            assert np.array_equal(pencil.evaluate(models[0]), pencil.to_matrix().evaluate(models[0]))
+        if rows == cols:
+            shift = complex(prng.randint(-3, 3), prng.randint(1, 3))
+            want = m.evaluate(models[1]) - shift * np.eye(rows * d)
+            assert np.array_equal(m.evaluate(models[1], shift=shift), want), trial
+    assert pencils > 20
 
 
 def test_random_generators_are_deterministic():

@@ -30,6 +30,7 @@ from ncfield import (
     NcPoly,
     central_eigs_pencil,
     central_eigs_polymatrix,
+    empirical_rank,
     fullness_scaling,
     homogenize,
     linearize_matrix,
@@ -39,6 +40,7 @@ from ncfield import (
     random_pencil,
     random_poly_matrix,
     rank_by_substitution,
+    sample,
     verify_certificate,
     verify_nonfull_witness,
 )
@@ -352,13 +354,25 @@ def test_fullness_reduces_each_coefficient_once(monkeypatch):
         assert len(calls) == reductions, scale
 
 
+def test_small_full_pencil_missed_at_d1_is_proved_at_d2():
+    # The d = 1 draw of seed 7 is (X1, X2) = (965690950, 267848138), a root
+    # of X2*x1 - X1*x2, so d = 1 misses this full 1x1 pencil; d = 2 proves it.
+    x1, x2 = (int(x[0, 0]) for x in _blowup_draws(7, 1, 2))
+    assert (x1, x2) == (965690950, 267848138)
+    pencil = NcMatrix([[NcPoly.var(1, 2) * x2 - NcPoly.var(2, 2) * x1]]).to_pencil()
+    cert = fullness_scaling(pencil, seed=7)
+    assert (cert.verdict, cert.detail) == ("full", "blow-up rank mod p at d = 2")
+    assert verify_certificate(pencil, cert)
+
+
 def test_commutator_matrix_is_proved_full_at_a_small_blowup():
     # A 3x3 matrix of {-1, 1, 2}-combinations of [x1,x2], [x1,x3], [x2,x3]
     # linearizes to N = 57 and is singular at every scalar point, so d = 1
     # cannot prove it full; d = 2 does, long before d = N - 1 = 56.
     assert ncrank_module._blowup_degrees(57) == [2, 4, 8, 16, 32, 56]
     assert ncrank_module._blowup_degrees(3) == [2]
-    assert ncrank_module._blowup_degrees(2) == []
+    assert ncrank_module._blowup_degrees(2) == [2]
+    assert ncrank_module._blowup_degrees(1) == [2]
     x = [NcPoly.var(i, 3) for i in (1, 2, 3)]
     commutators = [a * b - b * a for a, b in itertools.combinations(x, 2)]
     rng = random.Random(0)
@@ -573,6 +587,13 @@ def test_substitution_rank_symmetric_two_by_two():
     )
     result = rank_by_substitution(m, seed=2)
     assert result.rho == 2
+    # the trials of a dimension are evaluated as one stack, and each reads
+    # what its own seed's model gives when evaluated alone
+    triples = [(e["d"], e["trial"], e["seed"]) for e in result.estimates]
+    assert triples == [(3, 0, 2), (3, 1, 3), (6, 0, 4), (6, 1, 5)]
+    for e in result.estimates:
+        alone = empirical_rank(m.evaluate(sample("gue", e["d"], 3, e["seed"])))
+        assert (alone.rank, alone.gap) == (e["rank"], e["gap"])
 
 
 def test_linearization_border_accounting():

@@ -43,6 +43,32 @@ def test_sampling_is_deterministic_in_the_seed():
     assert any(not np.array_equal(x, y) for x, y in zip(a.matrices, c.matrices))
 
 
+def _sample_letter_by_letter(kind: str, d: int, n_vars: int, seed: int):
+    """The models drawn one letter at a time: two (d, d) normals each, QR per letter."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(n_vars):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if kind == "gue":
+            mats.append((g + g.conj().T) / (2.0 * math.sqrt(d)))
+        elif kind == "ginibre":
+            mats.append(g / math.sqrt(2.0 * d))
+        else:
+            q, r = np.linalg.qr(g)
+            diag = np.diagonal(r)
+            mats.append(q * (diag / np.abs(diag)))
+    return mats
+
+
+@pytest.mark.parametrize("kind", ["gue", "ginibre", "haar"])
+def test_sample_keeps_the_letter_by_letter_stream(kind):
+    for d, n_vars, seed in [(1, 2, 0), (1, 1, 9), (3, 0, 4), (5, 3, 7), (40, 2, 11), (17, 1, 2**31 - 1)]:
+        model = sample(kind, d, n_vars, seed)
+        want = _sample_letter_by_letter(kind, d, n_vars, seed)
+        assert (model.d, model.n_vars) == (d, n_vars)
+        assert all(np.array_equal(a, b) for a, b in zip(model.matrices, want)), (d, n_vars, seed)
+
+
 def test_gue_sample_is_hermitian_with_semicircle_spread():
     model = sample("gue", 300, 2, seed=9)
     for m in model.matrices:
