@@ -1,11 +1,10 @@
 """Computation with noncommutative polynomials and rational functions.
 
 The package computes inner ranks over the free skew field, certifies
-fullness by exact certificates (and by operator scaling at numeric shifts),
-builds linear representations of rational expressions and evaluates them
-at matrix tuples, extracts central eigenvalues with exact masses, and
-cross-validates all of it against random matrix models (GUE, Haar unitary,
-Ginibre).
+fullness by exact certificates, builds linear representations of rational
+expressions and evaluates them at matrix tuples, extracts central
+eigenvalues with exact masses, and cross-validates all of it against
+random matrix models (GUE, Haar unitary, Ginibre).
 """
 
 __version__ = "0.1.0"
@@ -24,7 +23,7 @@ from .errors import (
     VariableMismatch,
     ZeroPencilError,
 )
-from .scalars import GaussianRational, snap_to_gaussian_rational
+from .scalars import GaussianRational
 from .ncpoly import (
     Letter,
     LinearPencil,
@@ -62,7 +61,6 @@ from .ncrank import (
     homogenize,
     linearize_matrix,
     ncrank,
-    quantum_op_apply,
     rank_by_substitution,
     verify_certificate,
     verify_nonfull_witness,
@@ -74,7 +72,6 @@ from .spectra import (
     central_eigs_pencil,
     central_eigs_polymatrix,
     entropy_dimension,
-    flatness_constants,
 )
 from .randmat import (
     DEFAULT_POLICY,
@@ -117,7 +114,6 @@ __all__ = [
     "OutOfDomain",
     # scalars
     "GaussianRational",
-    "snap_to_gaussian_rational",
     # free algebra
     "Letter",
     "NcPoly",
@@ -153,7 +149,6 @@ __all__ = [
     "verify_nonfull_witness",
     "homogenize",
     "linearize_matrix",
-    "quantum_op_apply",
     "RankResult",
     "FullnessCertificate",
     # spectra
@@ -163,7 +158,6 @@ __all__ = [
     "central_eigs_polymatrix",
     "atom_masses",
     "entropy_dimension",
-    "flatness_constants",
     # random matrix models
     "MatrixModel",
     "sample",

@@ -37,7 +37,7 @@ class ZeroPencilError(NcfieldError):
 
 
 class Inconclusive(NcfieldError):
-    """The iteration budget ran out without reaching either exit condition."""
+    """Nothing was decided: no exact certificate either way, or no consensus."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

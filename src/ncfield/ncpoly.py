@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DegreeTooHigh,
+    InputError,
     NonSquareError,
     ShapeMismatch,
     VariableMismatch,
@@ -462,6 +463,38 @@ class NcMatrix:
             out[i][i] = out[i][i] - NcPoly.const(lam, self.n_vars)
         return NcMatrix(out, self.n_vars)
 
+    def companion(self, f: Sequence[Scalarish]) -> "NcMatrix":
+        """The companion blow-up P (x) I_k - I_N (x) C_f of a polynomial f.
+
+        ``f`` lists the coefficients of f(t) from the leading one down.  With
+        f / lead = t^k + c_(k-1) t^(k-1) + ... + c_0, C_f has ones below the
+        diagonal and -c_0, ..., -c_(k-1) down its last column, so entry
+        (i k + a, j k + b) is P_ij [a = b] - [i = j] C_f[a][b].  For a
+        squarefree f the inner rank is the sum of rho(P - mu) over the roots
+        mu of f: C_f diagonalizes over the algebraic closure, and inner rank
+        does not change under extension of scalars.  So the exact engine
+        decides P at irrational mu with Q(i) coefficients alone.
+        """
+        if not self.is_square():
+            raise NonSquareError("a companion blow-up needs a square matrix")
+        lead, *rest = (GaussianRational.coerce(c) for c in f)
+        if lead.is_zero() or not rest:
+            raise InputError("a companion blow-up needs f of degree at least one")
+        k, n_vars = len(rest), self.n_vars
+        cf = [[GaussianRational(int(a == b + 1)) for b in range(k)] for a in range(k)]
+        for a, c in enumerate(reversed(rest)):
+            cf[a][k - 1] = -c / lead
+        z = NcPoly.zero(n_vars)
+        out = [[z] * (self.rows * k) for _ in range(self.rows * k)]
+        for i, row in enumerate(self.entries):
+            for j, p in enumerate(row):
+                for a in range(k):
+                    out[i * k + a][j * k + a] = p
+            for a in range(k):
+                for b in range(k):
+                    out[i * k + a][i * k + b] -= NcPoly.const(cf[a][b], n_vars)
+        return NcMatrix(out, n_vars)
+
     def direct_sum(self, other: "NcMatrix") -> "NcMatrix":
         if self.n_vars != other.n_vars:
             raise VariableMismatch("direct sum across variable counts")
@@ -761,12 +794,6 @@ class LinearPencil:
         return all(
             x.is_zero() for mat in self.coeffs for row in mat for x in row
         )
-
-    def numeric_coeffs(self) -> List[np.ndarray]:
-        return [
-            np.array([[complex(x) for x in row] for row in mat], dtype=complex)
-            for mat in self.coeffs
-        ]
 
     def to_matrix(self) -> NcMatrix:
         n = self.n_vars

@@ -7,24 +7,19 @@ trials must agree on one integer or the result is NoConsensus.  Star-free
 matrices use GUE tuples; matrices with adjoint letters use Ginibre tuples,
 whose limits generate the same free field in the doubled letters.
 
-The fullness engine decides whether a homogeneous square pencil is full,
-and how depends on the kind of input.  Exact coefficients are reduced mod p
-once and get exact certificates only, each read from those residues, with no
-floating point.  A blow-up A1 (x) X1 + ... of full rank mod p proves
-fullness; it is read at d = 1 first, and at d = 2, 4, ..., N - 1 last.  In
-between, a hollow zero pattern, then the exact second Wong sequence on the
-tuple and on its transpose, prove nonfullness by a pair (U, V) with
-U^T Ai V = 0, checked exactly before the verdict is issued.  When none
-decides, the result is Inconclusive.  An exact certificate carries its data,
-the pair or the (d, seed, prime) of the blow-up, and ``verify_certificate``
-re-checks it.  Numerically shifted coefficients, which have no exact form,
-get operator scaling: with L(B) the sum of Ai B Ai*, the pencil is full
-exactly when L never decreases rank on positive semidefinite arguments, and
-once the doubly-stochasticity defect of the scaled tuple drops below
-1/(N+1), a numeric blow-up confirms fullness.  A collapse or a spent budget
-leads to the same second Wong sequence as on exact input, run in floating
-point, and its witness B is re-verified in floats before the verdict is
-issued.
+The fullness engine decides whether a homogeneous square pencil over Q(i)
+is full, by exact certificates only.  The coefficients are reduced mod p
+once, every step reads those residues, and no floating point runs.  A
+blow-up A1 (x) X1 + ... of full rank mod p proves fullness; it is read at
+d = 1 first, and at d = 2, 4, ..., N - 1 last.  In between, a hollow zero
+pattern, then the exact second Wong sequence on the tuple and on its
+transpose, prove nonfullness by a pair (U, V) with U^T Ai V = 0, checked
+exactly before the verdict is issued.  When none decides, the result is
+Inconclusive.  An exact certificate carries its data, the pair or the
+(d, seed, prime) of the blow-up, and ``verify_certificate`` re-checks it.
+An exact shift P - lambda goes through ``NcMatrix.shift``, and an
+algebraic one through the companion blow-up ``NcMatrix.companion``, whose
+coefficients stay in Q(i); so every verdict is an exact one.
 
 Affine pencils are homogenized first; matrices of higher degree are rewritten
 as enlarged pencils with a known rank offset.  Adjoint letters need no second
@@ -67,23 +62,6 @@ from .scalars import (
     rank_mod_p,
     residues_mod_p,
 )
-
-SCALING_BUDGET_FACTOR = 200
-
-# Once the normalizers L(I) or L*(I) develop an eigenvalue below this
-# relative floor, floating point no longer tracks the exact scaling orbit
-# and the doubly-stochasticity defect stops being trustworthy evidence.
-DEGENERACY_FLOOR = 1e-10
-
-
-def quantum_op_apply(pencil: LinearPencil, b: np.ndarray) -> np.ndarray:
-    """Apply L(B) = sum Ai B Ai* for the homogeneous coefficients."""
-    if not pencil.is_square():
-        raise NonSquareError("quantum operator needs a square pencil")
-    if not pencil.is_homogeneous():
-        raise InputError("quantum operator is defined for homogeneous pencils")
-    mats = pencil.numeric_coeffs()[1:]
-    return _apply_cp(mats, np.asarray(b, dtype=complex))
 
 
 def _apply_cp(mats: Sequence[np.ndarray], b: np.ndarray) -> np.ndarray:
@@ -198,34 +176,29 @@ def rank_by_substitution(
 @dataclass
 class FullnessCertificate:
     verdict: str  # 'full' or 'nonfull'
-    # 'hollow' (zero pattern), 'exact' (Wong pair or blow-up rank mod p), or
-    # 'scaling' (operator scaling on numerically shifted coefficients)
-    method: str
+    method: str  # 'hollow' (zero pattern) or 'exact' (Wong pair or blow-up rank mod p)
     size: int
-    defect: float = math.inf  # scaled-tuple defect; inf when no scaling ran
-    iterations: int = 0  # scaling iterations; 0 on exact input
+    defect: float = math.inf  # no scaling runs: always inf
+    iterations: int = 0  # no scaling runs: always 0
     # what decided: "blow-up rank mod p at d = 1" (or at the larger d that
-    # proved it), "zero pattern", "exact Wong", "exact Wong (adjoint)", the
-    # defect criterion or "Wong" (the float sequence on a numeric shift)
+    # proved it), "zero pattern", "exact Wong" or "exact Wong (adjoint)"
     detail: str = ""
-    # exact nonfull: bases (U, V) as rows of Q(i) scalars, with U^T Ai V = 0
-    # for every i and rank U + rank V > N; coordinate bases for a zero pattern
+    # nonfull: bases (U, V) as rows of Q(i) scalars, with U^T Ai V = 0 for
+    # every i and rank U + rank V > N; coordinate bases for a zero pattern
     pair: Optional[Tuple[list, list]] = field(default=None, repr=False)
-    # exact full: (d, seed, prime) of the blow-up whose rank mod prime is N * d
+    # full: (d, seed, prime) of the blow-up whose rank mod prime is N * d
     blowup: Optional[Tuple[int, int, int]] = None
-    # numeric-shift nonfull: the float B that was verified
-    numeric_witness: Optional[np.ndarray] = field(default=None, repr=False)
 
     @cached_property
     def witness(self) -> Optional[np.ndarray]:
         """The PSD matrix B of a nonfull verdict, with rank L(B) < rank B.
 
-        An exact certificate derives it on first read as VV*, for an
-        orthonormal basis of the span of V; the verdict itself rests on the
-        exact pair.  None for a full verdict.
+        Derived on first read as VV*, for an orthonormal basis of the span of
+        V; the verdict itself rests on the exact pair.  None for a full
+        verdict.
         """
         if self.pair is None:
-            return self.numeric_witness
+            return None
         v = _orthonormal(np.array(self.pair[1], dtype=complex))
         return v @ v.conj().T
 
@@ -275,8 +248,7 @@ def verify_certificate(pencil: LinearPencil, cert: FullnessCertificate) -> bool:
     that sum past N and U^T Ai V = 0 for every i, checked exactly.  A full
     one passes when the blow-up drawn for its (d, seed, prime) has rank N * d
     mod prime; p is the one prime this module reduces modulo.  A certificate
-    with no exact data, from a numeric shift, does not pass here:
-    ``verify_nonfull_witness`` checks its witness.
+    with no exact data does not pass.
     """
     coeffs = _exact_tuple(pencil)
     n = len(coeffs[0])
@@ -352,103 +324,12 @@ def _full_by_blowup(n: int, d: int, seed: int) -> FullnessCertificate:
     )
 
 
-def _scaling_verdict(
-    mats: Sequence[np.ndarray], policy: TolerancePolicy, seed: int
-) -> FullnessCertificate:
-    """Operator scaling on numerically shifted coefficients (no exact form).
-
-    Once the defect of the scaled tuple drops below 1/(N+1), a numeric
-    blow-up substitution confirms fullness.  A collapse or a spent budget of
-    SCALING_BUDGET_FACTOR * N^2 iterations leads to the second Wong sequence
-    in floats at a random complex point of the span, on the tuple and then
-    on its transpose.  Its kernels drop singular values up to one threshold
-    for the whole tuple, policy.threshold(N, max ||Ai||_2), and B = VV* from
-    the block it finds is re-verified.
-    """
-    n = mats[0].shape[0]
-    budget = SCALING_BUDGET_FACTOR * n * n
-    live = [a.copy() for a in mats if np.linalg.norm(a) > 0]
-    if not live:
-        raise ZeroPencilError("the zero pencil is nowhere full")
-
-    # A hollow zero pattern settles the question without iterating.
-    b = _zero_pattern_witness(mats, policy)
-    if b is not None:
-        return FullnessCertificate("nonfull", "hollow", n, detail="zero pattern", numeric_witness=b)
-
-    target = 1.0 / (n + 1)
-    eye = np.eye(n, dtype=complex)
-    defect = math.inf
-    reason = "scaling budget exhausted without certificate"
-    for it in range(budget):
-        s_mat = sum(a @ a.conj().T for a in live)
-        t_mat = sum(a.conj().T @ a for a in live)
-        s_eigs, s_vecs = np.linalg.eigh(s_mat)
-        t_eigs, t_vecs = np.linalg.eigh(t_mat)
-        floor_s = DEGENERACY_FLOOR * max(s_eigs[-1], 1e-300)
-        floor_t = DEGENERACY_FLOOR * max(t_eigs[-1], 1e-300)
-        if s_eigs[0] <= floor_s or t_eigs[0] <= floor_t:
-            # The orbit is collapsing: the defect criterion is no longer
-            # numerically faithful, so fullness can no longer be certified.
-            reason = "the scaling orbit collapsed without a witness"
-            break
-        defect = float(
-            np.linalg.norm(s_mat - eye) ** 2 + np.linalg.norm(t_mat - eye) ** 2
-        )
-        if defect < target:
-            # The defect criterion is a float statement about an exact orbit;
-            # roundoff can dissolve an exact obstruction over many steps
-            # without ever tripping the eigenvalue floor.  Confirm fullness
-            # by an independent substitution rank before certifying.
-            if _confirm_full_numeric(mats, n, policy, seed):
-                return FullnessCertificate(
-                    "full", "scaling", n, defect, it,
-                    detail="defect below 1/(N+1), confirmed by substitution",
-                )
-            reason = "scaling crossed the defect target without a sound certificate"
-            break
-        if it % 2 == 0:
-            half = _inv_sqrt(s_eigs, s_vecs)
-            live = [half @ a for a in live]
-        else:
-            half = _inv_sqrt(t_eigs, t_vecs)
-            live = [a @ half for a in live]
-    else:
-        it = budget
-
-    thr = policy.threshold(n, max(np.linalg.norm(a, 2) for a in mats))
-    rng = np.random.default_rng(seed)
-    point = sum(complex(*rng.standard_normal(2)) * a for a in mats)
-    for flip in (0, 1):  # on the transpose the pair comes back swapped
-        found = _wong([a.T for a in mats] if flip else mats, point.T if flip else point,
-                      lambda m: _float_kernel(m, thr), np.matmul)
-        if found is not None:
-            v = found[1 - flip]
-            b = v @ v.conj().T
-            if _verify_witness(mats, b, policy):
-                return FullnessCertificate(
-                    "nonfull", "scaling", n, defect, it, detail="Wong", numeric_witness=b
-                )
-    raise Inconclusive(reason, {"defect": defect, "iterations": it, "size": n})
-
-
-def _inv_sqrt(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    # the caller has checked that every eigenvalue clears DEGENERACY_FLOOR
-    return (vecs * (1.0 / np.sqrt(eigs))) @ vecs.conj().T
-
-
 def _orthonormal(cols: np.ndarray) -> np.ndarray:
     if cols.size == 0:
         return cols.reshape(cols.shape[0], 0)
     q, r = np.linalg.qr(cols)
     keep = np.abs(np.diagonal(r)) > 1e-12 * max(np.abs(np.diagonal(r)).max(), 1e-300)
     return q[:, keep]
-
-
-def _float_kernel(m: np.ndarray, thr: float) -> np.ndarray:
-    """Right kernel in floats: the singular vectors of values at most ``thr``."""
-    _, s, vh = np.linalg.svd(m)
-    return vh[np.count_nonzero(s > thr):].conj().T
 
 
 def _confirm_full_exact(residues, seed: int, d: int) -> bool:
@@ -495,27 +376,6 @@ def _blowup_mod_p(residues, subs) -> np.ndarray:
     return big
 
 
-def _confirm_full_numeric(mats, n, policy, seed, tries: int = 2) -> bool:
-    """Blow-up substitution check for coefficients with no exact form.
-
-    The bound of _confirm_full_exact, read by a clean-gap rank.  An exactly
-    nonfull tuple evaluates to an exactly rank-deficient matrix, which a
-    clean-gap rank reading does not mistake for full; this catches slow
-    roundoff drift because the evaluation itself is a single product.
-    """
-    d = max(1, n - 1)
-    rng = np.random.default_rng((seed + 1) * 7919)
-    for _ in range(tries):
-        big = np.zeros((n * d, n * d), dtype=complex)
-        for a in mats:
-            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            big += np.kron(a, x / math.sqrt(2 * d))
-        report = empirical_rank(big, policy)
-        if report.clean and report.rank == n * d:
-            return True
-    return False
-
-
 def _verify_witness(
     mats: Sequence[np.ndarray], b: np.ndarray, policy: TolerancePolicy
 ) -> bool:
@@ -552,17 +412,6 @@ def verify_nonfull_witness(
     return _verify_witness(_float_coeffs(pencil.coeffs[1:]), b, policy)
 
 
-def _zero_pattern_witness(mats, policy):
-    """B on the columns of a hollow block of the common zero pattern, or None."""
-    block = _zero_block(np.any(np.array(mats) != 0, axis=0).tolist())
-    if block is None:
-        return None
-    _, zero_cols = block
-    b = np.zeros(mats[0].shape, dtype=complex)
-    b[zero_cols, zero_cols] = 1.0
-    return b if _verify_witness(mats, b, policy) else None
-
-
 def _exact_hollow_block(forms, ints, seed, transpose=False):
     """Exact hollow block of a Q(i) tuple, found threshold-free: (U, V) or None.
 
@@ -596,36 +445,31 @@ def _exact_hollow_block(forms, ints, seed, transpose=False):
 
 
 def _wong_mod_p(residues, weights):
-    """Second Wong sequence over F_p at P = sum wi Ai: (U, V) or None."""
-    return _wong(residues, _point_mod_p(residues, weights), kernel_mod_p, matmul_mod_p)
+    """Second Wong sequence over F_p at P = sum wi Ai: (U, V) or None.
+
+    W starts at zero; V = P^-1(W) is the kernel of U^T P, where U spans the
+    kernel of W^T = [A1 V, ..., Am V]^T, so dim W = N - cols(U).  Dimensions
+    grow until W repeats; then U^T Ai V = 0 for every i, and dim V > dim W
+    means rank U + rank V > N.  The bases are the canonical ones of
+    ``kernel_mod_p``, so they lift entry by entry.
+    """
+    point = _point_mod_p(residues, weights)
+    n = len(point)
+    u = np.eye(n, dtype=np.int64)
+    for _ in range(n + 1):
+        v = kernel_mod_p(matmul_mod_p(u.T, point))
+        if v.shape[1] == 0:
+            return None
+        u_next = kernel_mod_p(np.hstack([matmul_mod_p(a, v) for a in residues]).T)
+        if u_next.shape[1] == u.shape[1]:
+            return (u, v) if u.shape[1] + v.shape[1] > n else None
+        u = u_next
+    return None
 
 
 def _point_mod_p(residues, weights) -> np.ndarray:
     """sum wi Ai mod p for weights in F_p; each product stays below 2^62."""
     return sum(w * a % _P for w, a in zip(weights, residues)) % _P
-
-
-def _wong(mats, point, kernel, mul):
-    """Second Wong sequence of the tuple at P = ``point`` in its span: (U, V) or None.
-
-    W starts at zero; V = P^-1(W) is the kernel of U^T P, where U spans the
-    kernel of W^T = [A1 V, ..., Am V]^T, so dim W = N - cols(U).  Dimensions
-    grow until W repeats; then U^T Ai V = 0 for every i, and dim V > dim W
-    means rank U + rank V > N.  ``kernel`` (a right kernel basis as columns)
-    and ``mul`` (the product) fix the field: F_p residues, where the bases
-    are the canonical ones of kernel_mod_p, or floats.
-    """
-    n = len(point)
-    u = np.eye(n, dtype=point.dtype)
-    for _ in range(n + 1):
-        v = kernel(mul(u.T, point))
-        if v.shape[1] == 0:
-            return None
-        u_next = kernel(np.hstack([mul(a, v) for a in mats]).T)
-        if u_next.shape[1] == u.shape[1]:
-            return (u, v) if u.shape[1] + v.shape[1] > n else None
-        u = u_next
-    return None
 
 
 def _holds_exactly(ints, u, v) -> bool:
@@ -756,59 +600,52 @@ def ncrank(
     trials: int = 2,
     seed: int = 0,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    shift: complex = 0,
 ) -> RankResult:
-    """Inner rank of matrix - shift*1 with cross-validation between the engines.
+    """Inner rank with cross-validation between the engines.
 
     Rectangular input is padded square.  The substitution engine supplies the
-    value; the fullness engine independently decides fullness, over 2n plain
-    letters when adjoint letters occur, and any contradiction raises
-    MethodDisagreement.  At shift 0 the pencil (linearized and homogenized
-    as needed) is exact, and ``fullness_scaling`` decides it by exact
-    certificates alone.  A nonzero shift has no exact form, so operator
-    scaling then runs on the numerically shifted coefficients and confirms
-    fullness numerically; pass exact shifts through ``matrix.shift``
-    instead.  An inconclusive fullness engine defers to substitution;
-    ``cross["scaling"]`` records its verdict and ``cross["scaling_detail"]``
-    the step that decided it.
+    value; the fullness engine independently decides fullness by exact
+    certificates (``_decide_exactly``), over 2n plain letters when adjoint
+    letters occur, and any contradiction raises MethodDisagreement.  Shift
+    by an exact lambda through ``matrix.shift(lambda)``.  An inconclusive
+    fullness engine defers to substitution; ``cross["scaling"]`` records its
+    verdict and ``cross["scaling_detail"]`` the step that decided it.
     """
-    if shift != 0 and not matrix.is_square():
-        raise NonSquareError("shift needs a square matrix")
     matrix = matrix.pad_to_square()
     n = matrix.rows
-    if shift == 0 and matrix.is_zero():
+    if matrix.is_zero():
         return RankResult(0, n, n, method="trivial", kind="none", seed=seed)
-    sub = rank_by_substitution(
-        matrix, dims=dims, trials=trials, seed=seed, policy=policy, shift=shift
-    )
+    sub = rank_by_substitution(matrix, dims=dims, trials=trials, seed=seed, policy=policy)
     cross: dict = {}
-    if matrix.degree <= 1:
-        pencil = matrix.to_pencil()
-    else:
-        pencil, cross["border"] = linearize_matrix(matrix)
     try:
-        if shift == 0:
-            target = pencil if pencil.is_homogeneous() else homogenize(pencil)
-            cert = fullness_scaling(target, seed=seed)
-        else:
-            coeffs = pencil.numeric_coeffs()
-            coeffs[0][:n, :n] -= shift * np.eye(n)
-            # the shifted constant moves onto a fresh variable, as in homogenize
-            cert = _scaling_verdict(coeffs[1:] + coeffs[:1], policy, seed)
+        cert = _decide_exactly(matrix, seed, cross)
     except Inconclusive as exc:
         cross["scaling"] = "inconclusive"
         cross["diagnostics"] = exc.diagnostics
         sub.cross = cross
         return sub
-    scaling_full = cert.verdict == "full"
-    substitution_full = sub.rho == n
-    if scaling_full != substitution_full:
+    if (cert.verdict == "full") != (sub.rho == n):
         raise MethodDisagreement(
             f"substitution says rho={sub.rho} of {n}, scaling says {cert.verdict}"
         )
     cross["scaling"] = cert.verdict
     cross["scaling_method"] = cert.method
     cross["scaling_detail"] = cert.detail
-    cross["defect"] = cert.defect
     sub.cross = cross
     return sub
+
+
+def _decide_exactly(matrix: NcMatrix, seed: int, cross: dict) -> FullnessCertificate:
+    """The exact fullness verdict on a matrix: ``fullness_scaling`` on its pencil.
+
+    The matrix is padded square and read as a pencil, or linearized when its
+    degree exceeds one (the border size goes to ``cross["border"]``), and an
+    affine pencil is homogenized.  Inconclusive passes through.
+    """
+    matrix = matrix.pad_to_square()
+    if matrix.degree <= 1:
+        pencil = matrix.to_pencil()
+    else:
+        pencil, cross["border"] = linearize_matrix(matrix)
+    target = pencil if pencil.is_homogeneous() else homogenize(pencil)
+    return fullness_scaling(target, seed=seed)

@@ -13,6 +13,7 @@ small results come back to Q(i) by rational reconstruction.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -165,19 +166,6 @@ class GaussianRational:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
-
-
-def snap_to_gaussian_rational(z: complex, max_den: int = 64, tol: float = 1e-3):
-    """Round a complex number to a nearby Gaussian rational.
-
-    Returns the snapped GaussianRational if both parts admit an approximation
-    with denominator at most ``max_den`` within ``tol``, else None.
-    """
-    re = Fraction(z.real).limit_denominator(max_den)
-    im = Fraction(z.imag).limit_denominator(max_den)
-    if abs(float(re) - z.real) <= tol and abs(float(im) - z.imag) <= tol:
-        return GaussianRational(re, im)
-    return None
 
 
 # A prime with p = 1 (mod 4), so -1 has the square root _IOTA in F_p and
@@ -452,3 +440,91 @@ def eval_zi(f: List[GaussInt], w: GaussInt) -> GaussInt:
         acc = _gdot([acc], [w])
         acc = (acc[0] + re, acc[1] + im)
     return acc
+
+
+# Primes for irreducible_zi: _P first, then this fixed number of further ones.
+IRREDUCIBILITY_PRIMES = 32
+
+
+@functools.cache
+def _split_moduli() -> List[Tuple[int, int]]:
+    """(q, a square root of -1 mod q) for _P, then for the next primes q = 1 (mod 4) below it."""
+    out, q = [(_P, _IOTA)], _P
+    while len(out) <= IRREDUCIBILITY_PRIMES:
+        q -= 4
+        if _is_prime(q):
+            # c^((q-1)/4) squares to -1 once c is a non-residue mod q
+            roots = (pow(c, (q - 1) // 4, q) for c in range(2, q))
+            out.append((q, next(r for r in roots if r * r % q == q - 1)))
+    return out
+
+
+def irreducible_zi(f: List[GaussInt]) -> bool:
+    """True when a monic f in Z[i][t] is proved irreducible over Q(i).
+
+    Modulo a prime q = 1 (mod 4), with i sent to a square root of -1, Z[i]
+    maps onto F_q and the monic f keeps its degree k.  A factorization over
+    Q(i), which Gauss's lemma puts in Z[i][t], would map to one over F_q.
+    So f is irreducible once f mod q has no factor of degree j <= k/2, which
+    distinct-degree factorization reads as gcd(f, t^(q^j) - t) = 1 for each
+    such j; a repeated factor has such a j too, so f mod q is then also
+    squarefree.  _P is tried first, then IRREDUCIBILITY_PRIMES more.  False
+    only means "not proved": some irreducible f, such as t^4 - 10 t^2 + 1,
+    split modulo every prime.
+    """
+    if f[0] != (1, 0):
+        raise ValueError("irreducible_zi needs a monic polynomial")
+    for q, iota in _split_moduli():
+        low = [(re + iota * im) % q for re, im in reversed(f)]  # constant term first
+        power = [0, 1]  # t^(q^j) mod f, from j = 0
+        for _ in range((len(f) - 1) // 2):
+            power = _powmod(power, q, low, q)
+            if not _coprime_mod(low, [c - (j == 1) for j, c in enumerate(power)], q):
+                break
+        else:
+            return True
+    return False
+
+
+def _powmod(a: List[int], e: int, f: List[int], q: int) -> List[int]:
+    """a^e mod (f, q) by square and multiply, constant terms first; f monic."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mulmod(out, a, f, q)
+        a, e = _mulmod(a, a, f, q), e >> 1
+    return out
+
+
+def _mulmod(a: List[int], b: List[int], f: List[int], q: int) -> List[int]:
+    """a * b mod (f, q), constant terms first, as k coefficients for f monic of degree k."""
+    k = len(f) - 1
+    prod = [0] * max(len(a) + len(b) - 1, k)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for top in range(len(prod) - 1, k - 1, -1):
+        c = prod[top] % q
+        for j in range(k):
+            prod[top - k + j] -= c * f[j]
+    return [x % q for x in prod[:k]]
+
+
+def _coprime_mod(a: List[int], b: List[int], q: int) -> bool:
+    """gcd(a, b) = 1 over F_q, constant terms first."""
+    a, b = _trim(a, q), _trim(b, q)
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % q, len(a) - len(b)
+            a = _trim([x - c * b[j - shift] if j >= shift else x for j, x in enumerate(a)], q)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _trim(a: List[int], q: int) -> List[int]:
+    """a mod q, without zero coefficients at the top."""
+    a = [x % q for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a

@@ -11,12 +11,15 @@ compute g exactly, one diagonal block at a time: a constant block gives the
 characteristic polynomial of its scalar matrix, and a nonconstant block the
 gcd over a = 0 and a few seeded Gaussian-integer points (xi and xi*
 independent), stopping once the gcd is 1.  A root of g that lies in Q(i)
-is found exactly and shifted exactly; any other root is shifted
-numerically.  For an affine pencil a full homogeneous part rules out any
-central eigenvalue, and is checked first.  Each candidate is certified by
-an actual rank decision on the shifted matrix, so a certified atom carries
-the exact mass (N - rho)/N and the certified spectrum yields the entropy
-dimension 1 - sum((N - rho)^2)/N^2.
+is found exactly and decided on the exactly shifted matrix.  The other
+roots are decided through exact factors f of g: the companion blow-up P_f
+has Q(i) coefficients and rho(P_f) = sum of rho(P - mu) over the roots mu
+of f, so the exact fullness engine decides every candidate.  For an affine
+pencil a full homogeneous part rules out any central eigenvalue, and is
+checked first.  Each candidate is certified by an exact verdict next to
+the substitution rank, so a certified atom carries the exact mass
+(N - rho)/N and the certified spectrum yields the entropy dimension
+1 - sum((N - rho)^2)/N^2.
 
 Without certification, a polynomial matrix's candidates are read off atom
 clusters in the empirical spectral distribution of one evaluated sample and
@@ -25,6 +28,7 @@ reported as uncertified.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
@@ -38,17 +42,19 @@ from .errors import (
     Inconclusive,
     InputError,
     InvariantViolation,
+    MethodDisagreement,
     NoConsensus,
     NonSquareError,
 )
 from .ncpoly import LinearPencil, NcMatrix
-from .ncrank import ncrank
+from .ncrank import _decide_exactly, ncrank, rank_by_substitution
 from .randmat import DEFAULT_POLICY, TolerancePolicy, block_spectrum, sample
 from .scalars import (
     GaussianRational,
     charpoly_zi,
     eval_zi,
     gcd_zi,
+    irreducible_zi,
     mul_zi,
     pseudo_divmod_zi,
     squarefree_zi,
@@ -63,6 +69,8 @@ COUNT_FACTOR = 0.6
 # candidates that certification would reject anyway.
 CANDIDATE_POINTS = 3
 POINT_BOUND = 8
+# Subsets of one substitution rank's numeric roots tried per factor size.
+FACTOR_SUBSETS = 1024
 
 
 @dataclass
@@ -118,24 +126,23 @@ def _dimension_from_atoms(size: int, atoms: Sequence[SpectralAtom]) -> Fraction:
     return 1 - Fraction(total, size * size)
 
 
-def _rho_of_shift(
-    matrix: NcMatrix, lam, seed: int, policy: TolerancePolicy
-) -> Optional[int]:
-    """Rank of matrix - lam*1, cross-checked by the orchestrated rank.
+def _rho_of_shift(matrix: NcMatrix, lam, seed: int, policy: TolerancePolicy) -> int:
+    """Rank of matrix - lam*1; Inconclusive when nothing could be decided.
 
-    Exact shifts are applied to the matrix itself, so the fullness engine
-    gets exact coefficients and decides by exact certificates; numeric
-    shifts are handed to ``ncrank`` as its spectral shift.  Returns None when
-    nothing could be decided.
+    An exact lam shifts the matrix itself, and ``ncrank`` cross-checks the
+    value with the exact fullness engine, whose verdict is required: an
+    inconclusive one leaves the rank undecided.  At a numeric lam
+    substitution alone reads the rank; the exact factor of g that lam is a
+    root of is decided afterwards (``_certify_factors``).
     """
-    if isinstance(lam, (int, Fraction, GaussianRational)):
-        matrix, shift = matrix.shift(lam), 0
-    else:
-        shift = complex(lam)
     try:
-        result = ncrank(matrix, seed=seed, policy=policy, shift=shift)
-    except (NoConsensus, Inconclusive):
-        return None
+        if not isinstance(lam, (int, Fraction, GaussianRational)):
+            return rank_by_substitution(matrix, seed=seed, policy=policy, shift=complex(lam)).rho
+        result = ncrank(matrix.shift(lam), seed=seed, policy=policy)
+    except NoConsensus as exc:
+        raise Inconclusive("no consensus") from exc
+    if (result.cross or {}).get("scaling") == "inconclusive":
+        raise Inconclusive("exact engine inconclusive", result.cross["diagnostics"])
     return result.rho
 
 
@@ -338,7 +345,11 @@ def _poly_text(coeffs: Sequence[GaussianRational]) -> str:
 
 
 def _certify_candidates(report, matrix, seed, policy):
-    """Certify every root of the candidate polynomial g on the shifted matrix."""
+    """Certify every root of the candidate polynomial g on the shifted matrix.
+
+    Exact roots are decided one by one; numeric roots are grouped by their
+    substitution rank and decided through exact factors of g.
+    """
     g, scale, points, blocks = _candidate_polynomial(matrix, seed)
     candidates = _roots(g, scale)
     report.diagnostics.update(
@@ -347,17 +358,104 @@ def _certify_candidates(report, matrix, seed, policy):
             "candidate_points": points,
             "candidates": [[complex(z).real, complex(z).imag] for z in candidates],
             "blocks": blocks,
+            "factors": [],
         }
     )
     n = matrix.rows
+    numeric: dict = {}  # substitution rank -> the numeric roots that read it
     for k, lam in enumerate(candidates):
-        rho = _rho_of_shift(matrix, lam, seed + 100 + 7 * k, policy)
-        if rho is None:
-            z = complex(lam)
-            report.uncertified.append({"lambda": [z.real, z.imag], "reason": "no consensus"})
-        elif rho < n:
-            exact = isinstance(lam, GaussianRational)
-            report.atoms.append(SpectralAtom(lam, rho, Fraction(n - rho, n), True, exact))
+        try:
+            rho = _rho_of_shift(matrix, lam, seed + 100 + 7 * k, policy)
+        except Inconclusive as exc:
+            _uncertify(report, lam, str(exc))
+            continue
+        if isinstance(lam, GaussianRational):
+            if rho < n:
+                report.atoms.append(SpectralAtom(lam, rho, Fraction(n - rho, n), True, True))
+        else:
+            numeric.setdefault(rho, []).append(lam)
+    for rho, roots in sorted(numeric.items()):
+        _certify_factors(report, matrix, g, scale, rho, roots, seed)
+    report.atoms.sort(key=lambda a: (complex(a.lam).real, complex(a.lam).imag))
+
+
+def _uncertify(report, lam, reason: str):
+    z = complex(lam)
+    report.uncertified.append({"lambda": [z.real, z.imag], "reason": reason})
+
+
+def _certify_factors(report, matrix, g, scale: int, rho: int, roots: list, seed: int):
+    """Decide numeric roots of one substitution rank through exact factors of g.
+
+    Each monic factor f (``_exact_factors``) gets the companion blow-up P_f,
+    whose inner rank is the sum of rho(P - mu) over the roots mu of f, and
+    the exact route of ``ncrank`` decides it.  P_f is built in the variable
+    s, as (scale*P)_f for the Gaussian-integer f(s), which has the same
+    verdict and keeps the coefficients as small as those of scale*P, so
+    that the lifted Wong bases stay short.  A full P_f proves that no
+    root is an atom.  A nonfull one proves every root an atom, with the
+    substitution rank, once ``irreducible_zi`` proves f irreducible, since
+    Galois conjugates share rho; otherwise its roots stay uncertified.  A
+    verdict against the substitution rank raises MethodDisagreement.  Each
+    factor is listed in ``diagnostics["factors"]``.
+    """
+    n = matrix.rows
+    factors, left = _exact_factors(g, scale, roots)
+    for f, members in factors:
+        text = _poly_text(_monic(f, scale))
+        entry = {"factor": text, "rho": rho, "irreducible": irreducible_zi(f)}
+        report.diagnostics["factors"].append(entry)
+        factor_seed = seed + 200 + 11 * len(report.diagnostics["factors"])
+        companion = (matrix * scale).companion([GaussianRational(*c) for c in f])
+        try:
+            cert = _decide_exactly(companion, factor_seed, {})
+        except Inconclusive:
+            entry.update(verdict="inconclusive", detail="")
+            for mu in members:
+                _uncertify(report, mu, "companion blow-up inconclusive")
+            continue
+        entry.update(verdict=cert.verdict, detail=cert.detail)
+        if (cert.verdict == "full") != (rho == n):
+            raise MethodDisagreement(
+                f"substitution says rho={rho} of {n} at the roots of {text}, "
+                f"the companion blow-up is {cert.verdict}"
+            )
+        if cert.verdict == "full":
+            continue
+        for mu in members:
+            if entry["irreducible"]:
+                report.atoms.append(SpectralAtom(mu, rho, Fraction(n - rho, n), True, False))
+            else:
+                _uncertify(report, mu, "factor not proven irreducible")
+    for mu in left:
+        _uncertify(report, mu, "no exact factor")
+
+
+def _exact_factors(g, scale: int, roots: list):
+    """Cut numeric roots t into monic factors of g in s = scale*t, smallest first.
+
+    Returns ([(f, its roots)], the roots left over).  The roots s of g are
+    algebraic integers, so a monic factor of g has Gaussian-integer
+    coefficients: the product of s - scale*mu over a subset is rounded to
+    them and kept only when it divides g exactly.  Subsets are tried by
+    size; a size with more than FACTOR_SUBSETS subsets is skipped, which
+    bounds the work and still tries the whole remaining set.
+    """
+    found, left, size = [], list(roots), 1
+    while size <= len(left):
+        subsets = ()
+        if math.comb(len(left), size) <= FACTOR_SUBSETS:
+            subsets = itertools.combinations(range(len(left)), size)
+        for subset in subsets:
+            product = np.poly([left[i] * scale for i in subset])
+            f = [(round(c.real), round(c.imag)) for c in product]
+            if not pseudo_divmod_zi(g, f)[1]:
+                found.append((f, [left[i] for i in subset]))
+                left = [mu for i, mu in enumerate(left) if i not in subset]
+                break
+        else:
+            size += 1
+    return found, left
 
 
 def _finalize(report: SpectrumReport):
@@ -436,10 +534,7 @@ def atom_masses(
     for k, lam in enumerate(lambdas):
         if not isinstance(lam, (int, Fraction, GaussianRational)):
             raise InputError("atom_masses needs exact Gaussian rational points")
-        rho = _rho_of_shift(matrix, lam, seed + 31 * k, policy)
-        if rho is None:
-            raise Inconclusive(f"rank at shift {lam} reached no consensus")
-        out.append(Fraction(n - rho, n))
+        out.append(Fraction(n - _rho_of_shift(matrix, lam, seed + 31 * k, policy), n))
     return out
 
 
@@ -476,37 +571,3 @@ def entropy_dimension(
         )
     assert report.dimension is not None
     return report.dimension
-
-
-def flatness_constants(pencil: LinearPencil) -> dict:
-    """Best constants with c1 tr(b) <= L(b) <= c2 tr(b) on a PSD basis.
-
-    Informational only: the probe set is the standard rank-one basis, not all
-    of the positive cone.
-    """
-    from .ncrank import quantum_op_apply
-
-    if not pencil.is_square():
-        raise NonSquareError("flatness runs on square pencils")
-    n = pencil.rows
-    probes = []
-    for j in range(n):
-        e = np.zeros((n, 1), dtype=complex)
-        e[j] = 1.0
-        probes.append(e @ e.conj().T)
-    for j in range(n):
-        for k in range(j + 1, n):
-            for phase in (1.0, 1j):
-                e = np.zeros((n, 1), dtype=complex)
-                e[j] = 1.0
-                e[k] = phase
-                probes.append(e @ e.conj().T / 2.0)
-    c1 = math.inf
-    c2 = 0.0
-    for b in probes:
-        lb = quantum_op_apply(pencil, b)
-        eigs = np.linalg.eigvalsh((lb + lb.conj().T) / 2)
-        tr = float(np.trace(b).real)
-        c1 = min(c1, float(eigs[0]) / tr)
-        c2 = max(c2, float(eigs[-1]) / tr)
-    return {"c1": c1, "c2": c2, "probes": len(probes), "flat": c1 > 0}

@@ -1,4 +1,4 @@
-"""Rank engines: completely positive map, scaling, substitution, reductions."""
+"""Rank engines: exact fullness certificates, substitution, reductions."""
 
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from ncfield import (
     linearize_matrix,
     ncrank,
     poly_from_string,
-    quantum_op_apply,
     random_pencil,
     random_poly_matrix,
     rank_by_substitution,
@@ -55,10 +54,7 @@ from ncfield.ncrank import (
     _orthonormal,
     _point_mod_p,
     _residue_forms,
-    _scaling_verdict,
-    _verify_witness,
 )
-from ncfield.randmat import DEFAULT_POLICY
 from ncfield.scalars import _P, GaussianRational, residues_mod_p
 
 # the package exports the function ncrank under the module's name
@@ -81,35 +77,6 @@ def _holds(coeffs, u, v):
 def _residues(pencil):
     """A1..Am of a plain pencil mod p at i = iota."""
     return _residue_forms(pencil.coeffs[1:])[0]
-
-
-def test_quantum_op_is_the_coefficient_sandwich_sum():
-    pencil = _pencil(
-        [
-            [[0, 0], [0, 0]],
-            [[1, 0], [0, 0]],
-            [[0, 1], [1, 0]],
-        ],
-        2,
-    )
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = b + b.conj().T
-    mats = pencil.numeric_coeffs()[1:]
-    want = sum(a @ b @ a.conj().T for a in mats)
-    got = quantum_op_apply(pencil, b)
-    assert np.linalg.norm(got - want) < 1e-12
-
-
-def test_scaling_certifies_full_pencils():
-    # operator scaling runs only on numeric coefficients
-    for seed in range(4):
-        pencil = random_pencil(2, 3, seed=100 + seed, homogeneous=True)
-        cert = _scaling_verdict(pencil.numeric_coeffs()[1:], DEFAULT_POLICY, seed)
-        assert cert.verdict == "full", seed
-        assert cert.defect < 1.0 / (3 + 1)
-        sub = rank_by_substitution(pencil.to_matrix(), seed=seed)
-        assert sub.rho == 3
 
 
 def test_scaling_rejects_single_nilpotent_coefficient():
@@ -168,7 +135,8 @@ def test_exact_common_kernel_witness_is_accepted():
     v = _orthonormal(np.array(block[1], dtype=complex))
     assert v.shape == (4, 1)
     b = v @ v.conj().T
-    assert np.linalg.norm(quantum_op_apply(pencil, b)) < 1e-8
+    mats = [np.array(a, dtype=complex) for a in pencil.coeffs[1:]]
+    assert np.linalg.norm(sum(a @ b @ a.conj().T for a in mats)) < 1e-8
     assert verify_nonfull_witness(pencil, b)
 
 
@@ -288,15 +256,7 @@ def test_ill_conditioned_hollow_block_is_exact_and_accepted():
     assert verify_nonfull_witness(pencil, cert.witness)
 
 
-def test_scaling_with_no_budget_is_inconclusive_not_full(monkeypatch):
-    monkeypatch.setattr(ncrank_module, "SCALING_BUDGET_FACTOR", 0)
-    pencil = random_pencil(3, 4, seed=9, homogeneous=True)
-    with pytest.raises(Inconclusive):
-        _scaling_verdict(pencil.numeric_coeffs()[1:], DEFAULT_POLICY, 0)
-
-
-def test_exact_pencils_are_decided_without_scaling(monkeypatch):
-    monkeypatch.setattr(ncrank_module, "SCALING_BUDGET_FACTOR", 0)
+def test_exact_pencils_are_decided_without_scaling():
     for seed in range(4):
         full = random_pencil(3, 4, seed=9 + seed, homogeneous=True)
         cert = fullness_scaling(full, seed=seed)
@@ -654,10 +614,8 @@ def _hidden_lower_golden() -> NcMatrix:
 
 
 def test_numeric_shift_runs_both_engines():
-    result = ncrank(_golden_matrix(), seed=0, shift=(1 + math.sqrt(5)) / 2)
-    assert result.rho == 2
-    assert result.cross["scaling"] == "nonfull"
-    assert ncrank(_golden_matrix(), seed=0, shift=0.5).rho == 3
+    # substitution reads rho 2 at each numeric root (1 +- sqrt 5)/2, and the
+    # exact engine decides both at once through the companion blow-up
     hidden = _hidden_lower_golden()
     x1 = NcPoly.var(1, 1)
     c = lambda k: NcPoly.const(k, 1)  # noqa: E731
@@ -666,10 +624,29 @@ def test_numeric_shift_runs_both_engines():
         [x1 + c(1), x1 + c(1), -x1 - c(2)],
         [x1, x1, -x1],
     ]
-    for shift in ((1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2):
-        result = ncrank(hidden, seed=0, shift=shift)
-        assert result.rho == 2
-        assert result.cross["scaling"] == "nonfull"
+    root5 = math.sqrt(5)
+    for matrix, seed in itertools.product((_golden_matrix(), hidden), range(3)):
+        report = central_eigs_polymatrix(matrix, seed=seed)
+        assert report.uncertified == [], seed
+        lams = [complex(a.lam) for a in report.atoms]
+        assert len(lams) == 2, seed
+        assert abs(lams[0] - (1 - root5) / 2) < 1e-9
+        assert abs(lams[1] - (1 + root5) / 2) < 1e-9
+        assert [(a.rho, a.certified) for a in report.atoms] == [(2, True)] * 2, seed
+        assert report.dimension == Fraction(7, 9), seed
+
+
+def test_companion_blowup_sums_the_ranks_of_its_roots():
+    # rho(H_f) is the sum of rho(H - mu) over the roots mu of f: 2 + 2 + 3
+    # for (t^2 - t - 1)(t - 3), and 3 + 3 at +- sqrt 2, where H is full
+    hidden = _hidden_lower_golden()
+    result = ncrank(hidden.companion([1, -4, 2, 3]), seed=0)
+    assert (result.rho, result.rows, result.cross["scaling"]) == (7, 9, "nonfull")
+    result = ncrank(hidden.companion([1, 0, -2]), seed=0)
+    assert (result.rho, result.rows, result.cross["scaling"]) == (6, 6, "full")
+    # degree one is the shift itself, after dividing by the leading coefficient
+    x1 = NcMatrix([[NcPoly.var(1, 1)]])
+    assert x1.companion([2, -6]) == x1.shift(3)
 
 
 def _unimodular_pair(size: int, rng: random.Random):
@@ -724,19 +701,15 @@ def _pencils_with_constant_block(seed: int, n_vars: int = 2):
 
 
 def test_numeric_shifts_at_hidden_constant_blocks_are_certified_nonfull():
+    # f = det(t - C) has both eigenvalues of C as roots, each lowering rho,
+    # so the companion blow-up is nonfull, and that is decided exactly
     for seed in range(6):
         for matrix, lams, mult in _pencils_with_constant_block(seed):
-            n = matrix.rows
-            for lam in lams:
-                result = ncrank(matrix, seed=seed, shift=complex(lam))
-                assert result.rho == n - mult, (seed, lam)
-                assert result.cross["scaling"] == "nonfull", (seed, lam)
-                coeffs = matrix.to_pencil().numeric_coeffs()
-                coeffs[0] -= lam * np.eye(n)
-                mats = coeffs[1:] + coeffs[:1]
-                cert = _scaling_verdict(mats, DEFAULT_POLICY, seed)
-                assert (cert.verdict, cert.detail) == ("nonfull", "Wong"), (seed, lam)
-                assert _verify_witness(mats, cert.witness, DEFAULT_POLICY), (seed, lam)
+            trace, det = (round(complex(x).real) for x in (sum(lams), np.prod(lams)))
+            pencil = homogenize(matrix.companion([1, -trace, det]).to_pencil())
+            cert = fullness_scaling(pencil, seed=seed)
+            assert cert.verdict == "nonfull", seed
+            assert verify_certificate(pencil, cert), seed
 
 
 def test_hidden_constant_blocks_give_certified_atoms():
@@ -754,13 +727,42 @@ def test_hidden_constant_blocks_give_certified_atoms():
                     assert [(a.rho, a.certified) for a in near] == [(n - mult, True)], (seed, lam)
 
 
+def test_distinct_irrational_blocks_of_equal_rho_are_certified_atoms():
+    # C1 (+) C2 (+) Q with det(t - C1) = t^2 - t - 1 and det(t - C2) = t^2 - 2,
+    # hidden by a unimodular similarity: all four roots read rho 4 of 5, and
+    # they are cut into the two factors, each proved irreducible and nonfull
+    rng = random.Random(4)
+    c, z = (lambda x: NcPoly.const(x, 2)), NcPoly.zero(2)
+    base = NcMatrix([
+        [c(0), c(1), z, z, z],
+        [c(1), c(1), z, z, z],
+        [z, z, c(0), c(2), z],
+        [z, z, c(1), c(0), z],
+        [z, z, z, z, random_linear_entry(rng, 2) + c(1)],
+    ], 2)
+    s, t = _unimodular_pair(5, rng)
+    hidden = NcMatrix.from_scalars(s, 2) @ base @ NcMatrix.from_scalars(t, 2)
+    root2, root5 = math.sqrt(2), math.sqrt(5)
+    want = sorted([(1 - root5) / 2, (1 + root5) / 2, -root2, root2])
+    for report in (central_eigs_pencil(hidden.to_pencil(), seed=0),
+                   central_eigs_polymatrix(hidden, seed=0)):
+        assert report.uncertified == []
+        lams = [complex(a.lam).real for a in report.atoms]
+        assert np.allclose(lams, want, atol=1e-9, rtol=0)
+        assert [(a.rho, a.certified, a.exact) for a in report.atoms] == [(4, True, False)] * 4
+        factors = sorted((f["factor"], f["verdict"], f["irreducible"])
+                         for f in report.diagnostics["factors"])
+        assert factors == [("t^2 - 2", "nonfull", True), ("t^2 - t - 1", "nonfull", True)]
+        assert report.dimension == Fraction(21, 25)
+
+
 def test_shifted_zero_matrix_is_full():
-    assert ncrank(NcMatrix.zero(2, 2, 1), seed=0, shift=1.5).rho == 2
+    assert ncrank(NcMatrix.zero(2, 2, 1).shift(Fraction(3, 2)), seed=0).rho == 2
 
 
 def test_shift_needs_square_input():
     with pytest.raises(NonSquareError):
-        ncrank(NcMatrix.zero(2, 3, 1), seed=0, shift=1.5)
+        NcMatrix.zero(2, 3, 1).shift(Fraction(3, 2))
 
 
 def test_ncrank_requires_no_square_input():

@@ -25,6 +25,7 @@ from ncfield.scalars import (
     charpoly_zi,
     eval_zi,
     gcd_zi,
+    irreducible_zi,
     kernel_mod_p,
     lift_mod_p,
     matmul_mod_p,
@@ -33,7 +34,6 @@ from ncfield.scalars import (
     rank_mod_p,
     reconstruct,
     residues_mod_p,
-    snap_to_gaussian_rational,
     squarefree_zi,
 )
 
@@ -113,13 +113,6 @@ def test_complex_round_trip():
     value = GaussianRational(Fraction(3, 2), Fraction(-1, 3))
     z = complex(value)
     assert z == complex(1.5, -1 / 3)
-
-
-def test_snap_recovers_small_rationals():
-    assert snap_to_gaussian_rational(0.5 + 1e-9) == GaussianRational(Fraction(1, 2))
-    snapped = snap_to_gaussian_rational(complex(2 / 3, -1 / 4))
-    assert snapped == GaussianRational(Fraction(2, 3), Fraction(-1, 4))
-    assert snap_to_gaussian_rational(0.1234567, tol=1e-9) is None
 
 
 def _exact_rank(rows: list) -> int:
@@ -328,3 +321,28 @@ def test_gcd_and_squarefree_part_keep_each_common_root_once():
     assert len(sf) == 4
     assert all(eval_zi(sf, w) == (0, 0) for w in ((1, 0), (0, -1), (2, 3)))
     assert len(gcd_zi(f, _from_roots([(4, 4)]))) == 1  # coprime: a constant
+
+
+def test_irreducibility_agrees_with_sympy_over_the_gaussian_rationals():
+    import sympy  # the oracle only; ncfield does not depend on it
+
+    t = sympy.Symbol("t")
+    rng = random.Random(23)
+
+    def monic(k):
+        return [(1, 0)] + [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(k)]
+
+    cases = [monic(rng.randint(2, 5)) for _ in range(16)]
+    cases += [mul_zi(monic(1 + k % 2), monic(1 + k % 3)) for k in range(8)]
+    # t^2 + 1 and t^2 - 2t + 2 split over Q(i) though not over Q; t^2 + 2 does not
+    cases += [[(1, 0), (0, 0), (1, 0)], [(1, 0), (-2, 0), (2, 0)], [(1, 0), (0, 0), (2, 0)]]
+    verdicts = set()
+    for f in cases:
+        expr = sum((re + im * sympy.I) * t ** (len(f) - 1 - k) for k, (re, im) in enumerate(f))
+        factors = sympy.factor_list(expr, t, gaussian=True)[1]
+        irreducible = len(factors) == 1 and factors[0][1] == 1
+        assert irreducible_zi(f) == irreducible, f
+        verdicts.add(irreducible)
+    assert verdicts == {True, False}
+    # irreducible over Q(i) and split modulo every prime: never proved
+    assert not irreducible_zi([(1, 0), (0, 0), (-10, 0), (0, 0), (1, 0)])

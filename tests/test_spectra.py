@@ -26,10 +26,9 @@ from ncfield import (
     random_pencil,
     sample,
 )
-from ncfield.errors import InputError, NonSquareError
+from ncfield.errors import Inconclusive, InputError, MethodDisagreement, NonSquareError
 from ncfield.randmat import block_spectrum
 from ncfield.scalars import GaussianRational
-from ncfield.spectra import flatness_constants
 
 
 def _diag_x1_zero() -> NcMatrix:
@@ -129,6 +128,73 @@ def test_irrational_atoms_are_certified_at_numeric_shifts():
         assert (atom.rho, atom.mass) == (2, Fraction(1, 3))
         assert not atom.exact and atom.certified
     assert report.dimension == Fraction(7, 9)
+    # both roots are decided at once, by the exact verdict on P_f
+    [factor] = report.diagnostics["factors"]
+    assert (factor["factor"], factor["verdict"], factor["irreducible"]) == (
+        "t^2 - t - 1", "nonfull", True
+    )
+
+
+def test_irrational_atoms_behind_a_large_denominator_are_certified():
+    # (G / 10^8) (+) x1: P_f is built for scale*P = G and the factor in
+    # s = 10^8 t, s^2 - s - 1, so its Wong bases stay as short as for G
+    den = 10**8
+    c, z = (lambda x: NcPoly.const(Fraction(x, den), 1)), NcPoly.zero(1)
+    matrix = NcMatrix([[c(0), c(1), z], [c(1), c(1), z], [z, z, NcPoly.var(1, 1)]])
+    report = central_eigs_pencil(matrix.to_pencil(), seed=0)
+    assert report.uncertified == []
+    assert [(a.rho, a.certified) for a in report.atoms] == [(2, True)] * 2
+    root5 = math.sqrt(5)
+    assert abs(complex(report.atoms[1].lam) - (1 + root5) / (2 * den)) < 1e-9 / den
+    assert report.dimension == Fraction(7, 9)
+
+
+def test_companion_verdict_against_substitution_is_a_disagreement(monkeypatch):
+    # substitution made to read full at (1 +- sqrt 5)/2, where P_f is nonfull
+    spectra = importlib.import_module("ncfield.spectra")
+    monkeypatch.setattr(spectra, "_rho_of_shift", lambda matrix, *args: matrix.rows)
+    z, one, x1 = NcPoly.zero(1), NcPoly.const(1, 1), NcPoly.var(1, 1)
+    matrix = NcMatrix([[z, one, z], [one, one, z], [z, z, x1]])
+    with pytest.raises(MethodDisagreement, match="t\\^2 - t - 1"):
+        central_eigs_pencil(matrix.to_pencil(), seed=0)
+
+
+def test_exact_shift_needs_an_exact_verdict(monkeypatch):
+    # substitution alone reads rho 1 at the exact candidate 0; with the exact
+    # engine inconclusive there, the atom is not certified
+    def undecided(pencil, seed=0):
+        raise Inconclusive("no exact certificate of fullness or nonfullness")
+
+    monkeypatch.setattr(importlib.import_module("ncfield.ncrank"), "fullness_scaling", undecided)
+    report = central_eigs_pencil(_diag_x1_zero().to_pencil(), seed=0)
+    assert report.atoms == [] and report.dimension is None
+    assert report.uncertified == [{"lambda": [0.0, 0.0], "reason": "exact engine inconclusive"}]
+    with pytest.raises(Inconclusive, match="exact engine inconclusive"):
+        atom_masses(_diag_x1_zero(), [0], seed=0)
+
+
+def test_factor_not_proven_irreducible_leaves_its_roots_uncertified():
+    # C (+) x1 with det(t - C) = t^4 - 10 t^2 + 1, whose roots +-sqrt 2 +- sqrt 3
+    # each lower rho by one.  The factor is irreducible over Q(i) but splits
+    # modulo every prime, so no prime proves it, and a nonfull P_f alone
+    # cannot say which roots are atoms.
+    c, z = (lambda x: NcPoly.const(x, 1)), NcPoly.zero(1)
+    matrix = NcMatrix([
+        [c(0), c(0), c(0), c(-1), z],
+        [c(1), c(0), c(0), c(0), z],
+        [c(0), c(1), c(0), c(10), z],
+        [c(0), c(0), c(1), c(0), z],
+        [z, z, z, z, NcPoly.var(1, 1)],
+    ])
+    report = central_eigs_pencil(matrix.to_pencil(), seed=0)
+    assert report.atoms == [] and report.dimension is None
+    assert [u["reason"] for u in report.uncertified] == ["factor not proven irreducible"] * 4
+    [factor] = report.diagnostics["factors"]
+    assert (factor["factor"], factor["rho"], factor["verdict"], factor["irreducible"]) == (
+        "t^4 - 10*t^2 + 1", 4, "nonfull", False
+    )
+    with pytest.raises(Inconclusive):
+        entropy_dimension(matrix, seed=0)
 
 
 def test_jordan_constant_gives_one_atom():
@@ -477,30 +543,3 @@ def test_report_serialization_keeps_exact_masses():
     assert data["atoms"][0]["mass_float"] == 0.5
     assert data["entropy_dimension"] == "3/4"
     assert data["entropy_dimension_float"] == 0.75
-
-
-def test_flatness_constants_spanning_coefficients():
-    # with I, E12 and E21 the images of any unit vector span, so the
-    # quantum operator stays bounded below on the rank one probes
-    g = GaussianRational
-    zero2 = [[g(0), g(0)], [g(0), g(0)]]
-    pencil = LinearPencil(
-        [
-            zero2,
-            [[g(1), g(0)], [g(0), g(1)]],
-            [[g(0), g(1)], [g(0), g(0)]],
-            [[g(0), g(0)], [g(1), g(0)]],
-        ],
-        3,
-    )
-    out = flatness_constants(pencil)
-    assert out["flat"]
-    assert abs(out["c1"] - 0.5) < 1e-12
-    assert abs(out["c2"] - 1.5) < 1e-12
-
-
-def test_flatness_constants_detect_a_pinched_direction():
-    pencil = _diag_x1_zero().to_pencil()
-    out = flatness_constants(pencil)
-    assert not out["flat"]
-    assert out["c1"] <= 1e-12
