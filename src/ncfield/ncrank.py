@@ -618,12 +618,14 @@ def ncrank(
     sub = rank_by_substitution(matrix, dims=dims, trials=trials, seed=seed, policy=policy)
     cross: dict = {}
     try:
-        cert = _decide_exactly(matrix, seed, cross)
+        cert, border = _decide_exactly(matrix, seed)
     except Inconclusive as exc:
         cross["scaling"] = "inconclusive"
         cross["diagnostics"] = exc.diagnostics
         sub.cross = cross
         return sub
+    if border is not None:
+        cross["border"] = border
     if (cert.verdict == "full") != (sub.rho == n):
         raise MethodDisagreement(
             f"substitution says rho={sub.rho} of {n}, scaling says {cert.verdict}"
@@ -635,17 +637,19 @@ def ncrank(
     return sub
 
 
-def _decide_exactly(matrix: NcMatrix, seed: int, cross: dict) -> FullnessCertificate:
-    """The exact fullness verdict on a matrix: ``fullness_scaling`` on its pencil.
+def _decide_exactly(
+    matrix: NcMatrix, seed: int
+) -> Tuple[FullnessCertificate, Optional[int]]:
+    """The exact fullness verdict on a square matrix, and its border size.
 
-    The matrix is padded square and read as a pencil, or linearized when its
-    degree exceeds one (the border size goes to ``cross["border"]``), and an
-    affine pencil is homogenized.  Inconclusive passes through.
+    The matrix is read as a pencil (border None), or linearized when its
+    degree exceeds one, and an affine pencil is homogenized before
+    ``fullness_scaling`` decides it.  Inconclusive passes through.
     """
-    matrix = matrix.pad_to_square()
+    border = None
     if matrix.degree <= 1:
         pencil = matrix.to_pencil()
     else:
-        pencil, cross["border"] = linearize_matrix(matrix)
+        pencil, border = linearize_matrix(matrix)
     target = pencil if pencil.is_homogeneous() else homogenize(pencil)
-    return fullness_scaling(target, seed=seed)
+    return fullness_scaling(target, seed=seed), border

@@ -71,6 +71,8 @@ CANDIDATE_POINTS = 3
 POINT_BOUND = 8
 # Subsets of one substitution rank's numeric roots tried per factor size.
 FACTOR_SUBSETS = 1024
+# Bits beyond the binary point to which a product of refined roots is known.
+ROOT_GUARD_BITS = 64
 
 
 @dataclass
@@ -294,8 +296,8 @@ def _monic(g, scale: int) -> List[GaussianRational]:
     ]
 
 
-def _roots(g, scale: int) -> list:
-    """The roots t = s/scale of g, exact where they lie in Q(i), by (re, im).
+def _roots(g, scale: int):
+    """The roots t = s/scale of g by (re, im), and the cofactor of the exact ones.
 
     Every root s of g is an eigenvalue of the Gaussian-integer matrix
     scale*P(0), hence an algebraic integer.  So a root t in Q(i) has s in
@@ -315,7 +317,7 @@ def _roots(g, scale: int) -> list:
         zs = _float_roots(g, scale)
     out = [GaussianRational(Fraction(re, scale), Fraction(im, scale)) for re, im in exact]
     out.extend(complex(z) for z in zs)
-    return sorted(out, key=lambda lam: (complex(lam).real, complex(lam).imag))
+    return sorted(out, key=lambda lam: (complex(lam).real, complex(lam).imag)), g
 
 
 def _float_roots(g, scale: int) -> np.ndarray:
@@ -348,10 +350,11 @@ def _certify_candidates(report, matrix, seed, policy):
     """Certify every root of the candidate polynomial g on the shifted matrix.
 
     Exact roots are decided one by one; numeric roots are grouped by their
-    substitution rank and decided through exact factors of g.
+    substitution rank and decided through exact factors of the cofactor of
+    the exact ones.
     """
     g, scale, points, blocks = _candidate_polynomial(matrix, seed)
-    candidates = _roots(g, scale)
+    candidates, cofactor = _roots(g, scale)
     report.diagnostics.update(
         {
             "candidate_polynomial": _poly_text(_monic(g, scale)),
@@ -375,7 +378,7 @@ def _certify_candidates(report, matrix, seed, policy):
         else:
             numeric.setdefault(rho, []).append(lam)
     for rho, roots in sorted(numeric.items()):
-        _certify_factors(report, matrix, g, scale, rho, roots, seed)
+        _certify_factors(report, matrix, cofactor, scale, rho, roots, seed)
     report.atoms.sort(key=lambda a: (complex(a.lam).real, complex(a.lam).imag))
 
 
@@ -384,31 +387,35 @@ def _uncertify(report, lam, reason: str):
     report.uncertified.append({"lambda": [z.real, z.imag], "reason": reason})
 
 
-def _certify_factors(report, matrix, g, scale: int, rho: int, roots: list, seed: int):
-    """Decide numeric roots of one substitution rank through exact factors of g.
+def _certify_factors(report, matrix, h, scale: int, rho: int, roots: list, seed: int):
+    """Decide numeric roots of one substitution rank through exact factors of h.
 
-    Each monic factor f (``_exact_factors``) gets the companion blow-up P_f,
-    whose inner rank is the sum of rho(P - mu) over the roots mu of f, and
-    the exact route of ``ncrank`` decides it.  P_f is built in the variable
-    s, as (scale*P)_f for the Gaussian-integer f(s), which has the same
-    verdict and keeps the coefficients as small as those of scale*P, so
-    that the lifted Wong bases stay short.  A full P_f proves that no
-    root is an atom.  A nonfull one proves every root an atom, with the
-    substitution rank, once ``irreducible_zi`` proves f irreducible, since
-    Galois conjugates share rho; otherwise its roots stay uncertified.  A
-    verdict against the substitution rank raises MethodDisagreement.  Each
-    factor is listed in ``diagnostics["factors"]``.
+    h is g with its exact roots divided out.  Each monic factor f
+    (``_exact_factors``) gets the companion blow-up P_f, whose inner rank is
+    the sum of rho(P - mu) over the roots mu of f, and the exact route of
+    ``ncrank`` decides it, in u = s/nu for the nu among 1, the content of
+    scale*P(0) and scale that puts the roots of f nearest unit size: this
+    balances the companion coordinates, so the lifted Wong bases stay
+    short.  A full P_f proves that no root is an atom; a nonfull one proves
+    every root an atom once ``irreducible_zi`` proves f irreducible, since
+    Galois conjugates share rho, and otherwise its roots stay uncertified.
+    A verdict against the substitution rank raises MethodDisagreement.
     """
     n = matrix.rows
-    factors, left = _exact_factors(g, scale, roots)
+    value = matrix.scaled_value([(0, 0)] * (2 * matrix.n_vars + 1), scale)
+    content = math.gcd(*(part for row in value for z in row for part in z))
+    units = {1, scale, content} - {0}
+    factors, left = _exact_factors(h, scale, roots)
     for f, members in factors:
         text = _poly_text(_monic(f, scale))
         entry = {"factor": text, "rho": rho, "irreducible": irreducible_zi(f)}
         report.diagnostics["factors"].append(entry)
         factor_seed = seed + 200 + 11 * len(report.diagnostics["factors"])
-        companion = (matrix * scale).companion([GaussianRational(*c) for c in f])
+        size = scale * max(abs(complex(mu)) for mu in members)
+        nu = min(sorted(units), key=lambda v: abs(math.log(size / v)))
+        companion = (matrix * Fraction(scale, nu)).companion(_monic(f, nu))
         try:
-            cert = _decide_exactly(companion, factor_seed, {})
+            cert, _ = _decide_exactly(companion, factor_seed)
         except Inconclusive:
             entry.update(verdict="inconclusive", detail="")
             for mu in members:
@@ -431,31 +438,69 @@ def _certify_factors(report, matrix, g, scale: int, rho: int, roots: list, seed:
         _uncertify(report, mu, "no exact factor")
 
 
-def _exact_factors(g, scale: int, roots: list):
-    """Cut numeric roots t into monic factors of g in s = scale*t, smallest first.
+def _exact_factors(h, scale: int, roots: list):
+    """Cut numeric roots t into monic factors of h in s = scale*t, smallest first.
 
-    Returns ([(f, its roots)], the roots left over).  The roots s of g are
-    algebraic integers, so a monic factor of g has Gaussian-integer
-    coefficients: the product of s - scale*mu over a subset is rounded to
-    them and kept only when it divides g exactly.  Subsets are tried by
-    size; a size with more than FACTOR_SUBSETS subsets is skipped, which
-    bounds the work and still tries the whole remaining set.
+    Returns ([(f, its roots)], the roots left over).  The product of
+    s - scale*mu over a subset, from the refined roots (``_refined_roots``),
+    is kept when it lies within 2^-(ROOT_GUARD_BITS/2) of its rounding f to
+    Z[i], so that f has the subset's roots, and f divides h.  A size with more than
+    FACTOR_SUBSETS subsets is skipped, which bounds the work.
     """
-    found, left, size = [], list(roots), 1
+    found, size = [], 1
+    left, bits = _refined_roots(h, scale, roots)
     while size <= len(left):
         subsets = ()
         if math.comb(len(left), size) <= FACTOR_SUBSETS:
-            subsets = itertools.combinations(range(len(left)), size)
+            subsets = itertools.combinations(left, size)
         for subset in subsets:
-            product = np.poly([left[i] * scale for i in subset])
-            f = [(round(c.real), round(c.imag)) for c in product]
-            if not pseudo_divmod_zi(g, f)[1]:
-                found.append((f, [left[i] for i in subset]))
-                left = [mu for i, mu in enumerate(left) if i not in subset]
+            product, shift = [(1, 0)], bits * size
+            for (re, im), _ in subset:
+                product = mul_zi(product, [(1 << bits, 0), (-re, -im)])
+            f = [((re + (1 << shift - 1)) >> shift, (im + (1 << shift - 1)) >> shift)
+                 for re, im in product]
+            error = max(abs(x - (y << shift)) for c, r in zip(product, f) for x, y in zip(c, r))
+            if error >> (shift - ROOT_GUARD_BITS // 2):
+                continue
+            quotient, rest = pseudo_divmod_zi(h, f)
+            if not rest:
+                h = quotient
+                found.append((f, [mu for _, mu in subset]))
+                left = [root for root in left if root not in subset]
                 break
         else:
             size += 1
-    return found, left
+    return found, [mu for _, mu in left]
+
+
+def _refined_roots(h, scale: int, roots: list):
+    """[(w, mu)] with w within about one unit of 2^bits * scale*mu, and bits.
+
+    Newton steps on 2^(bits*deg) h(w / 2^bits), each rounded to Z[i], run
+    from the float roots.  2^k times the product of (1 + |s|) over the k
+    roots bounds the error of a product of s - w/2^bits in units of
+    2^-bits, and bits exceeds its bits by ROOT_GUARD_BITS.
+    """
+    zs = [complex(mu) * scale for mu in roots]
+    bits = ROOT_GUARD_BITS + len(zs) + sum(math.ceil(math.log2(1 + abs(z))) for z in zs)
+    deg = len(h) - 1
+    scaled = [(re << bits * k, im << bits * k) for k, (re, im) in enumerate(h)]
+    slope = [((deg - k) * re, (deg - k) * im) for k, (re, im) in enumerate(scaled[:-1])]
+    out = []
+    for mu, z in zip(roots, zs):
+        w = (round(z.real * 2**32) << bits - 32, round(z.imag * 2**32) << bits - 32)
+        for _ in range(2 * bits.bit_length() + 8):
+            (a, b), (c, d) = eval_zi(scaled, w), eval_zi(slope, w)
+            norm = c * c + d * d
+            if norm == 0:
+                break
+            step = ((2 * (a * c + b * d) + norm) // (2 * norm),
+                    (2 * (b * c - a * d) + norm) // (2 * norm))
+            if max(map(abs, step)) <= 1:
+                break
+            w = (w[0] - step[0], w[1] - step[1])
+        out.append((w, mu))
+    return out, bits
 
 
 def _finalize(report: SpectrumReport):

@@ -149,6 +149,71 @@ def test_irrational_atoms_behind_a_large_denominator_are_certified():
     assert report.dimension == Fraction(7, 9)
 
 
+def _golden_beside(diagonal, times=1) -> NcMatrix:
+    """times*[[0, 1], [1, 1]] (+) diag(diagonal), in one letter."""
+    one, z = NcPoly.const(times, 1), NcPoly.zero(1)
+    n = 2 + len(diagonal)
+    rows = [[z] * n for _ in range(n)]
+    rows[0][1] = rows[1][0] = rows[1][1] = one
+    for k, entry in enumerate(diagonal):
+        rows[2 + k][2 + k] = entry
+    return NcMatrix(rows)
+
+
+@pytest.mark.parametrize("exact", [-1, 2, Fraction(1, 10**9)])
+def test_golden_roots_beside_an_exact_root_are_certified(exact):
+    # g = (t^2 - t - 1)(t - exact): the golden roots are cut into factors of
+    # g with the exact root divided out, and -0.618 (or 1.618) may not round
+    # onto t + 1 (or t - 2)
+    matrix = _golden_beside([NcPoly.const(exact, 1), NcPoly.var(1, 1)])
+    report = central_eigs_pencil(matrix.to_pencil(), seed=0)
+    assert report.uncertified == []
+    assert [(a.rho, a.certified) for a in report.atoms] == [(3, True)] * 3
+    assert [a.lam for a in report.atoms if a.exact] == [GaussianRational.coerce(exact)]
+    root5 = math.sqrt(5)
+    golden = sorted(complex(a.lam).real for a in report.atoms if not a.exact)
+    assert np.allclose(golden, [(1 - root5) / 2, (1 + root5) / 2], rtol=0, atol=1e-12)
+    assert [f["factor"] for f in report.diagnostics["factors"]] == ["t^2 - t - 1"]
+    assert report.dimension == Fraction(13, 16)
+
+
+@pytest.mark.parametrize(
+    "times, letter", [(1, Fraction(1, 10**8)), (1, Fraction(1, 10**9)), (10**9, 1)]
+)
+def test_golden_roots_at_mixed_scales_are_certified(times, letter):
+    # times*G (+) letter*x1: the factor of g in s = scale*t is
+    # s^2 - c s - c^2 with c = 10^8 or 10^9, whose constant term exceeds
+    # 2^53, so only refined roots round to it; P_f is decided in t for
+    # x1/10^8 and x1/10^9, and in t/10^9 for 10^9 G, where the roots have
+    # unit size
+    x1 = NcPoly.var(1, 1) * NcPoly.const(letter, 1)
+    report = central_eigs_pencil(_golden_beside([x1], times).to_pencil(), seed=0)
+    assert report.uncertified == []
+    assert [(a.rho, a.certified, a.exact) for a in report.atoms] == [(2, True, False)] * 2
+    root5 = math.sqrt(5)
+    lams = [complex(a.lam).real / times for a in report.atoms]
+    assert np.allclose(lams, [(1 - root5) / 2, (1 + root5) / 2], rtol=0, atol=1e-12)
+    [factor] = report.diagnostics["factors"]
+    assert factor["verdict"] == "nonfull" and factor["irreducible"]
+    assert report.dimension == Fraction(7, 9)
+
+
+def test_numeric_roots_are_cut_into_the_factors_they_are_roots_of():
+    # h = (s^2 - 4s - 3)(s^2 - s - 1), roots -0.646, -0.618, 1.618, 4.646:
+    # the first pair tried, {-0.646, 1.618}, has the product
+    # s^2 - 0.972 s - 1.045, whose rounding s^2 - s - 1 divides h
+    spectra = importlib.import_module("ncfield.spectra")
+    h = [(1, 0), (-5, 0), (0, 0), (7, 0), (3, 0)]
+    roots = sorted(np.roots([1, -5, 0, 7, 3]), key=lambda z: (z.real, z.imag))
+    factors, left = spectra._exact_factors(h, 1, roots)
+    assert left == []
+    for f, members in factors:
+        coeffs = [complex(*c) for c in f]
+        assert len(members) == 2
+        assert all(abs(np.polyval(coeffs, mu)) < 1e-9 for mu in members)
+    assert sorted(f for f, _ in factors) == [[(1, 0), (-4, 0), (-3, 0)], [(1, 0), (-1, 0), (-1, 0)]]
+
+
 def test_companion_verdict_against_substitution_is_a_disagreement(monkeypatch):
     # substitution made to read full at (1 +- sqrt 5)/2, where P_f is nonfull
     spectra = importlib.import_module("ncfield.spectra")
