@@ -29,7 +29,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -225,14 +225,15 @@ def _parse_dims(text: str) -> Tuple[int, ...]:
     return dims
 
 
-def _load_matrix_input(args) -> Tuple[NcMatrix, dict]:
+def _load_matrix_input(args) -> Tuple[Union[NcMatrix, LinearPencil], dict]:
+    """The --pencil file as a pencil, or the --expr string as a 1 x 1 matrix."""
     pencil_path = getattr(args, "pencil", None)
     expr_text = getattr(args, "expr", None)
     if (pencil_path is None) == (expr_text is None):
         raise InputError("give exactly one of --pencil FILE or --expr STRING")
     if pencil_path is not None:
         pencil = pencil_from_json(load_json(pencil_path))
-        return pencil.to_matrix(), {"pencil": pencil_path}
+        return pencil, {"pencil": pencil_path}
     poly = poly_from_string(expr_text)
     return NcMatrix([[poly]], max(poly.n_vars, 1)), {"expr": expr_text}
 
@@ -303,6 +304,8 @@ def cmd_rank(args) -> int:
 
 def cmd_atoms(args) -> int:
     matrix, label = _load_matrix_input(args)
+    if isinstance(matrix, LinearPencil):
+        matrix = matrix.to_matrix()
     if not matrix.is_square():
         raise InputError("atoms need a square input")
     spectrum = _spectrum(

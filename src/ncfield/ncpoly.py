@@ -15,6 +15,8 @@ a doubled pencil as a plain one in 2n letters.  Evaluation substitutes
 concrete matrices for the letters, sends scalars to multiples of the
 identity, and returns a complex numpy block matrix; every ``evaluate``
 calls the one kernel ``evaluate_form`` on a float form (``float_form``).
+A pencil reads its float form off its slots, the one of its matrix bit for
+bit, so a pencil need not become a matrix to be evaluated or ranked.
 """
 
 from __future__ import annotations
@@ -680,8 +682,8 @@ class NcMatrix:
 
 def _balance_exponent(scalars) -> int:
     """e_i of ``NcMatrix.float_form`` for these scalars; bit lengths give it within one."""
-    parts = (part for c in scalars for part in (c.re, c.im) if part)
-    top = max((x.numerator.bit_length() - x.denominator.bit_length() for x in parts), default=0)
+    top = max((x.numerator.bit_length() - x.denominator.bit_length()
+               for c in scalars for x in (c.re, c.im) if x), default=0)
     return -top if abs(top) > ROW_EXPONENT_SLACK else 0
 
 
@@ -861,9 +863,58 @@ class LinearPencil:
             out.append(block)
         return LinearPencil(out, self.n_vars, self.star_letters)
 
+    def narrow_alphabet(self) -> "LinearPencil":
+        """Reissue over the plain alphabet when every starred coefficient is zero."""
+        n = self.n_vars
+        if self.star_letters and not any(x for a in self.coeffs[n + 1 :] for row in a for x in row):
+            return LinearPencil(self.coeffs[: n + 1], n)
+        return self
+
+    def pad_to_square(self) -> "LinearPencil":
+        """Pad with zero rows or columns; inner rank is unchanged."""
+        if self.rows == self.cols:
+            return self
+        size = max(self.rows, self.cols)
+        pad = [GaussianRational(0)] * (size - self.cols)
+        coeffs = [[list(row) + pad for row in a] + zero_matrix(size - self.rows, size) for a in self.coeffs]
+        return LinearPencil(coeffs, self.n_vars, self.star_letters)
+
+    def shift(self, lam: Scalarish) -> "LinearPencil":
+        """A0 - lam * I, the pencil of ``to_matrix().shift(lam)``."""
+        if not self.is_square():
+            raise NonSquareError("shift needs a square matrix")
+        lam = GaussianRational.coerce(lam)
+        a0 = [list(row) for row in self.coeffs[0]]
+        for i in range(self.rows):
+            a0[i][i] = a0[i][i] - lam
+        return LinearPencil([a0, *self.coeffs[1:]], self.n_vars, self.star_letters)
+
+    def float_form(self, balance_rows: bool = False) -> Tuple[Tuple[Word, ...], np.ndarray]:
+        """``to_matrix().float_form(balance_rows)``, bit for bit, read off the slots.
+
+        The words are the empty word when A0 is nonzero, then the letter of
+        each nonzero slot in slot order; each coefficient is scaled and
+        converted as ``NcMatrix.float_form`` does.
+        """
+        terms = [(k, i, j, x) for k, a in enumerate(self.coeffs)
+                 for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        slots = sorted({k for k, *_ in terms})
+        exponents = [0] * self.rows
+        if balance_rows:
+            by_row: List[list] = [[] for _ in range(self.rows)]
+            for _, i, _, x in terms:
+                by_row[i].append(x)
+            exponents = [_balance_exponent(xs) for xs in by_row]
+        position = {k: p for p, k in enumerate(slots)}
+        coeffs = np.zeros((len(slots), self.rows, self.cols), dtype=complex)
+        for k, i, j, x in terms:
+            e = exponents[i]
+            coeffs[position[k], i, j] = complex(x * Fraction(2) ** e if e else x)
+        return tuple((self.letter(k),) if k else EMPTY_WORD for k in slots), coeffs
+
     def evaluate(self, model) -> np.ndarray:
-        """Value at a matrix tuple, by the kernel of ``NcMatrix.evaluate``."""
-        return self.to_matrix().evaluate(model)
+        """Value at a matrix tuple, by the kernel ``evaluate_form`` on ``float_form``."""
+        return evaluate_form(*self.float_form(), [model])[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearPencil):

@@ -8,25 +8,27 @@ matrices use GUE tuples; matrices with adjoint letters use Ginibre tuples,
 whose limits generate the same free field in the doubled letters.
 
 The fullness engine decides whether a homogeneous square pencil over Q(i)
-is full, by exact certificates only.  The coefficients are reduced mod p
-once, every step reads those residues, and no floating point runs.  A
-blow-up A1 (x) X1 + ... of full rank mod p proves fullness; it is read at
-d = 1 first, and at d = 2, 4, ..., N - 1 last.  In between, a hollow zero
-pattern, then the exact second Wong sequence on the tuple and on its
-transpose, prove nonfullness by a pair (U, V) with U^T Ai V = 0, checked
-exactly before the verdict is issued.  When none decides, the result is
-Inconclusive.  An exact certificate carries its data, the pair or the
-(d, seed, prime) of the blow-up, and ``verify_certificate`` re-checks it.
+is full, by exact certificates only.  The coefficients are read once, into
+Gaussian integers, every step reads those or their residues mod p, and no
+floating point runs.  A blow-up A1 (x) X1 + ... of full rank mod p proves
+fullness; it is read at d = 1 first, and at d = 2, 4, ..., N - 1 last.  In
+between, a hollow zero pattern, then the exact second Wong sequence on the
+tuple and on its transpose, prove nonfullness by a pair (U, V) with
+U^T Ai V = 0, checked exactly before the verdict is issued.  When none
+decides, the result is Inconclusive.  An exact certificate carries its
+data, the pair or the (d, seed, prime) of the blow-up, and
+``verify_certificate`` re-checks it.
 An exact shift P - lambda goes through ``NcMatrix.shift``, and an
 algebraic one through the companion blow-up ``NcMatrix.companion``, whose
 coefficients stay in Q(i); so every verdict is an exact one.
 
-Affine pencils are homogenized first; matrices of higher degree are rewritten
-as enlarged pencils with a known rank offset.  Adjoint letters need no second
-path: x1..xn, x1*..xn* generate the free field on 2n letters, so a pencil over
-the doubled alphabet is decided as a pencil in 2n plain letters, with xi* as
-letter n + i.  The two engines cross-check each other and disagreement is a
-hard error.
+Both engines take a pencil as it is, so ``ncrank`` on a pencil builds no
+matrix; affine pencils are homogenized first, and matrices of higher degree
+are rewritten as enlarged pencils with a known rank offset.  Adjoint letters
+need no second path: x1..xn, x1*..xn* generate the free field on 2n
+letters, so a pencil over the doubled alphabet is decided as a pencil in 2n
+plain letters, with xi* as letter n + i.  The two engines cross-check each
+other and disagreement is a hard error.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,9 +50,9 @@ from .errors import (
     NonSquareError,
     ZeroPencilError,
 )
-from .ncpoly import LinearPencil, NcMatrix, NcPoly, _zero_block, evaluate_form, zero_matrix
+from .ncpoly import LinearPencil, NcMatrix, _zero_block, evaluate_form, letter_slot, zero_matrix
 from .ncpoly import _balance_exponent
-from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_rank, sample
+from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_rank, empirical_ranks, sample
 from .scalars import (
     _IOTA,
     _P,
@@ -109,8 +111,11 @@ class RankResult:
         }
 
 
+Source = Union[NcMatrix, LinearPencil]
+
+
 def rank_by_substitution(
-    matrix: NcMatrix,
+    matrix: Source,
     dims: Optional[Sequence[int]] = None,
     trials: int = 2,
     seed: int = 0,
@@ -118,15 +123,18 @@ def rank_by_substitution(
     policy: TolerancePolicy = DEFAULT_POLICY,
     shift: complex = 0,
 ) -> RankResult:
-    """Inner rank via random matrix substitution.
+    """Inner rank via random matrix substitution, of a matrix or a pencil.
 
     Every (dimension, trial) pair gets its own derived seed; the trials at
-    one dimension are evaluated as one stack of the matrix's float form,
-    built once.  All estimates must agree on round(rank/d) and pass the
-    singular value gap test.  At shift 0 each row is first scaled by an
-    exact power of two (``NcMatrix.float_form``), so exact coefficients
-    outside the float range still reach the SVD; a row whose own entries
-    differ by more than the float range is out of reach and may underflow.
+    one dimension are evaluated as one stack of the input's float form,
+    built once, and their ranks are read from one stacked SVD
+    (``empirical_ranks``).  A pencil's float form is its matrix's, bit for
+    bit, so both give the same estimates.  All estimates must agree on
+    round(rank/d) and pass the singular value gap test.  At shift 0 each
+    row is first scaled by an exact power of two (``float_form``), so exact
+    coefficients outside the float range still reach the SVD; a row whose
+    own entries differ by more than the float range is out of reach and
+    may underflow.
     """
     if dims is None:
         base = max(matrix.rows, matrix.cols) + 1
@@ -142,8 +150,8 @@ def rank_by_substitution(
     for k, d in enumerate(dims):
         seeds = range(seed + k * trials, seed + (k + 1) * trials)
         models = [sample(kind, d, matrix.n_vars, s) for s in seeds]
-        for t, (s, value) in enumerate(zip(seeds, evaluate_form(words, coeffs, models, shift))):
-            report = empirical_rank(value, policy)
+        reports = empirical_ranks(evaluate_form(words, coeffs, models, shift), policy)
+        for t, (s, report) in enumerate(zip(seeds, reports)):
             ratio = report.rank / d
             estimates.append(
                 {"d": d, "trial": t, "seed": s, "rank": report.rank, "rank_over_d": ratio,
@@ -214,20 +222,22 @@ def fullness_scaling(pencil: LinearPencil, seed: int = 0) -> FullnessCertificate
     N - 1, then at N - 1 (at 2 when N <= 2), stopping at the first full
     reading, so a nonfull pencil never builds a large one.  ``detail`` names
     the step that decided.
-    Every step reads one reduction of the coefficients mod p.  When nothing
-    decides, or p divides a denominator, the result is Inconclusive.  The
-    certificate carries its exact data, the pair (U, V) of a nonfull verdict
-    or the (d, seed, prime) of a full one, which ``verify_certificate``
-    re-checks; ``witness`` derives a float B from the pair on first read.  A
-    doubled pencil is read over its 2n plain letters.
+    The exact coefficients are read once, into Gaussian integers D Ai
+    (``_integer_parts``), and every step reads those or their residues mod
+    p.  When nothing decides, or p divides a denominator, the result is
+    Inconclusive.  The certificate carries its exact data, the pair (U, V)
+    of a nonfull verdict or the (d, seed, prime) of a full one, which
+    ``verify_certificate`` re-checks; ``witness`` derives a float B from
+    the pair on first read.  A doubled pencil is read over its 2n plain
+    letters.
     """
     coeffs = _exact_tuple(pencil)
     n = len(coeffs[0])
-    forms = _residue_forms(coeffs)
+    ints = _integer_parts(coeffs)
+    forms = _residue_forms(ints)
     if _confirm_full_exact(forms[0], seed, d=1):
         return _full_by_blowup(n, 1, seed)
-    ints = _integer_parts(coeffs)
-    block = _zero_block((ints[0] != 0).any(axis=(0, 1)).tolist())
+    block = _zero_block((ints.parts != 0).any(axis=(0, 1)).tolist())
     if block is not None:
         pair = tuple(_coordinate_basis(n, index) for index in block)
         return FullnessCertificate("nonfull", "hollow", n, detail="zero pattern", pair=pair)
@@ -283,18 +293,21 @@ def _coordinate_basis(n: int, index) -> list:
     return [[GaussianRational(int(i == j)) for j in index] for i in range(n)]
 
 
-def _residue_forms(coeffs) -> List[List[np.ndarray]]:
-    """The Ai mod p at i = iota, then at i = -iota unless the tuple is real.
+def _residue_forms(ints: IntegerParts) -> List[np.ndarray]:
+    """The D Ai mod p at i = iota, then at i = -iota unless the tuple is real.
 
-    Inconclusive when p divides a denominator, where reduction is undefined.
+    Each form is one m x N x N array.  D is a unit mod p, so D Ai has the
+    ranks and the canonical kernel bases of Ai mod p.  Inconclusive when p
+    divides a denominator, where reduction is undefined; that is exactly
+    when p divides their lcm D.
     """
-    plus = [residues_mod_p(a) for a in coeffs]
-    if any(r is None for r in plus):
-        raise Inconclusive("p divides a denominator", {"size": len(coeffs[0]), "prime": _P})
-    if not any(x.im for a in coeffs for row in a for x in row):
-        return [plus]
-    ims = [residues_mod_p([[x.im for x in row] for row in a]) for a in coeffs]
-    return [plus, [(r - 2 * _IOTA % _P * s) % _P for r, s in zip(plus, ims)]]
+    if ints.denominator % _P == 0:
+        raise Inconclusive("p divides a denominator", {"size": ints.parts.shape[-1], "prime": _P})
+    re, im = _mod(ints.parts, _P)
+    if not im.any():
+        return [re]
+    # each product of residues is below 2^62, so adding one residue fits int64
+    return [(re + _IOTA * im) % _P, (re + (_P - _IOTA) * im) % _P]
 
 
 def _float_coeffs(coeffs) -> List[np.ndarray]:
@@ -361,10 +374,13 @@ def _confirm_full_exact(residues, seed: int, d: int) -> bool:
     return rank_mod_p(_blowup_mod_p(residues, subs)) == n * d
 
 
-def _blowup_draws(seed: int, d: int, count: int) -> List[np.ndarray]:
-    """The d x d residue matrices X1..X(count) that ``seed`` draws for the blow-up."""
+def _blowup_draws(seed: int, d: int, count: int) -> np.ndarray:
+    """The d x d residue matrices X1..X(count) that ``seed`` draws for the blow-up.
+
+    One draw of shape (count, d, d) is the stream of count (d, d) draws.
+    """
     rng = np.random.default_rng(((seed << 8) ^ 0x5CA1E) % 2**64)
-    return [rng.integers(0, _P, size=(d, d)) for _ in range(count)]
+    return rng.integers(0, _P, size=(count, d, d))
 
 
 def _blowup_mod_p(residues, subs) -> np.ndarray:
@@ -427,7 +443,7 @@ def _exact_hollow_block(forms, ints, seed, transpose=False):
     residues and the pair comes back swapped, so it is a block of the Ai.
     """
     if transpose:
-        forms = [[r.T for r in form] for form in forms]
+        forms = [form.swapaxes(1, 2) for form in forms]
     rng = random.Random(seed)
     for _ in range(2):
         weights = [rng.randrange(_P) for _ in forms[0]]
@@ -487,12 +503,12 @@ def _holds_exactly(ints, u, v) -> bool:
     n, k, l = len(u), len(u[0]), len(v[0])
     if min(k, l) == 0 or k + l <= n:
         return False
-    uu, vv = _gaussian_integers(u), _gaussian_integers(v)
+    uu, vv = _gaussian_integers(u)[0], _gaussian_integers(v)[0]
     for basis in (uu, vv):
         re, im = _mod(basis, _P)
         if rank_mod_p((re + _IOTA * im) % _P) != basis.shape[2]:
             return False
-    parts, height = ints
+    parts, height = ints.parts, ints.height
     if k > l:  # V^T Ai^T U = 0 says the same
         uu, vv, parts, k = vv, uu, parts.swapaxes(2, 3), l
     for q in moduli_above(8 * n * n * height * _height(uu) * _height(vv)):
@@ -512,22 +528,35 @@ def _real_form(re, im, q: int) -> np.ndarray:
     )
 
 
-def _integer_parts(coeffs):
-    """The Ai times one common integer, parts first (shape 2 x m x N x N), and their height."""
+class IntegerParts(NamedTuple):
+    """A1..Am times the lcm D of their denominators, read once.
+
+    ``parts`` is an object array of Python ints, real parts first (shape
+    2 x m x N x N), ``height`` its largest absolute value and
+    ``denominator`` the lcm D.
+    """
+
+    parts: np.ndarray
+    height: int
+    denominator: int
+
+
+def _integer_parts(coeffs) -> IntegerParts:
     n = len(coeffs[0])
-    parts = _gaussian_integers([row for a in coeffs for row in a])
-    return parts.reshape(2, len(coeffs), n, n), _height(parts)
+    parts, den = _gaussian_integers([row for a in coeffs for row in a])
+    return IntegerParts(parts.reshape(2, len(coeffs), n, n), _height(parts), den)
 
 
 def _gaussian_integers(rows):
     """Real and imaginary parts of a Q(i) matrix times the lcm of its denominators.
 
-    An object array of Python ints, real parts first: shape 2 x rows x cols.
+    An object array of Python ints, real parts first (shape 2 x rows x
+    cols), and the lcm.
     """
     parts = [x.re for row in rows for x in row] + [x.im for row in rows for x in row]
     scale = math.lcm(*{f.denominator for f in parts})
     ints = [f.numerator * (scale // f.denominator) for f in parts]
-    return np.array(ints, dtype=object).reshape(2, len(rows), len(rows[0]))
+    return np.array(ints, dtype=object).reshape(2, len(rows), len(rows[0])), scale
 
 
 def _height(parts) -> int:
@@ -553,63 +582,49 @@ def linearize_matrix(matrix: NcMatrix) -> Tuple[LinearPencil, int]:
     so rank(pencil) = rank(matrix) + border size.  Adjoint letters stay
     letters, so a matrix with any gives a pencil over the doubled alphabet.
     """
-    n_vars = matrix.n_vars
-    n = matrix.rows
-    m = matrix.cols
-    border = 0
-    pieces = []  # (i, j, coeff, word) with len(word) >= 2
-    low = [[NcPoly.zero(n_vars) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            for word, coeff in matrix.entries[i][j].terms():
-                if len(word) <= 1:
-                    low[i][j] = low[i][j] + NcPoly.monomial(word, coeff, n_vars)
-                else:
-                    pieces.append((i, j, coeff, word))
-                    border += len(word) - 1
-    size_r = n + border
-    size_c = m + border
-    grid = [[NcPoly.zero(n_vars) for _ in range(size_c)] for _ in range(size_r)]
-    for i in range(n):
-        for j in range(m):
-            grid[i][j] = low[i][j]
-    offset = 0
-    for i, j, coeff, word in pieces:
+    n_vars, n, m = matrix.n_vars, matrix.rows, matrix.cols
+    terms = [(i, j, word, coeff) for i, row in enumerate(matrix.entries)
+             for j, p in enumerate(row) for word, coeff in p.terms()]
+    border = sum(max(len(word) - 1, 0) for _, _, word, _ in terms)
+    star = matrix.has_star()
+    coeffs = [zero_matrix(n + border, m + border) for _ in range(1 + (2 if star else 1) * n_vars)]
+    one, t = GaussianRational(1), 0
+    for i, j, word, coeff in terms:
         g = len(word)
-        t = offset
-        grid[i][m + t] = NcPoly.monomial((word[0],), coeff, n_vars)
+        if g <= 1:
+            coeffs[letter_slot(word[0], n_vars) if word else 0][i][j] = coeff
+            continue
+        coeffs[letter_slot(word[0], n_vars)][i][m + t] = coeff
         for step in range(g - 1):
-            grid[n + t + step][m + t + step] = NcPoly.const(-1, n_vars)
+            coeffs[0][n + t + step][m + t + step] = -one
             if step + 1 < g - 1:
-                grid[n + t + step][m + t + step + 1] = NcPoly.monomial(
-                    (word[step + 1],), GaussianRational(1), n_vars
-                )
-        grid[n + t + g - 2][j] = NcPoly.monomial(
-            (word[g - 1],), GaussianRational(1), n_vars
-        )
-        offset += g - 1
-    return NcMatrix(grid, n_vars).to_pencil(), border
+                coeffs[letter_slot(word[step + 1], n_vars)][n + t + step][m + t + step + 1] = one
+        coeffs[letter_slot(word[g - 1], n_vars)][n + t + g - 2][j] = one
+        t += g - 1
+    return LinearPencil(coeffs, n_vars, star_letters=star), border
 
 
 # orchestrated rank
 
 
 def ncrank(
-    matrix: NcMatrix,
+    matrix: Source,
     dims: Optional[Sequence[int]] = None,
     trials: int = 2,
     seed: int = 0,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> RankResult:
-    """Inner rank with cross-validation between the engines.
+    """Inner rank of a matrix or a pencil, cross-validated between the engines.
 
     Rectangular input is padded square.  The substitution engine supplies the
     value; the fullness engine independently decides fullness by exact
     certificates (``_decide_exactly``), over 2n plain letters when adjoint
-    letters occur, and any contradiction raises MethodDisagreement.  Shift
-    by an exact lambda through ``matrix.shift(lambda)``.  An inconclusive
-    fullness engine defers to substitution; ``cross["scaling"]`` records its
-    verdict and ``cross["scaling_detail"]`` the step that decided it.
+    letters occur, and any contradiction raises MethodDisagreement.  A
+    pencil goes to both engines as it is, and gives the result of its
+    ``to_matrix()``.  Shift by an exact lambda through ``shift(lambda)``,
+    of the matrix or of the pencil.  An inconclusive fullness engine defers
+    to substitution; ``cross["scaling"]`` records its verdict and
+    ``cross["scaling_detail"]`` the step that decided it.
     """
     matrix = matrix.pad_to_square()
     n = matrix.rows
@@ -638,16 +653,20 @@ def ncrank(
 
 
 def _decide_exactly(
-    matrix: NcMatrix, seed: int
+    matrix: Source, seed: int
 ) -> Tuple[FullnessCertificate, Optional[int]]:
-    """The exact fullness verdict on a square matrix, and its border size.
+    """The exact fullness verdict on a square matrix or pencil, and its border size.
 
-    The matrix is read as a pencil (border None), or linearized when its
-    degree exceeds one, and an affine pencil is homogenized before
-    ``fullness_scaling`` decides it.  Inconclusive passes through.
+    A pencil is taken as it is, over the plain alphabet when no starred
+    coefficient is nonzero, as ``to_pencil`` reads its matrix; a matrix is
+    read as a pencil (border None), or linearized when its degree exceeds
+    one.  An affine pencil is homogenized before ``fullness_scaling``
+    decides it.  Inconclusive passes through.
     """
     border = None
-    if matrix.degree <= 1:
+    if isinstance(matrix, LinearPencil):
+        pencil = matrix.narrow_alphabet()
+    elif matrix.degree <= 1:
         pencil = matrix.to_pencil()
     else:
         pencil, border = linearize_matrix(matrix)

@@ -135,14 +135,27 @@ def empirical_rank(
     """Numeric rank with an explicit gap report.
 
     The kernel dimension in the report refers to the right kernel, so
-    rank + kernel_dim equals the column count exactly.
+    rank + kernel_dim equals the column count exactly.  The report is read
+    off the singular values as ``empirical_ranks`` reads each of a stack.
     """
     m = np.asarray(matrix, dtype=complex)
-    sigmas = np.linalg.svd(m, compute_uv=False)
-    size = max(m.shape)
+    return _rank_report(np.linalg.svd(m, compute_uv=False), m.shape, policy)
+
+
+def empirical_ranks(
+    stack: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY
+) -> List[RankReport]:
+    """``empirical_rank`` of each matrix of a (T, rows, cols) stack, from one SVD call."""
+    sigmas = np.linalg.svd(stack, compute_uv=False)
+    return [_rank_report(s, stack.shape[1:], policy) for s in sigmas]
+
+
+def _rank_report(sigmas: np.ndarray, shape, policy: TolerancePolicy) -> RankReport:
+    """The rank report of a matrix of this shape from its descending singular values."""
+    size = max(shape)
     sigma_max = float(sigmas[0]) if len(sigmas) else 0.0
     if sigma_max == 0.0:
-        return RankReport(0, m.shape[1], 0.0, 0.0, 0.0, 0.0, math.inf, True)
+        return RankReport(0, shape[1], 0.0, 0.0, 0.0, 0.0, math.inf, True)
     thr = policy.threshold(size, sigma_max)
     rank = int(np.count_nonzero(sigmas > thr))
     last_kept = float(sigmas[rank - 1]) if rank > 0 else 0.0
@@ -153,7 +166,7 @@ def empirical_rank(
         gap = last_kept / first_dropped
     clean = gap >= policy.gap_min
     return RankReport(
-        rank, m.shape[1], sigma_max, thr, last_kept, first_dropped, gap, clean
+        rank, shape[1], sigma_max, thr, last_kept, first_dropped, gap, clean
     )
 
 

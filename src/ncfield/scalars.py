@@ -128,10 +128,10 @@ class GaussianRational:
     # predicates and conversions
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):

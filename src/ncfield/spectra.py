@@ -11,10 +11,12 @@ compute g exactly, one diagonal block at a time: a constant block gives the
 characteristic polynomial of its scalar matrix, and a nonconstant block the
 gcd over a = 0 and a few seeded Gaussian-integer points (xi and xi*
 independent), stopping once the gcd is 1.  A root of g that lies in Q(i)
-is found exactly and decided on the exactly shifted matrix.  The other
-roots are decided through exact factors f of g: the companion blow-up P_f
-has Q(i) coefficients and rho(P_f) = sum of rho(P - mu) over the roots mu
-of f, so the exact fullness engine decides every candidate.  For an affine
+is found exactly, past float precision too, and decided on the exactly
+shifted matrix; an affine pencil hands its homogeneous part and each
+shifted pencil to ``ncrank`` as pencils.  The other roots are decided
+through exact factors f of g: the companion blow-up P_f has Q(i)
+coefficients and rho(P_f) = sum of rho(P - mu) over the roots mu of f, so
+the exact fullness engine decides every candidate.  For an affine
 pencil a full homogeneous part rules out any central eigenvalue, and is
 checked first.  Each candidate is certified by an exact verdict next to
 the substitution rank, so a certified atom carries the exact mass
@@ -128,14 +130,16 @@ def _dimension_from_atoms(size: int, atoms: Sequence[SpectralAtom]) -> Fraction:
     return 1 - Fraction(total, size * size)
 
 
-def _rho_of_shift(matrix: NcMatrix, lam, seed: int, policy: TolerancePolicy) -> int:
-    """Rank of matrix - lam*1; Inconclusive when nothing could be decided.
+def _rho_of_shift(
+    matrix: Union[NcMatrix, LinearPencil], lam, seed: int, policy: TolerancePolicy
+) -> int:
+    """Rank of matrix - lam*1, for a matrix or a pencil; Inconclusive when undecided.
 
-    An exact lam shifts the matrix itself, and ``ncrank`` cross-checks the
-    value with the exact fullness engine, whose verdict is required: an
-    inconclusive one leaves the rank undecided.  At a numeric lam
-    substitution alone reads the rank; the exact factor of g that lam is a
-    root of is decided afterwards (``_certify_factors``).
+    An exact lam shifts the input itself, a pencil as a pencil, and
+    ``ncrank`` cross-checks the value with the exact fullness engine, whose
+    verdict is required: an inconclusive one leaves the rank undecided.  At
+    a numeric lam substitution alone reads the rank; the exact factor of g
+    that lam is a root of is decided afterwards (``_certify_factors``).
     """
     try:
         if not isinstance(lam, (int, Fraction, GaussianRational)):
@@ -158,7 +162,9 @@ def central_eigs_pencil(
     A certified full homogeneous part short-circuits to the empty spectrum.
     Otherwise the candidates are the roots of the candidate polynomial g,
     whose point a = 0 gives the characteristic polynomial of the constant
-    coefficient.
+    coefficient.  The homogeneous part and each exactly shifted pencil go
+    to ``ncrank`` as pencils; the pencil's matrix is built once, for g and
+    the companion route.
     """
     if not pencil.is_square():
         raise NonSquareError("central eigenvalues need a square pencil")
@@ -166,12 +172,12 @@ def central_eigs_pencil(
     report = SpectrumReport(size=n)
     hom = pencil.homogeneous_part()
     if not hom.is_zero():
-        hom_rank = ncrank(hom.to_matrix(), seed=seed + 1, policy=policy)
+        hom_rank = ncrank(hom, seed=seed + 1, policy=policy)
         report.diagnostics["homogeneous_rho"] = hom_rank.rho
         if hom_rank.rho == n:
             report.dimension = Fraction(1)
             return report
-    _certify_candidates(report, pencil.to_matrix(), seed, policy)
+    _certify_candidates(report, pencil.to_matrix(), seed, policy, pencil)
     _finalize(report)
     return report
 
@@ -301,16 +307,26 @@ def _roots(g, scale: int):
 
     Every root s of g is an eigenvalue of the Gaussian-integer matrix
     scale*P(0), hence an algebraic integer.  So a root t in Q(i) has s in
-    Z[i], and rounding its float value finds it; g(s) = 0 confirms it
-    exactly.  The exact roots are divided out, and the roots of the
-    cofactor are the numeric ones.
+    Z[i]: rounding its float value finds it, or, where a float is too
+    coarse (|s| past 2^53), rounding its refined value (``_refined_roots``)
+    does; g(s) = 0 confirms it exactly.  The exact roots are divided out,
+    and the roots of the cofactor are the numeric ones.
     """
     zs = _float_roots(g, scale)
-    exact: list = []
+    exact, coarse = set(), []
     for z in zs:
         w = (round(z.real * scale), round(z.imag * scale))
-        if w not in exact and eval_zi(g, w) == (0, 0):
-            exact.append(w)
+        if w in exact or eval_zi(g, w) == (0, 0):
+            exact.add(w)
+        else:
+            coarse.append(z)
+    if coarse:
+        refined, bits = _refined_roots(g, scale, coarse)
+        half = 1 << bits - 1
+        for (re, im), _ in refined:
+            w = ((re + half) >> bits, (im + half) >> bits)
+            if w not in exact and eval_zi(g, w) == (0, 0):
+                exact.add(w)
     if exact:
         for re, im in exact:
             g = pseudo_divmod_zi(g, [(1, 0), (-re, -im)])[0]
@@ -346,13 +362,15 @@ def _poly_text(coeffs: Sequence[GaussianRational]) -> str:
     return " ".join(chunks)
 
 
-def _certify_candidates(report, matrix, seed, policy):
+def _certify_candidates(report, matrix, seed, policy, source=None):
     """Certify every root of the candidate polynomial g on the shifted matrix.
 
-    Exact roots are decided one by one; numeric roots are grouped by their
-    substitution rank and decided through exact factors of the cofactor of
-    the exact ones.
+    Exact roots are decided one by one on the shifted ``source``, the
+    matrix's pencil when given, else the matrix; numeric roots are grouped
+    by their substitution rank and decided through exact factors of the
+    cofactor of the exact ones.
     """
+    source = matrix if source is None else source
     g, scale, points, blocks = _candidate_polynomial(matrix, seed)
     candidates, cofactor = _roots(g, scale)
     report.diagnostics.update(
@@ -368,7 +386,7 @@ def _certify_candidates(report, matrix, seed, policy):
     numeric: dict = {}  # substitution rank -> the numeric roots that read it
     for k, lam in enumerate(candidates):
         try:
-            rho = _rho_of_shift(matrix, lam, seed + 100 + 7 * k, policy)
+            rho = _rho_of_shift(source, lam, seed + 100 + 7 * k, policy)
         except Inconclusive as exc:
             _uncertify(report, lam, str(exc))
             continue

@@ -12,6 +12,7 @@ import pytest
 from ncfield import (
     GaussianRational,
     Letter,
+    LinearPencil,
     NcMatrix,
     NcPoly,
     custom_model,
@@ -348,6 +349,66 @@ def test_pencil_evaluate_matches_matrix_evaluate():
             want = m.evaluate(models[1]) - shift * np.eye(rows * d)
             assert np.array_equal(m.evaluate(models[1], shift=shift), want), trial
     assert pencils > 20
+
+
+def _seeded_pencils():
+    """Pencils with starred letters, all-zero slots and rectangular shapes."""
+    prng = random.Random(21)
+    pencils = []
+    for trial in range(40):
+        rows, cols = prng.randint(1, 4), prng.randint(1, 4)
+        m = NcMatrix(
+            [
+                [
+                    _random_poly(prng, 2, 1, star=trial % 2 == 0) if prng.random() < 0.6 else NcPoly.zero(2)
+                    for _ in range(cols)
+                ]
+                for _ in range(rows)
+            ],
+            2,
+        )
+        pencils.append(m.to_pencil())
+    # a doubled alphabet whose starred slots are all zero
+    pencils.append(random_pencil(2, 3, seed=22).widen_alphabet())
+    return pencils
+
+
+def test_pencil_float_form_is_its_matrix_float_form():
+    tiny, huge = GaussianRational(Fraction(1, 10**400)), GaussianRational(Fraction(10**400), 3)
+    wide = random_pencil(2, 3, seed=23)
+    coeffs = [[list(row) for row in a] for a in wide.coeffs]
+    coeffs[1][0][0], coeffs[2][0][1], coeffs[2][2][2] = huge, huge, tiny
+    # row 1 holds only coefficients far below the float range
+    for a in coeffs:
+        a[1] = [GaussianRational(0)] * 3
+    coeffs[2][1][1], coeffs[0][1][2] = tiny, GaussianRational(0, Fraction(1, 10**399))
+    pencils = _seeded_pencils() + [LinearPencil(coeffs, 2)]
+    for k, pencil in enumerate(pencils):
+        for balance_rows in (False, True):
+            if not balance_rows and k == len(pencils) - 1:
+                continue  # 10^400 has no float without the row scaling
+            words, c = pencil.float_form(balance_rows)
+            want_words, want = pencil.to_matrix().float_form(balance_rows)
+            assert words == want_words, k
+            assert c.shape == want.shape and c.tobytes() == want.tobytes(), k
+    forms = [p.float_form(balance_rows=True) for p in pencils]
+    assert {x.star for words, _ in forms for w in words for x in w} == {False, True}
+    assert any(len(words) < len(p.coeffs) for (words, _), p in zip(forms, pencils))  # zero slots
+
+
+def test_pencil_shift_and_padding_are_the_matrix_ones():
+    for k, pencil in enumerate(_seeded_pencils()):
+        padded = pencil.pad_to_square()
+        assert padded.to_matrix() == pencil.to_matrix().pad_to_square(), k
+        lam = GaussianRational(Fraction(k, 3), -1)
+        assert padded.shift(lam).to_matrix() == padded.to_matrix().shift(lam), k
+        if not pencil.is_square():
+            with pytest.raises(NonSquareError):
+                pencil.shift(lam)
+    plain = random_pencil(2, 3, seed=22)
+    assert plain.widen_alphabet().narrow_alphabet() == plain
+    starred = random_poly_matrix(2, 3, 3, degree=1, seed=13, allow_star=True).to_pencil()
+    assert starred.narrow_alphabet() is starred
 
 
 def test_random_generators_are_deterministic():

@@ -43,7 +43,7 @@ from ncfield import (
     verify_certificate,
     verify_nonfull_witness,
 )
-from ncfield.errors import Inconclusive, InputError, NonSquareError
+from ncfield.errors import Inconclusive, InputError, NoConsensus, NonSquareError
 from ncfield.ncrank import (
     _blowup_draws,
     _blowup_mod_p,
@@ -67,7 +67,8 @@ def _pencil(coeff_lists, n_vars):
 
 def _hollow_block(coeffs, seed, transpose=False):
     """_exact_hollow_block on the residue and Gaussian-integer forms of coeffs."""
-    return _exact_hollow_block(_residue_forms(coeffs), _integer_parts(coeffs), seed, transpose)
+    ints = _integer_parts(coeffs)
+    return _exact_hollow_block(_residue_forms(ints), ints, seed, transpose)
 
 
 def _holds(coeffs, u, v):
@@ -75,8 +76,8 @@ def _holds(coeffs, u, v):
 
 
 def _residues(pencil):
-    """A1..Am of a plain pencil mod p at i = iota."""
-    return _residue_forms(pencil.coeffs[1:])[0]
+    """D A1..D Am of a plain pencil mod p at i = iota, D the lcm of the denominators."""
+    return _residue_forms(_integer_parts(pencil.coeffs[1:]))[0]
 
 
 def test_scaling_rejects_single_nilpotent_coefficient():
@@ -299,19 +300,31 @@ def test_full_pencil_with_no_invertible_point_needs_the_large_blowup(monkeypatch
 
 def test_fullness_reduces_each_coefficient_once(monkeypatch):
     # d = 1, the zero pattern, Wong on the tuple and on its transpose, and
-    # d = 2 all read one residue form of A1, A2, A3; a Gaussian tuple adds
-    # one reduction of each imaginary part for its form at i = -iota
-    calls = []
-    reduce = ncrank_module.residues_mod_p
+    # d = 2 all read one conversion of A1, A2, A3 into Gaussian integers,
+    # real or Gaussian; the residue forms come from it by whole-array %
+    reads = []
+    convert = ncrank_module._gaussian_integers
     monkeypatch.setattr(
-        ncrank_module, "residues_mod_p", lambda rows: calls.append(rows) or reduce(rows)
+        ncrank_module, "_gaussian_integers", lambda rows: reads.append(len(rows)) or convert(rows)
     )
+    monkeypatch.setattr(ncrank_module, "residues_mod_p", lambda rows: pytest.fail("second read"))
     gaussian = GaussianRational(Fraction(1, 2), 3)
-    for scale, reductions in ((GaussianRational(1), 3), (gaussian, 6)):
-        calls.clear()
+    for scale in (GaussianRational(1), gaussian):
+        reads.clear()
         cert = fullness_scaling(_skew_pencil(scale), seed=0)
         assert (cert.verdict, cert.detail) == ("full", "blow-up rank mod p at d = 2"), scale
-        assert len(calls) == reductions, scale
+        assert reads == [3 * 3], scale  # the rows of A1, A2, A3, once
+
+
+def test_blowup_draws_keep_the_per_letter_stream():
+    # one (count, d, d) draw is the stream of count (d, d) draws, one per
+    # letter, so every stored blow-up (d, seed, p) still re-verifies
+    for seed in (0, 7, 2**40 + 3):
+        for d in range(1, 7):
+            for count in range(1, 6):
+                rng = np.random.default_rng(((seed << 8) ^ 0x5CA1E) % 2**64)
+                old = [rng.integers(0, _P, size=(d, d)) for _ in range(count)]
+                assert np.array_equal(_blowup_draws(seed, d, count), old), (seed, d, count)
 
 
 def test_small_full_pencil_missed_at_d1_is_proved_at_d2():
@@ -554,6 +567,71 @@ def test_substitution_rank_symmetric_two_by_two():
     for e in result.estimates:
         alone = empirical_rank(m.evaluate(sample("gue", e["d"], 3, e["seed"])))
         assert (alone.rank, alone.gap) == (e["rank"], e["gap"])
+
+
+def _grid_linearization(matrix):
+    """linearize_matrix as a grid of polynomials read back into a pencil."""
+    n_vars, n, m = matrix.n_vars, matrix.rows, matrix.cols
+    pieces, border = [], 0
+    low = [[NcPoly.zero(n_vars) for _ in range(m)] for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            for word, coeff in matrix.entries[i][j].terms():
+                if len(word) <= 1:
+                    low[i][j] = low[i][j] + NcPoly.monomial(word, coeff, n_vars)
+                else:
+                    pieces.append((i, j, coeff, word))
+                    border += len(word) - 1
+    grid = [[NcPoly.zero(n_vars) for _ in range(m + border)] for _ in range(n + border)]
+    for i in range(n):
+        grid[i][:m] = low[i]
+    t = 0
+    for i, j, coeff, word in pieces:
+        g = len(word)
+        grid[i][m + t] = NcPoly.monomial(word[:1], coeff, n_vars)
+        for step in range(g - 1):
+            grid[n + t + step][m + t + step] = NcPoly.const(-1, n_vars)
+            if step + 1 < g - 1:
+                grid[n + t + step][m + t + step + 1] = NcPoly.monomial(word[step + 1 : step + 2], 1, n_vars)
+        grid[n + t + g - 2][j] = NcPoly.monomial(word[g - 1 :], 1, n_vars)
+        t += g - 1
+    return NcMatrix(grid, n_vars).to_pencil(), border
+
+
+def test_linearization_builds_the_pencil_of_its_grid():
+    for seed in range(40):
+        m = random_poly_matrix(
+            2, 1 + seed % 3, 1 + seed % 2, degree=seed % 4, seed=500 + seed,
+            allow_star=seed % 2 == 1, complex_coeffs=seed % 3 == 0,
+        )
+        assert linearize_matrix(m) == _grid_linearization(m), seed
+
+
+def test_ncrank_of_a_pencil_is_ncrank_of_its_matrix():
+    # a pencil goes to both engines as it is, with the result of its matrix
+    pencils = [random_pencil(1 + k % 3, 2 + k % 3, seed=600 + k, homogeneous=k % 2 == 0,
+                             complex_coeffs=k % 3 == 0) for k in range(6)]
+    pencils += [random_poly_matrix(2, r, c, degree=1, seed=610 + r, allow_star=r == 3).to_pencil()
+                for r, c in ((2, 3), (3, 2), (1, 3))]
+    pencils += [random_poly_matrix(2, 3, 3, degree=1, seed=620 + k, allow_star=True,
+                                   complex_coeffs=True).to_pencil() for k in range(3)]
+    pencils += [hollow_matrix(3, 2, seed=8).to_pencil(), random_pencil(2, 3, seed=630).widen_alphabet(),
+                conjugated_hollow_matrix(4, 2, seed=19).to_pencil()]
+    verdicts = set()
+    for k, pencil in enumerate(pencils):
+        try:
+            want = ncrank(pencil.to_matrix(), seed=k).to_dict()
+        except NoConsensus:
+            with pytest.raises(NoConsensus):
+                ncrank(pencil, seed=k)
+            continue
+        assert ncrank(pencil, seed=k).to_dict() == want, k
+        verdicts.add(want["cross"]["scaling_detail"])
+        if pencil.is_square():
+            shifted = rank_by_substitution(pencil, seed=k, shift=0.5 + 1j)
+            assert shifted.to_dict() == rank_by_substitution(pencil.to_matrix(), seed=k, shift=0.5 + 1j).to_dict()
+    assert {"blow-up rank mod p at d = 1", "zero pattern", "exact Wong"} <= verdicts
+    assert any(p.star_letters for p in pencils) and any(not p.is_square() for p in pencils)
 
 
 def test_linearization_border_accounting():

@@ -135,6 +135,41 @@ def test_irrational_atoms_are_certified_at_numeric_shifts():
     )
 
 
+@pytest.mark.parametrize("lam", [GaussianRational(10**18 + 1), GaussianRational(Fraction(10**17 + 1, 3))])
+def test_exact_roots_past_float_precision_are_exact_atoms(lam):
+    # s = scale * lambda lies past 2^53, where its float rounds to another
+    # Gaussian integer; the refined root rounds to s itself
+    x1 = NcPoly.var(1, 1)
+    matrix = NcMatrix.diag([x1, NcPoly.const(lam, 1)])
+    for report in (central_eigs_pencil(matrix.to_pencil(), seed=0),
+                   central_eigs_polymatrix(matrix, seed=0)):
+        [atom] = report.atoms
+        assert isinstance(atom.lam, GaussianRational)
+        assert (atom.lam, atom.rho, atom.exact, atom.certified) == (lam, 1, True, True)
+        assert report.diagnostics["factors"] == []
+        assert report.dimension == Fraction(3, 4)
+
+
+def test_pencil_spectra_hand_pencils_to_the_rank_engines(monkeypatch):
+    # the homogeneous part and every exactly shifted pencil reach ncrank as
+    # pencils, so no matrix is read back into a pencil on the rank path
+    calls = []
+    to_pencil = NcMatrix.to_pencil
+    monkeypatch.setattr(NcMatrix, "to_pencil", lambda self: calls.append(self) or to_pencil(self))
+    rng = random.Random(1)
+    shifts = 0
+    for k in range(30):
+        size, n_vars = 2 + k % 3, 1 + (k // 3) % 3
+        pencil = random_pencil(n_vars, size, seed=rng.randrange(2**31))
+        if k % 2 == 0:  # a constant block leaves the homogeneous part nonfull
+            pencil = pencil.direct_sum(LinearPencil([[[k - 9]]] + [[[0]]] * n_vars, n_vars))
+        report = central_eigs_pencil(pencil, seed=k)
+        assert report.diagnostics.get("factors", []) == [], k
+        shifts += len(report.diagnostics.get("candidates", []))
+    assert calls == []
+    assert shifts >= 15
+
+
 def test_irrational_atoms_behind_a_large_denominator_are_certified():
     # (G / 10^8) (+) x1: P_f is built for scale*P = G and the factor in
     # s = 10^8 t, s^2 - s - 1, so its Wong bases stay as short as for G
