@@ -304,8 +304,6 @@ def cmd_rank(args) -> int:
 
 def cmd_atoms(args) -> int:
     matrix, label = _load_matrix_input(args)
-    if isinstance(matrix, LinearPencil):
-        matrix = matrix.to_matrix()
     if not matrix.is_square():
         raise InputError("atoms need a square input")
     spectrum = _spectrum(

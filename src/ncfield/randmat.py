@@ -302,11 +302,19 @@ def rank_convergence(
     kind: str = "gue",
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> List[dict]:
-    """Normalized rank rank/d along a ladder of dimensions."""
+    """Normalized rank rank/d along a ladder of dimensions.
+
+    The input is evaluated in floats as it is, so a coefficient beyond the
+    float range is an InputError.
+    """
     rows = []
     for i, d in enumerate(dims):
         model = sample(kind, d, poly_matrix.n_vars, seed + i)
-        report = empirical_rank(poly_matrix.evaluate(model), policy)
+        try:
+            value = poly_matrix.evaluate(model)
+        except OverflowError:
+            raise InputError("a coefficient lies beyond the float range") from None
+        report = empirical_rank(value, policy)
         rows.append(
             {
                 "d": d,

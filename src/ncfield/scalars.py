@@ -334,8 +334,9 @@ def lift_mod_p(plus: np.ndarray, minus: np.ndarray) -> Optional[list]:
 # Python ints.  A polynomial is the list of its coefficients from the
 # leading one down to the constant, with no leading zero; [] is the zero
 # polynomial.  Results are defined up to a nonzero scalar factor, which the
-# gcd and the quotient drop to keep coefficients small (``_primitive``):
-# callers need a polynomial only for its roots.
+# gcd and the quotient drop to keep coefficients small (the gcd comes back
+# monic where it can, else ``_primitive``): callers need a polynomial only
+# for its roots.
 
 GaussInt = Tuple[int, int]
 
@@ -387,29 +388,77 @@ def _primitive(f: List[GaussInt]) -> List[GaussInt]:
 
 
 def pseudo_divmod_zi(a: List[GaussInt], b: List[GaussInt]):
-    """(q, r) with c*a = q*b + r and deg r < deg b, c a power of lc(b).
+    """(q, r) with lc(b)^(deg a - deg b + 1) * a = q*b + r and deg r < deg b.
 
-    For a monic b, c = 1 and this is plain division.
+    For a monic b this is plain division.
     """
-    lc = b[0]
-    q = [(0, 0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b):
-        lead, k = r[0], len(r) - len(b)
-        q = [_gdot([lc], [c]) for c in q]
-        q[-1 - k] = (q[-1 - k][0] + lead[0], q[-1 - k][1] + lead[1])
-        padded = b + [(0, 0)] * k
-        r = _strip([_gdot([lc, lead], [c, (-re, -im)]) for c, (re, im) in zip(r, padded)][1:])
-    return q, r
+    c, d = b[0]
+    tail = b[1:]
+    q, r = [], list(a)
+    for _ in range(len(a) - len(b) + 1):
+        # q <- lc*q*t + lead and r <- lc*r - lead*b*t^k, whose top term vanishes
+        (x, y), r = r[0], r[1:]
+        q = [(c * u - d * v, c * v + d * u) for u, v in q] + [(x, y)]
+        head = [(c * u - d * v - x * e + y * f, c * v + d * u - x * f - y * e)
+                for (u, v), (e, f) in zip(r, tail)]
+        r = head + [(c * u - d * v, c * v + d * u) for u, v in r[len(tail):]]
+    return q, _strip(r)
 
 
 def gcd_zi(a: List[GaussInt], b: List[GaussInt]) -> List[GaussInt]:
-    """A gcd of two polynomials in Q(i)[t], with Gaussian-integer coefficients."""
+    """A gcd of two polynomials in Q(i)[t], with Gaussian-integer coefficients.
+
+    The subresultant PRS (Collins, JACM 1967; Brown and Traub, JACM 1971):
+    each pseudo-remainder, taken at exactly lc^(delta + 1), is divided
+    exactly by g*h^delta, which keeps the coefficients of polynomial size
+    where a primitive PRS grows them exponentially.  A remainder of degree
+    0 ends it with the gcd 1.  The last subresultant comes back monic when
+    it is a Z[i] multiple of a monic polynomial, as a gcd of monic
+    polynomials over Z[i] always is, and primitive otherwise.
+    """
     if len(a) < len(b):
         a, b = b, a
-    while b:
-        a, b = b, _primitive(pseudo_divmod_zi(a, b)[1])
-    return _primitive(a)
+    if not b:
+        return _normalized(a)
+    a, b = _primitive(a), _primitive(b)
+    g = h = (1, 0)
+    while True:
+        delta = len(a) - len(b)
+        r = pseudo_divmod_zi(a, b)[1]
+        if not r:
+            return _normalized(b)
+        if len(r) == 1:
+            return [(1, 0)]
+        divisor = _gdot([g], [_gpow(h, delta)])
+        a, b = b, [_gdiv(x, divisor) for x in r]
+        g = a[0]
+        if delta:
+            h = _gdiv(_gpow(g, delta), _gpow(h, delta - 1))
+
+
+def _gpow(x: GaussInt, e: int) -> GaussInt:
+    out = (1, 0)
+    for _ in range(e):
+        out = _gdot([out], [x])
+    return out
+
+
+def _gdiv(x: GaussInt, y: GaussInt) -> GaussInt:
+    """x / y in Z[i], for a y that divides x."""
+    (a, b), (c, d) = x, y
+    norm = c * c + d * d
+    return ((a * c + b * d) // norm, (b * c - a * d) // norm)
+
+
+def _normalized(f: List[GaussInt]) -> List[GaussInt]:
+    """f / lc(f) when that lies in Z[i][t], else the primitive f."""
+    if not f:
+        return f
+    c, d = f[0]
+    norm = c * c + d * d
+    if all((a * c + b * d) % norm == 0 == (b * c - a * d) % norm for a, b in f):
+        return [_gdiv(x, f[0]) for x in f]
+    return _primitive(f)
 
 
 def mul_zi(a: List[GaussInt], b: List[GaussInt]) -> List[GaussInt]:

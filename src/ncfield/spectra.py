@@ -10,15 +10,17 @@ a polynomial over Q(i) of degree at most N.  The certified entry points
 compute g exactly, one diagonal block at a time: a constant block gives the
 characteristic polynomial of its scalar matrix, and a nonconstant block the
 gcd over a = 0 and a few seeded Gaussian-integer points (xi and xi*
-independent), stopping once the gcd is 1.  A root of g that lies in Q(i)
-is found exactly, past float precision too, and decided on the exactly
-shifted matrix; an affine pencil hands its homogeneous part and each
-shifted pencil to ``ncrank`` as pencils.  The other roots are decided
-through exact factors f of g: the companion blow-up P_f has Q(i)
-coefficients and rho(P_f) = sum of rho(P - mu) over the roots mu of f, so
-the exact fullness engine decides every candidate.  For an affine
-pencil a full homogeneous part rules out any central eigenvalue, and is
-checked first.  Each candidate is certified by an exact verdict next to
+independent), stopping once the gcd is 1; the gcds run by the
+subresultant PRS (``scalars.gcd_zi``).  g is the first step of every
+certified spectrum, and g = 1 ends it: no atom, dimension 1, and no rank
+call.  When g has roots, an affine pencil's homogeneous part goes to
+``ncrank`` next, and a full one rules out every central eigenvalue.  A
+root of g that lies in Q(i) is found exactly, past float precision too,
+and decided on the exactly shifted matrix, or for a pencil on the shifted
+pencil.  The other roots are decided through exact factors f of g: the
+companion blow-up P_f has Q(i) coefficients and rho(P_f) = sum of
+rho(P - mu) over the roots mu of f, so the exact fullness engine decides
+every candidate.  Each candidate is certified by an exact verdict next to
 the substitution rank, so a certified atom carries the exact mass
 (N - rho)/N and the certified spectrum yields the entropy dimension
 1 - sum((N - rho)^2)/N^2.
@@ -159,24 +161,18 @@ def central_eigs_pencil(
 ) -> SpectrumReport:
     """Central eigenvalues of an affine pencil.
 
-    A certified full homogeneous part short-circuits to the empty spectrum.
-    Otherwise the candidates are the roots of the candidate polynomial g,
-    whose point a = 0 gives the characteristic polynomial of the constant
-    coefficient.  The homogeneous part and each exactly shifted pencil go
-    to ``ncrank`` as pencils; the pencil's matrix is built once, for g and
-    the companion route.
+    The candidates are the roots of the candidate polynomial g, whose point
+    a = 0 gives the characteristic polynomial of the constant coefficient,
+    and g comes first: g = 1 is the final, empty spectrum, reached with no
+    rank call.  Only when g has roots does the homogeneous part go to
+    ``ncrank``; a full one ends the spectrum, empty, and its rank is
+    reported as ``diagnostics["homogeneous_rho"]``.  The homogeneous part
+    and each exactly shifted pencil go to ``ncrank`` as pencils; the
+    pencil's matrix is built once, for g and the companion route.
     """
     if not pencil.is_square():
         raise NonSquareError("central eigenvalues need a square pencil")
-    n = pencil.rows
-    report = SpectrumReport(size=n)
-    hom = pencil.homogeneous_part()
-    if not hom.is_zero():
-        hom_rank = ncrank(hom, seed=seed + 1, policy=policy)
-        report.diagnostics["homogeneous_rho"] = hom_rank.rho
-        if hom_rank.rho == n:
-            report.dimension = Fraction(1)
-            return report
+    report = SpectrumReport(size=pencil.rows)
     _certify_candidates(report, pencil.to_matrix(), seed, policy, pencil)
     _finalize(report)
     return report
@@ -362,15 +358,16 @@ def _poly_text(coeffs: Sequence[GaussianRational]) -> str:
     return " ".join(chunks)
 
 
-def _certify_candidates(report, matrix, seed, policy, source=None):
+def _certify_candidates(report, matrix, seed, policy, pencil=None):
     """Certify every root of the candidate polynomial g on the shifted matrix.
 
-    Exact roots are decided one by one on the shifted ``source``, the
-    matrix's pencil when given, else the matrix; numeric roots are grouped
-    by their substitution rank and decided through exact factors of the
-    cofactor of the exact ones.
+    g comes first: with no root it settles the spectrum, empty, with no
+    rank call.  Given the matrix's ``pencil``, its homogeneous part goes to
+    ``ncrank`` next, and a full one rules out every root.  Exact roots are
+    then decided one by one on the shifted pencil, else the shifted matrix;
+    numeric roots are grouped by their substitution rank and decided
+    through exact factors of the cofactor of the exact ones.
     """
-    source = matrix if source is None else source
     g, scale, points, blocks = _candidate_polynomial(matrix, seed)
     candidates, cofactor = _roots(g, scale)
     report.diagnostics.update(
@@ -383,6 +380,14 @@ def _certify_candidates(report, matrix, seed, policy, source=None):
         }
     )
     n = matrix.rows
+    if pencil is not None and candidates:
+        hom = pencil.homogeneous_part()
+        if not hom.is_zero():
+            rho = ncrank(hom, seed=seed + 1, policy=policy).rho
+            report.diagnostics["homogeneous_rho"] = rho
+            if rho == n:
+                return
+    source = matrix if pencil is None else pencil
     numeric: dict = {}  # substitution rank -> the numeric roots that read it
     for k, lam in enumerate(candidates):
         try:
@@ -602,7 +607,7 @@ def atom_masses(
 
 
 def _spectrum(
-    matrix: NcMatrix,
+    matrix: Union[NcMatrix, LinearPencil],
     seed: int,
     policy: TolerancePolicy,
     certify: bool = True,
@@ -611,11 +616,15 @@ def _spectrum(
 ) -> SpectrumReport:
     """The pencil spectrum for certified affine input, else the polymatrix one.
 
-    ``d`` and ``kind`` set the spectral sample, which only an uncertified
-    spectrum draws.
+    A pencil goes to ``central_eigs_pencil`` as it is.  ``d`` and ``kind``
+    set the spectral sample, which only an uncertified spectrum draws.
     """
-    if certify and matrix.degree <= 1:
-        return central_eigs_pencil(matrix.to_pencil(), seed=seed, policy=policy)
+    if certify and isinstance(matrix, NcMatrix) and matrix.degree <= 1:
+        matrix = matrix.to_pencil()
+    if isinstance(matrix, LinearPencil):
+        if certify:
+            return central_eigs_pencil(matrix, seed=seed, policy=policy)
+        matrix = matrix.to_matrix()
     return central_eigs_polymatrix(
         matrix, d=d, seed=seed, kind=kind, policy=policy, certify=certify
     )

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from ncfield import cli, freegroup
-from ncfield.ncpoly import LinearPencil
+from ncfield.ncpoly import LinearPencil, NcMatrix, random_pencil
+from ncfield.spectra import central_eigs_pencil
 
 
 def _run(capsys, argv):
@@ -231,6 +232,36 @@ def test_atoms_report_lists_the_diagonal_blocks(capsys, tmp_path):
     ]
 
 
+def test_atoms_hands_the_pencil_to_the_spectrum_as_it_is(capsys, tmp_path, monkeypatch):
+    starred = LinearPencil(
+        [[[1, 0], [0, 2]], [[1, 0], [0, 0]], [[0, 0], [0, 0]]], 1, star_letters=True
+    )
+    planted = random_pencil(2, 2, seed=5).direct_sum(LinearPencil([[[3]], [[0]], [[0]]], 2))
+    pencils = [starred, planted, random_pencil(2, 3, seed=11, complex_coeffs=True)]
+    wanted = [
+        central_eigs_pencil(p.to_matrix().to_pencil(), seed=4).to_dict() for p in pencils
+    ]
+    conversions = []
+    to_matrix, to_pencil = LinearPencil.to_matrix, NcMatrix.to_pencil
+    monkeypatch.setattr(
+        LinearPencil, "to_matrix", lambda self: conversions.append("to_matrix") or to_matrix(self)
+    )
+    monkeypatch.setattr(
+        NcMatrix, "to_pencil", lambda self: conversions.append("to_pencil") or to_pencil(self)
+    )
+    for k, (pencil, want) in enumerate(zip(pencils, wanted)):
+        path = tmp_path / f"pencil{k}.json"
+        path.write_text(json.dumps(cli.pencil_to_json(pencil)))
+        conversions.clear()
+        code, out, _ = _run(capsys, ["atoms", "--pencil", str(path), "--seed", "4"])
+        assert code == 0
+        report = json.loads(out)
+        assert {key: report[key] for key in want} == json.loads(json.dumps(want)), k
+        # one matrix, for the candidate polynomial, and no matrix read back
+        assert conversions == ["to_matrix"], k
+    assert any(w["atoms"] for w in wanted)
+
+
 def test_dualcheck_passes_and_renders_csv(capsys):
     code, out, err = _run(capsys, ["dualcheck", "--n", "1", "--R", "3"])
     assert code == 0
@@ -321,6 +352,21 @@ def test_scan_convergence_requires_dims(capsys):
     code, _, err = _run(capsys, ["scan", "convergence", "--expr", "x1"])
     assert code == 1
     assert "--dims" in err
+
+
+def test_scan_convergence_beyond_the_float_range_is_bad_input(capsys, tmp_path):
+    doc = {
+        "n_vars": 1,
+        "rows": 2,
+        "cols": 2,
+        "coeffs": {"A0": [["1" + "0" * 400, "0"], ["0", "1"]], "A1": [["1", "0"], ["0", "1"]]},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["scan", "convergence", "--pencil", str(path), "--dims", "4,8"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "float range" in err
+    assert "Traceback" not in err
 
 
 def test_out_file_holds_the_report(capsys, tmp_path):

@@ -323,6 +323,50 @@ def test_gcd_and_squarefree_part_keep_each_common_root_once():
     assert len(gcd_zi(f, _from_roots([(4, 4)]))) == 1  # coprime: a constant
 
 
+def test_gcd_of_planted_characteristic_polynomials_is_the_planted_factor():
+    # A primitive remainder sequence returns the factor times a scalar of
+    # about 142,000 bits; the subresultant one returns the monic factor.
+    rng = random.Random(12)
+    factor = [(1, 0)] + [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(3)]
+
+    def planted():
+        m = [[(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(12)] for _ in range(12)]
+        return mul_zi(charpoly_zi(m), factor)
+
+    assert gcd_zi(planted(), planted()) == factor
+
+
+def _qq_i(f):
+    """f as a sympy polynomial over Q(i), monic, for comparison up to a scalar."""
+    import sympy  # the oracle only; ncfield does not depend on it
+
+    t = sympy.Symbol("t")
+    expr = sum((re + im * sympy.I) * t ** (len(f) - 1 - k) for k, (re, im) in enumerate(f))
+    return sympy.Poly(expr, t, domain="QQ_I").monic()
+
+
+def test_gcd_and_squarefree_part_agree_with_sympy_over_the_gaussian_rationals():
+    rng = random.Random(29)
+
+    def poly(k):
+        lead = (rng.randint(1, 4), rng.randint(-4, 4))
+        return [lead] + [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(k)]
+
+    coprime = 0
+    for _ in range(40):
+        common = poly(rng.randint(0, 3))
+        f = mul_zi(common, mul_zi(poly(rng.randint(0, 4)), poly(rng.randint(0, 2))))
+        h = mul_zi(common, poly(rng.randint(0, 5)))
+        g = gcd_zi(f, h)
+        assert _qq_i(g) == _qq_i(f).gcd(_qq_i(h))
+        coprime += len(g) == 1
+        assert _qq_i(squarefree_zi(f)) == _qq_i(f).sqf_part().monic()
+        # repeated factors too: f * common^2
+        repeated = mul_zi(f, mul_zi(common, common))
+        assert _qq_i(squarefree_zi(repeated)) == _qq_i(repeated).sqf_part().monic()
+    assert 0 < coprime < 40
+
+
 def test_irreducibility_agrees_with_sympy_over_the_gaussian_rationals():
     import sympy  # the oracle only; ncfield does not depend on it
 

@@ -6,6 +6,7 @@ import importlib
 import itertools
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -344,16 +345,51 @@ def test_hidden_golden_atoms_are_found(seed):
 
 
 def test_full_homogeneous_part_rules_out_atoms():
-    pencil = random_pencil(2, 3, seed=11, homogeneous=False)
-    hom = pencil.homogeneous_part()
-    from ncfield import ncrank
-
-    if ncrank(hom.to_matrix(), seed=12).rho < 3:
-        pytest.skip("random draw was not full; the seed should avoid this")
-    report = central_eigs_pencil(pencil, seed=13)
-    assert report.atoms == []
-    assert report.dimension == Fraction(1)
+    # [[0, x1, x2], [-x1, 0, x3], [-x2, -x3, 0]] + 2: det(t - P(a)) =
+    # (t - 2)((t - 2)^2 + a1^2 + a2^2 + a3^2), so g = t - 2, but the
+    # skew-symmetric homogeneous part is full and rules the root out.
+    g = GaussianRational
+    zero = [[g(0)] * 3 for _ in range(3)]
+    coeffs = [[[g(2) if i == j else g(0) for j in range(3)] for i in range(3)]]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        a = [row[:] for row in zero]
+        a[i][j], a[j][i] = g(1), g(-1)
+        coeffs.append(a)
+    report = central_eigs_pencil(LinearPencil(coeffs, 3), seed=13)
+    assert report.diagnostics["candidate_polynomial"] == "t - 2"
     assert report.diagnostics["homogeneous_rho"] == 3
+    assert report.atoms == [] and report.uncertified == []
+    assert report.dimension == Fraction(1)
+
+
+def test_candidate_polynomial_one_settles_a_pencil_with_no_rank_call(monkeypatch):
+    spectra = importlib.import_module("ncfield.spectra")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("g = 1 needs no rank call")
+
+    monkeypatch.setattr(spectra, "ncrank", refused)
+    report = central_eigs_pencil(random_pencil(2, 3, seed=11, homogeneous=False), seed=13)
+    assert report.diagnostics["candidate_polynomial"] == "1"
+    assert "homogeneous_rho" not in report.diagnostics
+    assert report.atoms == [] and report.uncertified == []
+    assert report.dimension == Fraction(1)
+
+
+def test_candidate_polynomial_is_bounded_work_on_a_singular_coefficient():
+    # One variable, size 16, Gaussian-integer coefficients, a zero row in
+    # A1: the homogeneous part is not full, and g = 1 needs two
+    # characteristic polynomials of size 16 and their gcd, whose primitive
+    # remainder sequence took about a minute.
+    pencil = random_pencil(1, 16, seed=0, homogeneous=False, complex_coeffs=True)
+    a1 = [list(row) for row in pencil.coeffs[1]]
+    a1[0] = [GaussianRational(0)] * 16
+    pencil = LinearPencil([pencil.coeffs[0], a1], 1)
+    start = time.process_time()
+    report = central_eigs_pencil(pencil, seed=0)
+    assert time.process_time() - start < 10.0
+    assert report.diagnostics["candidate_polynomial"] == "1"
+    assert report.atoms == [] and report.dimension == Fraction(1)
 
 
 def _pencil_with_planted_atom(seed: int, c: int) -> LinearPencil:
