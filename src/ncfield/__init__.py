@@ -51,6 +51,7 @@ from .realization import (
     DomainReport,
     LinearRepresentation,
     domain_check,
+    eval_and_check,
     eval_rep,
     realize,
 )
@@ -141,6 +142,7 @@ __all__ = [
     "realize",
     "eval_rep",
     "domain_check",
+    "eval_and_check",
     # rank
     "ncrank",
     "rank_by_substitution",

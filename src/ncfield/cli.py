@@ -53,7 +53,7 @@ from .randmat import (
     sample,
 )
 from .ratexpr import eval_numeric, max_var_index, parse, poly_from_string, unparse
-from .realization import LinearRepresentation, _pencil_at, _solve, realize
+from .realization import LinearRepresentation, eval_and_check, realize
 from .scalars import GaussianRational
 from .spectra import _spectrum
 
@@ -342,12 +342,7 @@ def cmd_eval(args) -> int:
     n_vars = max(max_var_index(expr), 1)
     rep = realize(expr, n_vars)
     model = sample(args.kind, args.d, n_vars, args.seed)
-    dom, pencil = _pencil_at(rep, model, args.tol)
-    if not dom.ok:
-        raise OutOfDomain(
-            "pencil is singular at the sampled point", dom.sigma_min
-        )
-    value = _solve(rep, pencil)
+    dom, value = eval_and_check(rep, model, args.tol)
     identity = np.eye(args.d, dtype=complex)
     residual_identity = float(np.linalg.norm(value - identity))
     try:

@@ -575,32 +575,36 @@ def _mod(parts, q: int) -> np.ndarray:
 def linearize_matrix(matrix: NcMatrix) -> Tuple[LinearPencil, int]:
     """Enlarged pencil whose inner rank exceeds the matrix's by the border size.
 
-    Each monomial of degree g above one contributes a border block of size
-    g-1: the leading letter sits in the coupling column, the middle letters
-    on the block superdiagonal against -1 entries, and the trailing letter in
-    the coupling row.  Eliminating the invertible border recovers the matrix,
-    so rank(pencil) = rank(matrix) + border size.  Adjoint letters stay
+    Higman's trick with shared prefixes.  Each row i gets one border node
+    per distinct proper prefix u (|u| >= 1) of its words of degree two or
+    more.  Row i carries letter a at node (a); node u carries -1 on its
+    diagonal, letter a at its child ua, and c*a at column j for each word
+    u*a with coefficient c in entry (i, j).  Terms of degree at most one
+    stay in the top left block.  The border is -1 plus a nilpotent part, so
+    it is invertible at every point, and its Schur complement is the matrix:
+    rank(pencil) = rank(matrix) + border size.  Adjoint letters stay
     letters, so a matrix with any gives a pencil over the doubled alphabet.
     """
     n_vars, n, m = matrix.n_vars, matrix.rows, matrix.cols
-    terms = [(i, j, word, coeff) for i, row in enumerate(matrix.entries)
-             for j, p in enumerate(row) for word, coeff in p.terms()]
-    border = sum(max(len(word) - 1, 0) for _, _, word, _ in terms)
+    nodes: dict = {}  # (row, proper prefix) -> border index, parents first
+    for i, row in enumerate(matrix.entries):
+        for p in row:
+            for word, _ in p.terms():
+                for g in range(1, len(word)):
+                    nodes.setdefault((i, word[:g]), len(nodes))
+    border = len(nodes)
     star = matrix.has_star()
     coeffs = [zero_matrix(n + border, m + border) for _ in range(1 + (2 if star else 1) * n_vars)]
-    one, t = GaussianRational(1), 0
-    for i, j, word, coeff in terms:
-        g = len(word)
-        if g <= 1:
-            coeffs[letter_slot(word[0], n_vars) if word else 0][i][j] = coeff
-            continue
-        coeffs[letter_slot(word[0], n_vars)][i][m + t] = coeff
-        for step in range(g - 1):
-            coeffs[0][n + t + step][m + t + step] = -one
-            if step + 1 < g - 1:
-                coeffs[letter_slot(word[step + 1], n_vars)][n + t + step][m + t + step + 1] = one
-        coeffs[letter_slot(word[g - 1], n_vars)][n + t + g - 2][j] = one
-        t += g - 1
+    one = GaussianRational(1)
+    for (i, u), t in nodes.items():
+        parent = i if len(u) == 1 else n + nodes[i, u[:-1]]
+        coeffs[letter_slot(u[-1], n_vars)][parent][m + t] = one
+        coeffs[0][n + t][m + t] = -one
+    for i, row in enumerate(matrix.entries):
+        for j, p in enumerate(row):
+            for word, coeff in p.terms():
+                at = i if len(word) <= 1 else n + nodes[i, word[:-1]]
+                coeffs[letter_slot(word[-1], n_vars) if word else 0][at][j] = coeff
     return LinearPencil(coeffs, n_vars, star_letters=star), border
 
 

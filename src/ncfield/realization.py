@@ -5,12 +5,24 @@ a full square linear pencil A over the doubled alphabet x1..xn, x1*..xn*, and
 a column v, such that r = u A^{-1} v wherever A is invertible.  The
 constructors below compose representations along the expression tree:
 
-* affine subexpressions c0 + sum ci xi (stars allowed) get a 2x2 block
-  [[l, 1], [1, 0]] with u = (0, 1), v = (0, -1);
+* a polynomial subexpression p comes from its shared-prefix linearization
+  L = [[L00, L0B], [LB0, B]] of [[p]] (``ncrank.linearize_matrix``), as
+  [[1, L0B, -L00], [0, B, -LB0], [0, 0, 1]] with u = e_first and
+  v = e_last, of size 2 + border; this pencil is invertible at every point;
 * the inverse of an affine subexpression collapses to the 1x1 pencil [l];
-* sums take direct sums, products couple the blocks through -v1 u2, a general
-  inverse borders the pencil so that the new Schur complement is -r, and the
-  adjoint swaps u and v against the adjoint pencil.
+* sums take direct sums; products couple the blocks through -v1 u2, and
+  when a factor comes from its expansion, its unit pivot next to the
+  coupling is eliminated exactly, so the product is one smaller than the
+  sum of sizes;
+* a general inverse borders the pencil so that the new Schur complement is
+  -r, and the adjoint swaps u and v against the adjoint pencil.
+
+A polynomial subexpression comes from its expansion only while no product
+in it copies letters, so (x1 + x2)*(x1 + x2) is a product of two pencils of
+size 2, not the expansion of four words.  The expansion then has at most as
+many letters as the subexpression has variable leaves, and its border is
+at most that count less one; so the size is at most twice the leaf count plus
+the number of inversions.
 
 Only the evaluation identity is guaranteed; representations of equal
 functions need not match entrywise.
@@ -24,7 +36,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import OutOfDomain
-from .ncpoly import LinearPencil, NcPoly, letter_slot, zero_matrix
+from .ncpoly import LinearPencil, NcMatrix, NcPoly, letter_slot, zero_matrix
+from .ncrank import linearize_matrix
 from .ratexpr import Add, Adjoint, Const, Inv, Mul, Neg, RatExpr, Var, is_polynomial, max_var_index
 from .scalars import GaussianRational
 
@@ -53,35 +66,39 @@ def _pencil(slots: List[List[List[GaussianRational]]], n_vars: int) -> LinearPen
     return LinearPencil(slots, n_vars, star_letters=True)
 
 
-def _affine_poly(e: RatExpr, n_vars: int) -> Optional[NcPoly]:
-    poly = is_polynomial(e, n_vars)
-    if poly is not None and poly.degree <= 1:
-        return poly
-    return None
+def _zeros(k: int) -> Row:
+    return tuple(GaussianRational(0) for _ in range(k))
 
 
-def _affine_slots(poly: NcPoly, n_vars: int, size: int):
-    """size x size coefficient slots holding the affine polynomial at (0, 0)."""
-    slots = [zero_matrix(size, size) for _ in range(1 + 2 * n_vars)]
-    for word, coeff in poly.terms():
-        slots[letter_slot(word[0], n_vars) if word else 0][0][0] = coeff
-    return slots
+def _rep_poly(poly: NcPoly, n_vars: int) -> LinearRepresentation:
+    """[[1, L0B, -L00], [0, B, -LB0], [0, 0, 1]] from L = linearize_matrix([[p]]).
 
-
-def _rep_affine(poly: NcPoly, n_vars: int) -> LinearRepresentation:
-    """2x2 block [[l, 1], [1, 0]] representing an affine polynomial l."""
-    slots = _affine_slots(poly, n_vars, 2)
-    slots[0][0][1] = GaussianRational(1)
-    slots[0][1][0] = GaussianRational(1)
-    zero, one = GaussianRational(0), GaussianRational(1)
+    With L = [[L00, L0B], [LB0, B]], the (first, last) entry of the inverse
+    is L00 - L0B B^{-1} LB0 = p, so u = e_first and v = e_last.  The pencil
+    is block triangular with diagonal 1, B, 1, hence invertible at every
+    point.
+    """
+    lin, border = linearize_matrix(NcMatrix([[poly]], n_vars))
+    size = border + 2
+    slots = []
+    for pos, a in enumerate(lin.widen_alphabet().coeffs):
+        block = zero_matrix(size, size)
+        for i, row in enumerate(a):
+            block[i][1 : size - 1] = row[1:]
+            block[i][size - 1] = -row[0]
+        slots.append(block)
+    one = GaussianRational(1)
+    slots[0][0][0] = slots[0][size - 1][size - 1] = one
     return LinearRepresentation(
-        (zero, one), _pencil(slots, n_vars), (zero, -one)
+        (one,) + _zeros(size - 1), _pencil(slots, n_vars), _zeros(size - 1) + (one,)
     )
 
 
 def _rep_inv_affine(poly: NcPoly, n_vars: int) -> LinearRepresentation:
     """1x1 pencil [l] representing the inverse of an affine polynomial."""
-    slots = _affine_slots(poly, n_vars, 1)
+    slots = [zero_matrix(1, 1) for _ in range(1 + 2 * n_vars)]
+    for word, coeff in poly.terms():
+        slots[letter_slot(word[0], n_vars) if word else 0][0][0] = coeff
     one = GaussianRational(1)
     return LinearRepresentation((one,), _pencil(slots, n_vars), (one,))
 
@@ -92,27 +109,63 @@ def _rep_add(r1: LinearRepresentation, r2: LinearRepresentation) -> LinearRepres
     )
 
 
-def _rep_mul(r1: LinearRepresentation, r2: LinearRepresentation) -> LinearRepresentation:
-    k1, k2 = r1.k, r2.k
-    n_vars = r1.n_vars
+def _upper(a1, a2, coupling, n_vars: int) -> LinearPencil:
+    """[[A1, C], [0, A2]] from coefficient slots, with C = coupling(pos, i, j)."""
+    k1, k2 = len(a1[0]), len(a2[0])
     slots = []
-    for pos, (a1, a2) in enumerate(zip(r1.pencil.coeffs, r2.pencil.coeffs)):
+    for pos, (c1, c2) in enumerate(zip(a1, a2)):
         block = zero_matrix(k1 + k2, k1 + k2)
         for i in range(k1):
-            for j in range(k1):
-                block[i][j] = a1[i][j]
+            block[i][:k1] = c1[i]
+            block[i][k1:] = [coupling(pos, i, j) for j in range(k2)]
         for i in range(k2):
-            for j in range(k2):
-                block[k1 + i][k1 + j] = a2[i][j]
-        if pos == 0:
-            for i in range(k1):
-                for j in range(k2):
-                    block[i][k1 + j] = -(r1.v[i] * r2.u[j])
+            block[k1 + i][k1:] = c2[i]
         slots.append(block)
+    return _pencil(slots, n_vars)
+
+
+def _rep_mul(r1: LinearRepresentation, r2: LinearRepresentation) -> LinearRepresentation:
+    """Couple the blocks through -v1 u2 in the constant slot."""
     zero = GaussianRational(0)
-    u = r1.u + tuple(zero for _ in range(k2))
-    v = tuple(zero for _ in range(k1)) + r2.v
-    return LinearRepresentation(u, _pencil(slots, n_vars), v)
+
+    def coupling(pos, i, j):
+        return -(r1.v[i] * r2.u[j]) if pos == 0 else zero
+
+    pencil = _upper(r1.pencil.coeffs, r2.pencil.coeffs, coupling, r1.n_vars)
+    return LinearRepresentation(r1.u + _zeros(r2.k), pencil, _zeros(r1.k) + r2.v)
+
+
+def _rep_mul_poly(r: LinearRepresentation, p: LinearRepresentation) -> LinearRepresentation:
+    """r * p for a polynomial p (``_rep_poly``), less p's first node.
+
+    The product's coupling -v_r e_first meets p's unit pivot, whose column
+    is otherwise zero; eliminating it couples v_r to the rest of p's first
+    row instead.
+    """
+    first = [[row[1:] for row in a[1:]] for a in p.pencil.coeffs]
+
+    def coupling(pos, i, j):
+        return r.v[i] * p.pencil.coeffs[pos][0][1 + j]
+
+    pencil = _upper(r.pencil.coeffs, first, coupling, r.n_vars)
+    return LinearRepresentation(r.u + _zeros(p.k - 1), pencil, _zeros(r.k) + p.v[1:])
+
+
+def _poly_mul_rep(p: LinearRepresentation, r: LinearRepresentation) -> LinearRepresentation:
+    """p * r for a polynomial p (``_rep_poly``), less p's last node.
+
+    The product's coupling -e_last u_r meets p's unit pivot, whose row is
+    otherwise zero; eliminating it couples the rest of p's last column to
+    u_r instead.
+    """
+    last = p.k - 1
+    kept = [[row[:last] for row in a[:last]] for a in p.pencil.coeffs]
+
+    def coupling(pos, i, j):
+        return p.pencil.coeffs[pos][i][last] * r.u[j]
+
+    pencil = _upper(kept, r.pencil.coeffs, coupling, r.n_vars)
+    return LinearRepresentation(p.u[:last] + _zeros(r.k), pencil, _zeros(last) + r.v)
 
 
 def _rep_inv(r: LinearRepresentation) -> LinearRepresentation:
@@ -131,10 +184,8 @@ def _rep_inv(r: LinearRepresentation) -> LinearRepresentation:
             for i in range(k):
                 block[1 + i][0] = r.v[i]
         slots.append(block)
-    zero, one = GaussianRational(0), GaussianRational(1)
-    u = (one,) + tuple(zero for _ in range(k))
-    v = (-one,) + tuple(zero for _ in range(k))
-    return LinearRepresentation(u, _pencil(slots, n_vars), v)
+    one = GaussianRational(1)
+    return LinearRepresentation((one,) + _zeros(k), _pencil(slots, n_vars), (-one,) + _zeros(k))
 
 
 def _rep_adjoint(r: LinearRepresentation) -> LinearRepresentation:
@@ -147,35 +198,63 @@ def _rep_neg(r: LinearRepresentation) -> LinearRepresentation:
     return LinearRepresentation(tuple(-x for x in r.u), r.pencil, r.v)
 
 
+def _letters(poly: NcPoly) -> int:
+    return sum(len(word) for word, _ in poly.terms())
+
+
 def realize(e: RatExpr, n_vars: Optional[int] = None) -> LinearRepresentation:
     """Build a linear representation of the expression.
 
-    The pencil size is at most twice the leaf count plus the number of
-    inversions.
+    An inversion-free subexpression whose products copy no letter (each
+    product's expansion has no more letters than its factors' together) is
+    realized from its expansion p, at size 2 + the border of
+    ``linearize_matrix([[p]])``.  A product whose expansion would copy
+    letters is realized factor by factor instead, so factored powers stay
+    linear in size.  An inverse of an affine polynomial has size 1, sums add
+    sizes, a product adds them less one when a factor is realized from its
+    expansion, and any other inverse adds one.  The size is at most twice
+    the leaf count plus the number of inversions.
     """
     if n_vars is None:
         n_vars = max(max_var_index(e), 1)
 
-    def build(node: RatExpr) -> LinearRepresentation:
-        affine = _affine_poly(node, n_vars)
-        if affine is not None:
-            return _rep_affine(affine, n_vars)
-        if isinstance(node, Inv):
-            inner_affine = _affine_poly(node.child, n_vars)
-            if inner_affine is not None:
-                return _rep_inv_affine(inner_affine, n_vars)
-            return _rep_inv(build(node.child))
-        if isinstance(node, Add):
-            return _rep_add(build(node.left), build(node.right))
-        if isinstance(node, Mul):
-            return _rep_mul(build(node.left), build(node.right))
-        if isinstance(node, Neg):
-            return _rep_neg(build(node.child))
-        if isinstance(node, Adjoint):
-            return _rep_adjoint(build(node.child))
-        raise TypeError(f"not an expression node: {node!r}")
+    def rep_of(built) -> LinearRepresentation:
+        rep, poly = built
+        return _rep_poly(poly, n_vars) if rep is None else rep
 
-    return build(e)
+    def build(node: RatExpr) -> Tuple[Optional[LinearRepresentation], Optional[NcPoly]]:
+        """(None, p) for a node realized from its expansion p, else (rep, None)."""
+        if isinstance(node, (Const, Var)):
+            return None, is_polynomial(node, n_vars)
+        if isinstance(node, Inv):
+            child = build(node.child)
+            if child[1] is not None and child[1].degree <= 1:
+                return _rep_inv_affine(child[1], n_vars), None
+            return _rep_inv(rep_of(child)), None
+        if isinstance(node, Neg):
+            rep, poly = build(node.child)
+            return (None, -poly) if rep is None else (_rep_neg(rep), None)
+        if isinstance(node, Adjoint):
+            rep, poly = build(node.child)
+            return (None, poly.adjoint()) if rep is None else (_rep_adjoint(rep), None)
+        if not isinstance(node, (Add, Mul)):
+            raise TypeError(f"not an expression node: {node!r}")
+        left, right = build(node.left), build(node.right)
+        if isinstance(node, Add):
+            if left[0] is None and right[0] is None:
+                return None, left[1] + right[1]
+            return _rep_add(rep_of(left), rep_of(right)), None
+        if left[0] is None and right[0] is None:
+            product = left[1] * right[1]
+            if _letters(product) <= _letters(left[1]) + _letters(right[1]):
+                return None, product
+        if right[0] is None:
+            return _rep_mul_poly(rep_of(left), rep_of(right)), None
+        if left[0] is None:
+            return _poly_mul_rep(rep_of(left), rep_of(right)), None
+        return _rep_mul(rep_of(left), rep_of(right)), None
+
+    return rep_of(build(e))
 
 
 @dataclass(frozen=True)
@@ -199,14 +278,6 @@ def _pencil_at(
     return report, value
 
 
-def _solve(rep: LinearRepresentation, value: np.ndarray) -> np.ndarray:
-    """u A^{-1} v from the evaluated pencil A, known to be invertible."""
-    eye = np.eye(value.shape[0] // rep.k, dtype=complex)
-    u_row = np.array([[complex(x) for x in rep.u]], dtype=complex)
-    v_col = np.array([[complex(x)] for x in rep.v], dtype=complex)
-    return np.kron(u_row, eye) @ np.linalg.solve(value, np.kron(v_col, eye))
-
-
 def domain_check(
     rep: LinearRepresentation, model, tol_factor: float = 1.0
 ) -> DomainReport:
@@ -218,14 +289,24 @@ def domain_check(
     return _pencil_at(rep, model, tol_factor)[0]
 
 
+def eval_and_check(
+    rep: LinearRepresentation, model, tol_factor: float = 1.0
+) -> Tuple[DomainReport, np.ndarray]:
+    """Domain report and value u A(X)^{-1} v, from one SVD and one solve.
+
+    Raises OutOfDomain when the report finds the pencil singular.
+    """
+    report, value = _pencil_at(rep, model, tol_factor)
+    if not report.ok:
+        raise OutOfDomain("pencil is singular at the sampled point", report.sigma_min)
+    eye = np.eye(value.shape[0] // rep.k, dtype=complex)
+    u_row = np.array([[complex(x) for x in rep.u]], dtype=complex)
+    v_col = np.array([[complex(x)] for x in rep.v], dtype=complex)
+    return report, np.kron(u_row, eye) @ np.linalg.solve(value, np.kron(v_col, eye))
+
+
 def eval_rep(
     rep: LinearRepresentation, model, tol_factor: float = 1.0
 ) -> np.ndarray:
     """Value u A(X)^{-1} v of the represented function at a matrix tuple."""
-    report, value = _pencil_at(rep, model, tol_factor)
-    if not report.ok:
-        raise OutOfDomain(
-            f"pencil is singular at this point (sigma_min={report.sigma_min:.3e})",
-            report.sigma_min,
-        )
-    return _solve(rep, value)
+    return eval_and_check(rep, model, tol_factor)[1]

@@ -43,6 +43,7 @@ from ncfield import (
     verify_certificate,
     verify_nonfull_witness,
 )
+from ncfield.ncpoly import Letter
 from ncfield.errors import Inconclusive, InputError, NoConsensus, NonSquareError
 from ncfield.ncrank import (
     _blowup_draws,
@@ -340,8 +341,10 @@ def test_small_full_pencil_missed_at_d1_is_proved_at_d2():
 
 def test_commutator_matrix_is_proved_full_at_a_small_blowup():
     # A 3x3 matrix of {-1, 1, 2}-combinations of [x1,x2], [x1,x3], [x2,x3]
-    # linearizes to N = 57 and is singular at every scalar point, so d = 1
-    # cannot prove it full; d = 2 does, long before d = N - 1 = 56.
+    # linearizes to N = 12 (border 9: prefixes x1, x2, x3 in each row) and is
+    # singular at every scalar point, so d = 1 cannot prove it full; d = 2
+    # does, before d = N - 1 = 11.
+    assert ncrank_module._blowup_degrees(12) == [2, 4, 8, 11]
     assert ncrank_module._blowup_degrees(57) == [2, 4, 8, 16, 32, 56]
     assert ncrank_module._blowup_degrees(3) == [2]
     assert ncrank_module._blowup_degrees(2) == [2]
@@ -362,7 +365,7 @@ def test_commutator_matrix_is_proved_full_at_a_small_blowup():
     pencil, border = linearize_matrix(m)
     cert = fullness_scaling(homogenize(pencil), seed=0)
     elapsed = time.perf_counter() - start
-    assert (result.rho, result.cross["scaling"], border) == (3, "full", 54)
+    assert (result.rho, result.cross["scaling"], border) == (3, "full", 9)
     assert (cert.verdict, cert.detail) == ("full", "blow-up rank mod p at d = 2")
     assert elapsed < 2.0
 
@@ -598,13 +601,89 @@ def _grid_linearization(matrix):
     return NcMatrix(grid, n_vars).to_pencil(), border
 
 
+def _schur_complement(pencil, rows, cols):
+    """L00 - L0B B^{-1} LB0 of a linearization, for a border B = -1 + nilpotent.
+
+    -B^{-1} is the finite sum of the powers of B + 1, so the complement is
+    L00 + L0B (sum of (B + 1)^k) LB0, in exact polynomial arithmetic.
+    """
+    grid, n_vars = pencil.to_matrix().entries, pencil.n_vars
+    l00 = NcMatrix([row[:cols] for row in grid[:rows]], n_vars)
+    if pencil.rows == rows:
+        return l00
+    l0b = NcMatrix([row[cols:] for row in grid[:rows]], n_vars)
+    lb0 = NcMatrix([row[:cols] for row in grid[rows:]], n_vars)
+    nil = NcMatrix([row[cols:] for row in grid[rows:]], n_vars) + NcMatrix.identity(pencil.rows - rows, n_vars)
+    total, term = l00, lb0
+    while not term.is_zero():
+        total, term = total + l0b @ term, nil @ term
+    return total
+
+
+def _distinct_proper_prefixes(matrix):
+    return len({(i, word[:g]) for i, row in enumerate(matrix.entries) for p in row
+                for word, _ in p.terms() for g in range(1, len(word))})
+
+
 def test_linearization_builds_the_pencil_of_its_grid():
+    # both constructions have the matrix as Schur complement and read the
+    # same rank, less their borders
     for seed in range(40):
         m = random_poly_matrix(
             2, 1 + seed % 3, 1 + seed % 2, degree=seed % 4, seed=500 + seed,
             allow_star=seed % 2 == 1, complex_coeffs=seed % 3 == 0,
         )
-        assert linearize_matrix(m) == _grid_linearization(m), seed
+        dims = (max(m.rows, m.cols) + 1,)
+        ranks = []
+        for pencil, border in (linearize_matrix(m), _grid_linearization(m)):
+            assert _schur_complement(pencil, m.rows, m.cols) == m, seed
+            ranks.append(rank_by_substitution(pencil, dims=dims, seed=seed).rho - border)
+        assert ranks[0] == ranks[1] == rank_by_substitution(m, dims=dims, seed=seed).rho, seed
+
+
+def test_shared_prefix_linearization_matches_the_grid_oracle():
+    # seeded property: degree 1-4, plain and starred, rectangular and square
+    for seed in range(24):
+        m = random_poly_matrix(
+            2 + seed % 2, 1 + seed % 3, 1 + (seed // 3) % 3, degree=1 + seed % 4,
+            seed=900 + seed, terms_per_entry=2 + seed % 3, allow_star=seed % 5 == 0,
+        )
+        pencil, border = linearize_matrix(m)
+        grid, grid_border = _grid_linearization(m)
+        assert border == _distinct_proper_prefixes(m) <= grid_border, seed
+        assert (pencil.rows, pencil.cols) == (m.rows + border, m.cols + border)
+        dims = (max(m.rows, m.cols) + 1,)
+        trie_rho = rank_by_substitution(pencil, dims=dims, seed=seed).rho - border
+        grid_rho = rank_by_substitution(grid, dims=dims, seed=seed).rho - grid_border
+        assert trie_rho == grid_rho, seed
+
+
+def _three_term_product(inner: int, degree: int) -> NcMatrix:
+    """4 x inner times inner x 4, entries of three words of degree <= degree in 2 letters."""
+    rng = random.Random(0)
+
+    def entry() -> NcPoly:
+        terms = {}
+        while len(terms) < 3:
+            word = tuple(Letter(rng.randint(1, 2)) for _ in range(rng.randint(0, degree)))
+            terms[word] = rng.choice([-3, -2, -1, 1, 2, 3])
+        return NcPoly(terms, 2)
+
+    left = NcMatrix([[entry() for _ in range(inner)] for _ in range(4)], 2)
+    right = NcMatrix([[entry() for _ in range(4)] for _ in range(inner)], 2)
+    return left @ right
+
+
+@pytest.mark.parametrize("inner, degree, border", [(3, 2, 41), (3, 3, 102), (2, 2, 38)])
+def test_products_of_random_polynomial_matrices_are_decided_quickly(inner, degree, border):
+    # rho = inner; one border chain per monomial took 387, 829 and 288 nodes
+    m = _three_term_product(inner, degree)
+    assert linearize_matrix(m)[1] == border
+    start = time.perf_counter()
+    result = ncrank(m, seed=0)
+    assert time.perf_counter() - start < 5.0
+    assert result.rho == inner
+    assert (result.cross["scaling"], result.cross["scaling_detail"]) == ("nonfull", "exact Wong")
 
 
 def test_ncrank_of_a_pencil_is_ncrank_of_its_matrix():
@@ -881,7 +960,7 @@ def test_rank_is_invariant_under_exact_invertible_factors():
 
 
 def test_cubic_with_four_words_has_rank_one():
-    # Linearized size N = 9; exact confirmation works on a 72 x 72 blow-up.
+    # Linearized size N = 7 (border 6: prefixes x1, x2, x1x2, x2x1, x1x1, x2x2).
     m = NcMatrix([[poly_from_string("1 + x1*x2*x1 + x2*x1*x2 + x1*x1*x2 + x2*x2*x1")]], 2)
     start = time.perf_counter()
     result = ncrank(m, seed=3)
@@ -899,13 +978,14 @@ def _affine(rng: random.Random) -> NcPoly:
 
 
 def test_rank_one_product_of_affine_polynomials():
-    # A 2x1 times 1x2 product has rho = 1 and degree 2: N = 18, border 16.
+    # A 2x1 times 1x2 product has rho = 1 and degree 2: N = 6, border 4
+    # (prefixes x1 and x2 in each row).
     rng = random.Random(6)
     left = NcMatrix([[_affine(rng)], [_affine(rng)]], 2)
     right = NcMatrix([[_affine(rng), _affine(rng)]], 2)
     m = left @ right
     pencil, border = linearize_matrix(m)
-    assert (pencil.rows, border) == (18, 16)
+    assert (pencil.rows, border) == (6, 4)
     start = time.perf_counter()
     result = ncrank(m, seed=0)
     assert time.perf_counter() - start < 10.0
@@ -921,7 +1001,7 @@ def _affine_product(inner: int) -> NcMatrix:
     return left @ right
 
 
-@pytest.mark.parametrize("inner, size", [(1, 39), (2, 37)])
+@pytest.mark.parametrize("inner, size", [(1, 9), (2, 9)])
 def test_nonfull_linearized_products_are_decided_quickly(inner, size):
     m = _affine_product(inner)
     assert linearize_matrix(m)[0].rows == size

@@ -15,20 +15,25 @@ from ncfield import (
     GaussianRational,
     Inv,
     Mul,
+    NcMatrix,
     Neg,
     Var,
     custom_model,
     domain_check,
+    eval_and_check,
     eval_numeric,
     eval_rep,
     expr_adjoint,
+    linearize_matrix,
     parse,
     rank_by_substitution,
     realize,
     sample,
+    unparse,
 )
 from ncfield.cli import rep_from_json, rep_to_json
 from ncfield.errors import OutOfDomain
+from ncfield.ratexpr import is_polynomial
 
 
 def _random_expr(rng: random.Random, depth: int, n_vars: int = 2, inv_bias: float = 0.2):
@@ -106,8 +111,10 @@ def test_rep_agrees_with_direct_evaluation():
     rng_py = random.Random(314)
     rng = np.random.default_rng(314)
     agreed = 0
-    for _ in range(30):
-        e = _random_expr(rng_py, rng_py.randint(1, 3))
+    # depth 4 with fewer inverses: polynomial factors of products
+    exprs = [_random_expr(rng_py, rng_py.randint(1, 3)) for _ in range(30)]
+    exprs += [_random_expr(rng_py, 4, inv_bias=0.1) for _ in range(15)]
+    for e in exprs:
         rep = realize(e, 2)
         model = custom_model(
             [rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) for _ in range(2)]
@@ -120,7 +127,7 @@ def test_rep_agrees_with_direct_evaluation():
         scale = max(1.0, np.linalg.norm(direct))
         assert np.linalg.norm(via_rep - direct) / scale < 1e-8
         agreed += 1
-    assert agreed > 12
+    assert agreed > 20
 
 
 def test_adjoint_representation():
@@ -137,21 +144,71 @@ def test_adjoint_representation():
         assert np.linalg.norm(b - a.conj().T) < 1e-8, text
 
 
+def _letters(poly):
+    return sum(len(word) for word, _ in poly.terms())
+
+
+def _expansion_copying_no_letter(e):
+    """The expansion of e when e has no inverse and no product in it copies
+    letters (expands to more letters than its factors have together)."""
+    poly = is_polynomial(e, 2)
+    if poly is None or isinstance(e, (Var, Const)):
+        return poly
+    if isinstance(e, (Neg, Adjoint)):
+        return poly if _expansion_copying_no_letter(e.child) is not None else None
+    left = _expansion_copying_no_letter(e.left)
+    right = _expansion_copying_no_letter(e.right)
+    if left is None or right is None:
+        return None
+    if isinstance(e, Mul) and _letters(poly) > _letters(left) + _letters(right):
+        return None
+    return poly
+
+
 def test_size_contract():
     rng = random.Random(8)
-    for _ in range(40):
-        e = _random_expr(rng, rng.randint(1, 4))
+    exprs = [_random_expr(rng, rng.randint(1, 4)) for _ in range(40)]
+    # a factored power, whose expansion has 30 distinct proper prefixes
+    exprs.append(parse("(x1 + x2)*(x1 + x2)*(x1 + x2)*(x1 + x2)*(x1 + x2)"))
+    expanded = 0
+    for e in exprs:
         rep = realize(e, 2)
         leaves, invs = _leaves_and_invs(e)
         assert rep.k <= 2 * leaves + invs, (rep.k, leaves, invs)
         assert len(rep.u) == rep.k and len(rep.v) == rep.k
+        poly = _expansion_copying_no_letter(e)
+        if poly is not None:
+            assert rep.k == 2 + linearize_matrix(NcMatrix([[poly]], 2))[1], unparse(e)
+            expanded += 1
+    assert expanded >= 5
+
+
+@pytest.mark.parametrize(
+    "text, k",
+    [
+        ("x2*inv(x1*x2)*x1", 6),
+        ("inv(x1 + x2*x1) - x1'", 6),
+        ("inv(1 + x1*inv(x2 + 3)*x1') + x2*x1", 9),
+    ],
+)
+def test_polynomial_factors_share_a_node_with_their_product(text, k):
+    # x1*x2 realizes at 2 + 1; a polynomial factor of a product drops the
+    # unit pivot next to the coupling
+    rep = realize(parse(text), 2)
+    assert rep.k == k
+    model = sample("ginibre", 9, 2, seed=5)
+    direct = eval_numeric(parse(text), model)
+    assert np.linalg.norm(eval_rep(rep, model) - direct) / max(1.0, np.linalg.norm(direct)) < 1e-9
 
 
 def test_realized_pencil_is_full():
-    for text in ["x2*inv(x1*x2)*x1", "inv(x1)*inv(x2)", "x1 + x2*x1", "inv(1 + x1*x1)"]:
-        rep = realize(parse(text), 2)
+    exprs = [parse(text) for text in ["x2*inv(x1*x2)*x1", "inv(x1)*inv(x2)", "x1 + x2*x1", "inv(1 + x1*x1)"]]
+    rng = random.Random(27)
+    exprs += [_random_expr(rng, 3, inv_bias=0.25) for _ in range(8)]
+    for e in exprs:
+        rep = realize(e, 2)
         result = rank_by_substitution(rep.pencil.to_matrix(), seed=3)
-        assert result.rho == rep.k, text
+        assert result.rho == rep.k, unparse(e)
 
 
 def test_domain_check_flags_singular_points():
@@ -162,8 +219,13 @@ def test_domain_check_flags_singular_points():
     assert report.sigma_min < report.threshold
     generic = sample("ginibre", 6, 2, seed=4)
     assert domain_check(rep, generic).ok
+    checked, value = eval_and_check(rep, generic)
+    assert checked == domain_check(rep, generic)
+    assert np.array_equal(value, eval_rep(rep, generic))
     with pytest.raises(OutOfDomain):
         eval_rep(rep, scalar_point)
+    with pytest.raises(OutOfDomain):
+        eval_and_check(rep, scalar_point)
 
 
 def test_rep_json_round_trip():
