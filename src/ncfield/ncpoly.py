@@ -644,24 +644,6 @@ class NcMatrix:
             blocks.append(tuple(sorted(block)))
         return blocks
 
-    def hollow_block(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """Find a zero submatrix with more than N rows plus columns.
-
-        Returns 1-based (row indices, column indices) or None.  Existence is
-        decided through a maximum matching on the nonzero pattern: the pattern
-        admits a perfect matching exactly when no such block exists.
-        """
-        if not self.is_square():
-            raise NonSquareError("hollow structure is defined for square matrices")
-        n = self.rows
-        block = _zero_block(
-            [[not self.entries[i][j].is_zero() for j in range(n)] for i in range(n)]
-        )
-        if block is None:
-            return None
-        zero_rows, zero_cols = block
-        return tuple(i + 1 for i in zero_rows), tuple(j + 1 for j in zero_cols)
-
     def to_pencil(self) -> "LinearPencil":
         """Coefficient extraction for matrices of degree at most one.
 

@@ -36,8 +36,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,8 +49,7 @@ from .errors import (
     ZeroPencilError,
 )
 from .ncpoly import LinearPencil, NcMatrix, _zero_block, evaluate_form, letter_slot, zero_matrix
-from .ncpoly import _balance_exponent
-from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_rank, empirical_ranks, sample
+from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_ranks, sample
 from .scalars import (
     _IOTA,
     _P,
@@ -62,15 +59,7 @@ from .scalars import (
     matmul_mod_p,
     moduli_above,
     rank_mod_p,
-    residues_mod_p,
 )
-
-
-def _apply_cp(mats: Sequence[np.ndarray], b: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(b, dtype=complex)
-    for a in mats:
-        out += a @ b @ a.conj().T
-    return out
 
 
 def homogenize(pencil: LinearPencil) -> LinearPencil:
@@ -191,24 +180,12 @@ class FullnessCertificate:
     # what decided: "blow-up rank mod p at d = 1" (or at the larger d that
     # proved it), "zero pattern", "exact Wong" or "exact Wong (adjoint)"
     detail: str = ""
-    # nonfull: bases (U, V) as rows of Q(i) scalars, with U^T Ai V = 0 for
-    # every i and rank U + rank V > N; coordinate bases for a zero pattern
-    pair: Optional[Tuple[list, list]] = field(default=None, repr=False)
+    # nonfull: the pair (U, V), bases as rows of Q(i) scalars with
+    # U^T Ai V = 0 for every i and rank U + rank V > N (coordinate bases for
+    # a zero pattern), which ``verify_nonfull_witness`` checks; full: None
+    witness: Optional[Tuple[list, list]] = field(default=None, repr=False)
     # full: (d, seed, prime) of the blow-up whose rank mod prime is N * d
     blowup: Optional[Tuple[int, int, int]] = None
-
-    @cached_property
-    def witness(self) -> Optional[np.ndarray]:
-        """The PSD matrix B of a nonfull verdict, with rank L(B) < rank B.
-
-        Derived on first read as VV*, for an orthonormal basis of the span of
-        V; the verdict itself rests on the exact pair.  None for a full
-        verdict.
-        """
-        if self.pair is None:
-            return None
-        v = _orthonormal(np.array(self.pair[1], dtype=complex))
-        return v @ v.conj().T
 
 
 def fullness_scaling(pencil: LinearPencil, seed: int = 0) -> FullnessCertificate:
@@ -226,10 +203,9 @@ def fullness_scaling(pencil: LinearPencil, seed: int = 0) -> FullnessCertificate
     (``_integer_parts``), and every step reads those or their residues mod
     p.  When nothing decides, or p divides a denominator, the result is
     Inconclusive.  The certificate carries its exact data, the pair (U, V)
-    of a nonfull verdict or the (d, seed, prime) of a full one, which
-    ``verify_certificate`` re-checks; ``witness`` derives a float B from
-    the pair on first read.  A doubled pencil is read over its 2n plain
-    letters.
+    of a nonfull verdict as ``witness`` or the (d, seed, prime) of a full
+    one as ``blowup``, which ``verify_certificate`` re-checks.  A doubled
+    pencil is read over its 2n plain letters.
     """
     coeffs = _exact_tuple(pencil)
     n = len(coeffs[0])
@@ -240,11 +216,11 @@ def fullness_scaling(pencil: LinearPencil, seed: int = 0) -> FullnessCertificate
     block = _zero_block((ints.parts != 0).any(axis=(0, 1)).tolist())
     if block is not None:
         pair = tuple(_coordinate_basis(n, index) for index in block)
-        return FullnessCertificate("nonfull", "hollow", n, detail="zero pattern", pair=pair)
+        return FullnessCertificate("nonfull", "hollow", n, detail="zero pattern", witness=pair)
     for flip, detail in ((False, "exact Wong"), (True, "exact Wong (adjoint)")):
         pair = _exact_hollow_block(forms, ints, seed + (303 if flip else 101), flip)
         if pair is not None:
-            return FullnessCertificate("nonfull", "exact", n, detail=detail, pair=pair)
+            return FullnessCertificate("nonfull", "exact", n, detail=detail, witness=pair)
     for d in _blowup_degrees(n):
         if _confirm_full_exact(forms[0], seed, d=d):
             return _full_by_blowup(n, d, seed)
@@ -254,26 +230,46 @@ def fullness_scaling(pencil: LinearPencil, seed: int = 0) -> FullnessCertificate
 def verify_certificate(pencil: LinearPencil, cert: FullnessCertificate) -> bool:
     """Re-check an exact fullness verdict from its certificate alone.
 
-    A nonfull certificate passes when its pair (U, V) has full column ranks
-    that sum past N and U^T Ai V = 0 for every i, checked exactly.  A full
-    one passes when the blow-up drawn for its (d, seed, prime) has rank N * d
-    mod prime; p is the one prime this module reduces modulo.  A certificate
-    with no exact data does not pass.
+    A nonfull certificate passes when ``verify_nonfull_witness`` accepts its
+    witness.  A full one passes when the blow-up drawn for its (d, seed,
+    prime) has rank N * d mod prime, read from D Ai mod p as the engine
+    reads it; p is the one prime this module reduces modulo, and d lies in
+    1..max(N - 1, 2), the degrees ``fullness_scaling`` reads, so a forged d
+    builds no outsized matrix.  Anything else does not pass.
     """
     coeffs = _exact_tuple(pencil)
     n = len(coeffs[0])
     if cert.size != n:
         return False
-    if cert.verdict == "nonfull" and cert.pair is not None:
-        u, v = cert.pair
-        return len(u) == len(v) == n and _holds_exactly(_integer_parts(coeffs), u, v)
+    if cert.verdict == "nonfull":
+        return verify_nonfull_witness(pencil, cert.witness)
     if cert.verdict == "full" and cert.blowup is not None:
         d, seed, prime = cert.blowup
-        residues = [residues_mod_p(a) for a in coeffs]
-        if prime != _P or d < 1 or any(r is None for r in residues):
+        if prime != _P or not 1 <= d <= max(n - 1, 2):
             return False
-        return _confirm_full_exact(residues, seed, d)
+        ints = _integer_parts(coeffs)
+        return ints.denominator % _P != 0 and _confirm_full_exact(_residue_forms(ints)[0], seed, d)
     return False
+
+
+def verify_nonfull_witness(pencil: LinearPencil, witness) -> bool:
+    """Re-check a nonfull witness (U, V) of a homogeneous square pencil exactly.
+
+    It passes when U and V are N-row bases of full column rank whose ranks
+    sum past N and U^T Ai V = 0 for every i (``_holds_exactly``), which
+    proves the pencil nonfull.  The entries are read as exact scalars
+    (``GaussianRational.coerce``); anything that is not two N-row lists of
+    equal-width rows of such scalars does not pass.
+    """
+    coeffs = _exact_tuple(pencil)
+    n = len(coeffs[0])
+    try:
+        u, v = ([[GaussianRational.coerce(x) for x in row] for row in basis] for basis in witness)
+    except (TypeError, ValueError):
+        return False
+    if not all(len(b) == n and len({len(row) for row in b}) == 1 for b in (u, v)):
+        return False
+    return _holds_exactly(_integer_parts(coeffs), u, v)
 
 
 def _exact_tuple(pencil: LinearPencil) -> list:
@@ -310,13 +306,6 @@ def _residue_forms(ints: IntegerParts) -> List[np.ndarray]:
     return [(re + _IOTA * im) % _P, (re + (_P - _IOTA) * im) % _P]
 
 
-def _float_coeffs(coeffs) -> List[np.ndarray]:
-    """The Ai as floats times one power of two: no overflow, the same witnesses."""
-    e = _balance_exponent(x for a in coeffs for row in a for x in row)
-    scale = GaussianRational(Fraction(2) ** e)
-    return [np.array([[complex(x * scale if e else x) for x in row] for row in a]) for a in coeffs]
-
-
 def _blowup_degrees(n: int) -> List[int]:
     """d = 2, 4, 8, ... below N - 1, then N - 1, or 2 to redraw a small N.
 
@@ -335,14 +324,6 @@ def _full_by_blowup(n: int, d: int, seed: int) -> FullnessCertificate:
     return FullnessCertificate(
         "full", "exact", n, detail=f"blow-up rank mod p at d = {d}", blowup=(d, seed, _P)
     )
-
-
-def _orthonormal(cols: np.ndarray) -> np.ndarray:
-    if cols.size == 0:
-        return cols.reshape(cols.shape[0], 0)
-    q, r = np.linalg.qr(cols)
-    keep = np.abs(np.diagonal(r)) > 1e-12 * max(np.abs(np.diagonal(r)).max(), 1e-300)
-    return q[:, keep]
 
 
 def _confirm_full_exact(residues, seed: int, d: int) -> bool:
@@ -390,42 +371,6 @@ def _blowup_mod_p(residues, subs) -> np.ndarray:
         # a product of residues is below 2^62, so adding one residue fits int64
         big = (big + np.kron(a, x)) % _P
     return big
-
-
-def _verify_witness(
-    mats: Sequence[np.ndarray], b: np.ndarray, policy: TolerancePolicy
-) -> bool:
-    """Re-check that rank L(B) < rank B with independent thresholding.
-
-    With B = GG* on its numeric range, L(B) = KK* for K = [A1 G, ..., Am G],
-    which is linear in the Ai.  K below the threshold of its a-priori bound
-    sqrt(sum ||Ai||^2 ||B||) reads as rank 0, as for an exact common-kernel
-    witness; otherwise rank L(B) is read against its own largest value.
-    """
-    rank_b = empirical_rank(b, policy)
-    if not rank_b.clean or rank_b.rank == 0:
-        return False
-    eigs, vecs = np.linalg.eigh(b)
-    g = vecs[:, -rank_b.rank:] * np.sqrt(eigs[-rank_b.rank:])
-    k = np.hstack([a @ g for a in mats])
-    bound = math.sqrt(sum(np.linalg.norm(a, 2) ** 2 for a in mats) * rank_b.sigma_max)
-    if np.linalg.norm(k, 2) <= policy.threshold(b.shape[0], bound):
-        return True
-    rank_lb = empirical_rank(_apply_cp(mats, b), policy)
-    return rank_lb.clean and rank_lb.rank < rank_b.rank
-
-
-def verify_nonfull_witness(
-    pencil: LinearPencil, b: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY
-) -> bool:
-    """Public re-verification hook for nonfull certificates."""
-    herm_gap = np.linalg.norm(b - b.conj().T)
-    if herm_gap > 1e-8 * max(np.linalg.norm(b), 1e-300):
-        return False
-    eigs = np.linalg.eigvalsh((b + b.conj().T) / 2)
-    if eigs[0] < -1e-9 * max(abs(eigs[-1]), 1e-300):
-        return False
-    return _verify_witness(_float_coeffs(pencil.coeffs[1:]), b, policy)
 
 
 def _exact_hollow_block(forms, ints, seed, transpose=False):

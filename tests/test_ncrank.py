@@ -43,16 +43,16 @@ from ncfield import (
     verify_certificate,
     verify_nonfull_witness,
 )
-from ncfield.ncpoly import Letter
+from ncfield.ncpoly import Letter, _zero_block
 from ncfield.errors import Inconclusive, InputError, NoConsensus, NonSquareError
 from ncfield.ncrank import (
     _blowup_draws,
     _blowup_mod_p,
     _confirm_full_exact,
+    _coordinate_basis,
     _exact_hollow_block,
     _holds_exactly,
     _integer_parts,
-    _orthonormal,
     _point_mod_p,
     _residue_forms,
 )
@@ -76,6 +76,11 @@ def _holds(coeffs, u, v):
     return _holds_exactly(_integer_parts(coeffs), u, v)
 
 
+def _pattern(m):
+    """The nonzero pattern of a square matrix, as ``_zero_block`` reads it."""
+    return [[not m[i, j].is_zero() for j in range(m.cols)] for i in range(m.rows)]
+
+
 def _residues(pencil):
     """D A1..D Am of a plain pencil mod p at i = iota, D the lcm of the denominators."""
     return _residue_forms(_integer_parts(pencil.coeffs[1:]))[0]
@@ -87,10 +92,9 @@ def test_scaling_rejects_single_nilpotent_coefficient():
     assert cert.verdict == "nonfull"
     assert cert.witness is not None
     assert verify_nonfull_witness(pencil, cert.witness)
-    # the rank-one projection onto the first coordinate also shrinks
-    e11 = np.zeros((2, 2), dtype=complex)
-    e11[0, 0] = 1.0
-    assert verify_nonfull_witness(pencil, e11)
+    # a hand-built pair: x1 E12 kills e1, so U = (e1, e2), V = e1 is a block
+    one, zero = GaussianRational(1), GaussianRational(0)
+    assert verify_nonfull_witness(pencil, ([[one, zero], [zero, one]], [[one], [zero]]))
 
 
 def test_zero_pattern_shortcut():
@@ -104,7 +108,7 @@ def test_zero_pattern_shortcut():
 def test_hidden_hollow_matrices_are_caught():
     for seed in range(6):
         m = conjugated_hollow_matrix(4, 2, seed=200 + seed)
-        assert m.hollow_block() is None, seed
+        assert _zero_block(_pattern(m)) is None, seed
         cert = fullness_scaling(m.to_pencil(), seed=seed)
         assert cert.verdict == "nonfull", seed
         assert cert.detail.startswith("exact Wong"), (seed, cert.detail)
@@ -114,32 +118,21 @@ def test_hidden_hollow_matrices_are_caught():
 
 
 def test_witness_rejected_on_full_pencil():
+    # forged pairs on full pencils: identity bases, a pair whose widths only
+    # sum to N, and wide bases that are no block
+    e = _coordinate_basis
     pencil = random_pencil(2, 3, seed=41, homogeneous=True)
-    assert not verify_nonfull_witness(pencil, np.eye(3, dtype=complex))
-    rng = np.random.default_rng(41)
-    v = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
-    assert not verify_nonfull_witness(pencil, v @ v.conj().T)
-    # x1 * diag(1, eps) is full; e2 is only a near kernel: L(e2 e2*) has norm
-    # eps^2, far below roundoff of sum ||Ai||^2 for eps = 1e-9, but A1 e2 has
-    # norm eps, which clears the threshold.
-    e22 = np.diag([0.0, 1.0]).astype(complex)
-    for eps in (Fraction(1, 10**6), Fraction(1, 10**9)):
+    assert fullness_scaling(pencil, seed=0).verdict == "full"
+    for forged in ((e(3, [0, 1, 2]), e(3, [0, 1, 2])), (e(3, [0, 1]), e(3, [2])),
+                   (e(3, [0, 1]), e(3, [0, 1]))):
+        assert not verify_nonfull_witness(pencil, forged), forged
+    # x1 * diag(1, eps) is full: e1^T A1 e2 = 0 is a block of widths 1 + 1 = N,
+    # and e2 is only a near kernel, A1 e2 = eps e2, however small eps is
+    for eps in (Fraction(1, 10**6), Fraction(1, 10**400)):
         pencil = _pencil([[[0, 0], [0, 0]], [[1, 0], [0, eps]]], 1)
-        assert not verify_nonfull_witness(pencil, e22), eps
-
-
-def test_exact_common_kernel_witness_is_accepted():
-    # The exact Wong sequence finds a vector v with Ai v = 0 for every i, so
-    # L(vv*) is pure roundoff and must read as rank 0, not as rank 1.
-    pencil = conjugated_hollow_matrix(4, 2, seed=19).to_pencil()
-    block = _hollow_block(pencil.coeffs[1:], seed=101)
-    assert block is not None
-    v = _orthonormal(np.array(block[1], dtype=complex))
-    assert v.shape == (4, 1)
-    b = v @ v.conj().T
-    mats = [np.array(a, dtype=complex) for a in pencil.coeffs[1:]]
-    assert np.linalg.norm(sum(a @ b @ a.conj().T for a in mats)) < 1e-8
-    assert verify_nonfull_witness(pencil, b)
+        assert fullness_scaling(pencil, seed=0).verdict == "full", eps
+        assert not verify_nonfull_witness(pencil, (e(2, [0]), e(2, [1]))), eps
+        assert not verify_nonfull_witness(pencil, (e(2, [0, 1]), e(2, [1]))), eps
 
 
 def _exact_rank(cols) -> int:
@@ -205,7 +198,7 @@ def test_exact_hollow_block_is_checked_and_matches_the_wong_oracle(
     oracle = _wong_oracle(coeffs, size, weights)
     assert oracle is not None
     lifted = [list(col) for col in zip(*v)]
-    # the same subspace, so the same projector B
+    # the lifted V spans the oracle's subspace
     assert _exact_rank(oracle) == _exact_rank(lifted) == _exact_rank(oracle + lifted)
 
 
@@ -235,7 +228,7 @@ def test_gaussian_conjugated_hollow_block_is_lifted_from_two_roots():
         rng = random.Random(seed)
         m = _gaussian_factor(4, rng) @ hollow_matrix(4, 2, seed) @ _gaussian_factor(4, rng)
         pencil = m.to_pencil()
-        assert m.hollow_block() is None, seed
+        assert _zero_block(_pattern(m)) is None, seed
         u, v = _hollow_block(pencil.coeffs[1:], seed)
         assert any(x.im for basis in (u, v) for row in basis for x in row), seed
         cert = fullness_scaling(pencil, seed=seed)
@@ -245,9 +238,8 @@ def test_gaussian_conjugated_hollow_block_is_lifted_from_two_roots():
 
 
 def test_ill_conditioned_hollow_block_is_exact_and_accepted():
-    # |Ai| ~ 1e3 and V is the whole space: the float witness keeps all seven
-    # dimensions only from a well-conditioned basis, such as the lifted
-    # kernel basis with its identity block.
+    # |Ai| ~ 1e3 and V is the whole space: the lifted pair is checked in
+    # exact arithmetic, so the conditioning of the Ai does not matter.
     pencil = conjugated_hollow_matrix(7, 2, seed=7203).to_pencil()
     coeffs = pencil.coeffs[1:]
     u, v = _hollow_block(coeffs, seed=104)
@@ -302,19 +294,22 @@ def test_full_pencil_with_no_invertible_point_needs_the_large_blowup(monkeypatch
 def test_fullness_reduces_each_coefficient_once(monkeypatch):
     # d = 1, the zero pattern, Wong on the tuple and on its transpose, and
     # d = 2 all read one conversion of A1, A2, A3 into Gaussian integers,
-    # real or Gaussian; the residue forms come from it by whole-array %
+    # real or Gaussian; the residue forms come from it by whole-array %.
+    # verify_certificate reads them once too.
     reads = []
     convert = ncrank_module._gaussian_integers
     monkeypatch.setattr(
         ncrank_module, "_gaussian_integers", lambda rows: reads.append(len(rows)) or convert(rows)
     )
-    monkeypatch.setattr(ncrank_module, "residues_mod_p", lambda rows: pytest.fail("second read"))
     gaussian = GaussianRational(Fraction(1, 2), 3)
     for scale in (GaussianRational(1), gaussian):
         reads.clear()
         cert = fullness_scaling(_skew_pencil(scale), seed=0)
         assert (cert.verdict, cert.detail) == ("full", "blow-up rank mod p at d = 2"), scale
         assert reads == [3 * 3], scale  # the rows of A1, A2, A3, once
+        reads.clear()
+        assert verify_certificate(_skew_pencil(scale), cert), scale
+        assert reads == [3 * 3], scale
 
 
 def test_blowup_draws_keep_the_per_letter_stream():
@@ -417,8 +412,8 @@ def test_zero_pattern_reads_exact_coefficients():
 
 
 def test_nonfull_pencil_beyond_the_float_range_gets_a_witness():
-    # [[x1, huge x1], [x1, huge x1]] is nonfull; its float witness is built
-    # after one exact power-of-two scaling, where 1 underflows but huge does not
+    # [[x1, huge x1], [x1, huge x1]] is nonfull; its exact witness holds at
+    # any height, though 1 and huge are 10^400 apart
     huge = 10**400
     pencil = _pencil([[[0, 0], [0, 0]], [[1, huge], [1, huge]]], 1)
     cert = fullness_scaling(pencil, seed=0)
@@ -454,15 +449,15 @@ def test_verify_certificate_rejects_altered_pairs():
     ):
         cert = fullness_scaling(pencil, seed=1)
         assert cert.verdict == "nonfull" and verify_certificate(pencil, cert)
-        u, v = cert.pair
+        u, v = cert.witness
         transposes = [list(zip(*a)) for a in pencil.coeffs[1:]]
         u_row, v_row = _live_row(pencil.coeffs[1:], v), _live_row(transposes, u)
         for delta in (GaussianRational(1), GaussianRational(0, 1)):
             for pair in ((_altered(u, u_row, delta), v), (u, _altered(v, v_row, delta))):
-                assert not verify_certificate(pencil, dataclasses.replace(cert, pair=pair))
+                assert not verify_certificate(pencil, dataclasses.replace(cert, witness=pair))
         # a pair whose dimensions do not exceed N proves nothing
         short = (u, [row[:len(u) - len(u[0])] for row in v])
-        assert not verify_certificate(pencil, dataclasses.replace(cert, pair=short))
+        assert not verify_certificate(pencil, dataclasses.replace(cert, witness=short))
         assert not verify_certificate(pencil, dataclasses.replace(cert, verdict="full"))
 
 
@@ -472,7 +467,7 @@ def test_verify_certificate_needs_independent_bases():
     pencil = _pencil([[[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 0], [0, 1]]], 2)
     one, zero = GaussianRational(1), GaussianRational(0)
     forged = FullnessCertificate(
-        "nonfull", "exact", 2, pair=([[one, one], [zero, zero]], [[zero], [one]])
+        "nonfull", "exact", 2, witness=([[one, one], [zero, zero]], [[zero], [one]])
     )
     assert not verify_certificate(pencil, forged)
     assert fullness_scaling(pencil, seed=0).verdict == "full"
@@ -483,7 +478,9 @@ def test_verify_certificate_rejects_a_wrong_d_seed_or_prime():
     pencil = _skew_pencil()
     cert = fullness_scaling(pencil, seed=4)
     assert cert.blowup == (2, 4, _P) and verify_certificate(pencil, cert)
-    for blowup in ((1, 4, _P), (0, 4, _P), (2, 4, _P - 2)):
+    # d above max(N - 1, 2), the last degree fullness_scaling reads, is
+    # rejected before any (N d) x (N d) matrix is built
+    for blowup in ((1, 4, _P), (0, 4, _P), (3, 4, _P), (10**9, 4, _P), (2, 4, _P - 2)):
         assert not verify_certificate(pencil, dataclasses.replace(cert, blowup=blowup))
     # x1 X1 + x2 X2 vanishes at the d = 1 draw of seed 7 when (x1, x2) is
     # (X2, -X1) of that draw; at seed 8 it is full
@@ -497,7 +494,24 @@ def test_verify_certificate_rejects_a_wrong_d_seed_or_prime():
     assert not verify_certificate(line, dataclasses.replace(cert, blowup=None))
 
 
-def test_conjugated_hollow_sweep_verifies_exactly_and_in_floats():
+def test_malformed_witness_fails_the_check():
+    # x1 E12: U = (e1, e2), V = e1 is a block
+    pencil = _pencil([[[0, 0], [0, 0]], [[0, 1], [0, 0]]], 1)
+    cert = fullness_scaling(pencil, seed=0)
+    assert cert.verdict == "nonfull"
+    # plain ints are read as exact scalars, and the check runs on them
+    for witness, accepted in ((([[1, 0], [0, 1]], [[1], [0]]), True),
+                              (([[1, 0], [0, 1]], [[0], [1]]), False)):
+        assert verify_nonfull_witness(pencil, witness) is accepted, witness
+        assert verify_certificate(pencil, dataclasses.replace(cert, witness=witness)) is accepted
+    # ragged rows, a wrong row count, floats, bare ints or no pair do not pass
+    for witness in (([[1, 0], [0]], [[1], [0]]), ([[1, 0]], [[1], [0]]),
+                    ([[1.0, 0], [0, 1]], [[1], [0]]), (1, 2), ([[1]],), None):
+        assert not verify_nonfull_witness(pencil, witness), witness
+        assert not verify_certificate(pencil, dataclasses.replace(cert, witness=witness)), witness
+
+
+def test_conjugated_hollow_sweep_verifies_exactly():
     rng = random.Random(17)
     for k in range(150):
         size, n_vars = 3 + k % 5, 1 + k % 3
@@ -505,14 +519,13 @@ def test_conjugated_hollow_sweep_verifies_exactly_and_in_floats():
         cert = fullness_scaling(pencil, seed=k)
         assert cert.verdict == "nonfull", k
         assert verify_certificate(pencil, cert), k
-        assert verify_nonfull_witness(pencil, cert.witness), k
 
 
 def test_exact_pencils_run_no_floating_point(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("floating point on exact input")
 
-    for name in ("svd", "qr", "eigh", "eigvalsh"):
+    for name in ("svd", "qr", "eigh", "eigvalsh", "eigvals", "norm", "matrix_rank", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setattr(GaussianRational, "__complex__", refuse)
     pencils = [random_pencil(1 + k % 3, 2 + k % 4, 50_000 + k, homogeneous=True) for k in range(8)]
@@ -523,6 +536,8 @@ def test_exact_pencils_run_no_floating_point(monkeypatch):
     for k, pencil in enumerate(pencils):
         cert = fullness_scaling(pencil, seed=k)
         assert verify_certificate(pencil, cert), k
+        if cert.verdict == "nonfull":
+            assert verify_nonfull_witness(pencil, cert.witness), k
         details.add(cert.detail)
     assert {"zero pattern", "exact Wong", "blow-up rank mod p at d = 2"} <= details
 
@@ -1070,6 +1085,8 @@ def test_confirmation_without_residues_is_not_full():
     no_residue = LinearPencil([[[0]], [[Fraction(1, _P)]]], 1)
     with pytest.raises(Inconclusive, match="p divides a denominator"):
         fullness_scaling(no_residue, seed=0)
+    forged = FullnessCertificate("full", "exact", 1, blowup=(1, 0, _P))
+    assert verify_certificate(full, forged) and not verify_certificate(no_residue, forged)
 
 
 def test_zero_and_identity_matrices():
