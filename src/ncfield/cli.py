@@ -15,8 +15,7 @@ Pencil files are JSON documents of the form::
 
 Scalars are JSON numbers or strings like ``"a/b+c/di"``.  A pencil over the
 doubled alphabet (formal adjoints as extra letters) additionally carries the
-keys ``"A1*"`` .. ``"An*"``.  Linear representations serialize as
-``{"k": ..., "u": [...], "v": [...], "pencil": {...}}``.
+keys ``"A1*"`` .. ``"An*"``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .randmat import (
     sample,
 )
 from .ratexpr import eval_numeric, max_var_index, parse, poly_from_string, unparse
-from .realization import LinearRepresentation, eval_and_check, realize
+from .realization import eval_and_check, realize
 from .scalars import GaussianRational
 from .spectra import _spectrum
 
@@ -161,37 +160,6 @@ def pencil_to_json(pencil: LinearPencil) -> dict:
             for name, mat in zip(names, pencil.coeffs)
         },
     }
-
-
-def rep_to_json(rep: LinearRepresentation) -> dict:
-    return {
-        "k": rep.k,
-        "u": [str(x) for x in rep.u],
-        "v": [str(x) for x in rep.v],
-        "pencil": pencil_to_json(rep.pencil),
-    }
-
-
-def rep_from_json(doc) -> LinearRepresentation:
-    if not isinstance(doc, dict):
-        raise InputError("representation: expected a JSON object")
-    for key in ("k", "u", "v", "pencil"):
-        if key not in doc:
-            raise InputError(f"representation: missing key '{key}'")
-    k = doc["k"]
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InputError(f"k: expected a positive integer, got {k!r}")
-    pencil = pencil_from_json(doc["pencil"]).widen_alphabet()
-    if pencil.rows != k or pencil.cols != k:
-        raise InputError(
-            f"pencil: expected shape {k}x{k}, got {pencil.rows}x{pencil.cols}"
-        )
-    for key in ("u", "v"):
-        if not isinstance(doc[key], list) or len(doc[key]) != k:
-            raise InputError(f"{key}: expected a list of {k} scalars")
-    u = tuple(scalar_from_json(x, f"u[{i}]") for i, x in enumerate(doc["u"]))
-    v = tuple(scalar_from_json(x, f"v[{i}]") for i, x in enumerate(doc["v"]))
-    return LinearRepresentation(u=u, pencil=pencil, v=v)
 
 
 def load_json(path: str):

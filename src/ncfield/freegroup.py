@@ -154,9 +154,6 @@ class GroupBall:
     def index(self) -> Dict[Word, int]:
         return {w: k for k, w in enumerate(self.words)}
 
-    def contains(self, word: Word) -> bool:
-        return word in self.index
-
 
 def build_ball(n: int, radius: int) -> GroupBall:
     """Lay out the ball of the given radius in canonical order."""

@@ -14,9 +14,10 @@ x1..x2n, with xi* in slot n + i (``letter_slot``), so the exact engine reads
 a doubled pencil as a plain one in 2n letters.  Evaluation substitutes
 concrete matrices for the letters, sends scalars to multiples of the
 identity, and returns a complex numpy block matrix; every ``evaluate``
-calls the one kernel ``evaluate_form`` on a float form (``float_form``).
-A pencil reads its float form off its slots, the one of its matrix bit for
-bit, so a pencil need not become a matrix to be evaluated or ranked.
+calls the one kernel ``evaluate_form`` on a float form.  Matrices and
+pencils list their nonzero cells to one builder (``_float_form``), so a
+pencil's float form is its matrix's and a pencil need not become a matrix
+to be evaluated or ranked.
 """
 
 from __future__ import annotations
@@ -535,37 +536,19 @@ class NcMatrix:
 
     # evaluation and structure
 
-    def evaluate(
-        self, model, shift: complex = 0, cache: Optional[dict] = None
-    ) -> np.ndarray:
-        """Block evaluation at a matrix tuple, optionally minus shift*identity.
+    def evaluate(self, model, cache: Optional[dict] = None) -> np.ndarray:
+        """Block evaluation at a matrix tuple.
 
         ``cache`` maps words to their values at ``model``; pass one dict to
         share word products between several evaluations at the same model.
         """
-        return evaluate_form(*self.float_form(), [model], shift, cache)[0]
+        return evaluate_form(*self.float_form(), [model], cache=cache)[0]
 
     def float_form(self, balance_rows: bool = False) -> Tuple[Tuple[Word, ...], np.ndarray]:
-        """The words, by length and then by letter slots, with coefficients C.
-
-        C[k] holds word k's coefficients, each converted to complex once.  With
-        ``balance_rows``, row i is first scaled exactly by 2^e_i, which keeps
-        the inner rank: e_i is minus the binary exponent of its largest
-        coefficient unless that is within ROW_EXPONENT_SLACK of 0.
-        """
-        terms: Dict[Word, list] = {}  # word -> [(i, j, converted coefficient)]
-        for i, row in enumerate(self.entries):
-            e = _balance_exponent(c for p in row for c in p.coefficients()) if balance_rows else 0
-            for j, p in enumerate(row):
-                for w, c in p._terms.items():
-                    value = complex(c * Fraction(2) ** e if e else c)
-                    terms.setdefault(w, []).append((i, j, value))
-        words = sorted(terms, key=lambda w: (len(w), [letter_slot(x, self.n_vars) for x in w]))
-        coeffs = np.zeros((len(words), self.rows, self.cols), dtype=complex)
-        for k, w in enumerate(words):
-            for i, j, value in terms[w]:
-                coeffs[k, i, j] = value
-        return tuple(words), coeffs
+        """The float form of the entries' terms (``_float_form``)."""
+        cells = [(w, i, j, c) for i, row in enumerate(self.entries)
+                 for j, p in enumerate(row) for w, c in p._terms.items()]
+        return _float_form(cells, self.rows, self.cols, self.n_vars, balance_rows)
 
     def denominator(self) -> int:
         """The lcm of the denominators of every coefficient's two parts."""
@@ -662,8 +645,33 @@ class NcMatrix:
         return LinearPencil(coeffs, n, star_letters=star)
 
 
+def _float_form(cells, rows: int, cols: int, n_vars: int, balance_rows: bool):
+    """The float form of a rows x cols matrix given by its nonzero cells (w, i, j, c).
+
+    Returns the distinct words, by length and then by letter slots
+    (``letter_slot``), and the stack C with C[k][i][j] the coefficient of
+    word k in entry (i, j), each converted to complex once.  With
+    ``balance_rows``, row i is first scaled exactly by 2^e_i, which keeps
+    the inner rank: e_i is minus the binary exponent of its largest
+    coefficient unless that is within ROW_EXPONENT_SLACK of 0.
+    """
+    exponents = [0] * rows
+    if balance_rows:
+        by_row: List[list] = [[] for _ in range(rows)]
+        for cell in cells:
+            by_row[cell[1]].append(cell[3])
+        exponents = [_balance_exponent(cs) for cs in by_row]
+    words = sorted({cell[0] for cell in cells}, key=lambda w: (len(w), [letter_slot(x, n_vars) for x in w]))
+    position = {w: k for k, w in enumerate(words)}
+    coeffs = np.zeros((len(words), rows, cols), dtype=complex)
+    for w, i, j, c in cells:
+        e = exponents[i]
+        coeffs[position[w], i, j] = complex(c * Fraction(2) ** e if e else c)
+    return tuple(words), coeffs
+
+
 def _balance_exponent(scalars) -> int:
-    """e_i of ``NcMatrix.float_form`` for these scalars; bit lengths give it within one."""
+    """e_i of ``_float_form`` for these scalars; bit lengths give it within one."""
     top = max((x.numerator.bit_length() - x.denominator.bit_length()
                for c in scalars for x in (c.re, c.im) if x), default=0)
     return -top if abs(top) > ROW_EXPONENT_SLACK else 0
@@ -872,27 +880,11 @@ class LinearPencil:
         return LinearPencil([a0, *self.coeffs[1:]], self.n_vars, self.star_letters)
 
     def float_form(self, balance_rows: bool = False) -> Tuple[Tuple[Word, ...], np.ndarray]:
-        """``to_matrix().float_form(balance_rows)``, bit for bit, read off the slots.
-
-        The words are the empty word when A0 is nonzero, then the letter of
-        each nonzero slot in slot order; each coefficient is scaled and
-        converted as ``NcMatrix.float_form`` does.
-        """
-        terms = [(k, i, j, x) for k, a in enumerate(self.coeffs)
+        """The float form of the nonzero slots, ``to_matrix().float_form()`` (``_float_form``)."""
+        words = [EMPTY_WORD] + [(self.letter(k),) for k in range(1, len(self.coeffs))]
+        cells = [(words[k], i, j, x) for k, a in enumerate(self.coeffs)
                  for i, row in enumerate(a) for j, x in enumerate(row) if x]
-        slots = sorted({k for k, *_ in terms})
-        exponents = [0] * self.rows
-        if balance_rows:
-            by_row: List[list] = [[] for _ in range(self.rows)]
-            for _, i, _, x in terms:
-                by_row[i].append(x)
-            exponents = [_balance_exponent(xs) for xs in by_row]
-        position = {k: p for p, k in enumerate(slots)}
-        coeffs = np.zeros((len(slots), self.rows, self.cols), dtype=complex)
-        for k, i, j, x in terms:
-            e = exponents[i]
-            coeffs[position[k], i, j] = complex(x * Fraction(2) ** e if e else x)
-        return tuple((self.letter(k),) if k else EMPTY_WORD for k in slots), coeffs
+        return _float_form(cells, self.rows, self.cols, self.n_vars, balance_rows)
 
     def evaluate(self, model) -> np.ndarray:
         """Value at a matrix tuple, by the kernel ``evaluate_form`` on ``float_form``."""

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -108,7 +109,6 @@ def rank_by_substitution(
     dims: Optional[Sequence[int]] = None,
     trials: int = 2,
     seed: int = 0,
-    kind: Optional[str] = None,
     policy: TolerancePolicy = DEFAULT_POLICY,
     shift: complex = 0,
 ) -> RankResult:
@@ -117,9 +117,10 @@ def rank_by_substitution(
     Every (dimension, trial) pair gets its own derived seed; the trials at
     one dimension are evaluated as one stack of the input's float form,
     built once, and their ranks are read from one stacked SVD
-    (``empirical_ranks``).  A pencil's float form is its matrix's, bit for
-    bit, so both give the same estimates.  All estimates must agree on
-    round(rank/d) and pass the singular value gap test.  At shift 0 each
+    (``empirical_ranks``).  A pencil's float form is its matrix's, so both
+    give the same estimates.  The models are Ginibre when an adjoint letter
+    occurs and GUE otherwise.  All estimates must agree on round(rank/d)
+    and pass the singular value gap test.  At shift 0 each
     row is first scaled by an exact power of two (``float_form``), so exact
     coefficients outside the float range still reach the SVD; a row whose
     own entries differ by more than the float range is out of reach and
@@ -133,8 +134,7 @@ def rank_by_substitution(
     if trials < 1:
         raise InputError("need at least one trial")
     words, coeffs = matrix.float_form(balance_rows=shift == 0)
-    if kind is None:
-        kind = "ginibre" if any(x.star for w in words for x in w) else "gue"
+    kind = "ginibre" if any(x.star for w in words for x in w) else "gue"
     estimates = []
     for k, d in enumerate(dims):
         seeds = range(seed + k * trials, seed + (k + 1) * trials)
@@ -231,11 +231,12 @@ def verify_certificate(pencil: LinearPencil, cert: FullnessCertificate) -> bool:
     """Re-check an exact fullness verdict from its certificate alone.
 
     A nonfull certificate passes when ``verify_nonfull_witness`` accepts its
-    witness.  A full one passes when the blow-up drawn for its (d, seed,
-    prime) has rank N * d mod prime, read from D Ai mod p as the engine
-    reads it; p is the one prime this module reduces modulo, and d lies in
-    1..max(N - 1, 2), the degrees ``fullness_scaling`` reads, so a forged d
-    builds no outsized matrix.  Anything else does not pass.
+    witness.  A full one passes when its ``blowup`` is a tuple of integers
+    (d, seed, prime), not bools, and the blow-up drawn for it has rank N * d
+    mod prime, read from D Ai mod p as the engine reads it; p is the one
+    prime this module reduces modulo, and d lies in 1..max(N - 1, 2), the
+    degrees ``fullness_scaling`` reads, so a forged d builds no outsized
+    matrix.  Anything else does not pass.
     """
     coeffs = _exact_tuple(pencil)
     n = len(coeffs[0])
@@ -243,8 +244,10 @@ def verify_certificate(pencil: LinearPencil, cert: FullnessCertificate) -> bool:
         return False
     if cert.verdict == "nonfull":
         return verify_nonfull_witness(pencil, cert.witness)
-    if cert.verdict == "full" and cert.blowup is not None:
-        d, seed, prime = cert.blowup
+    blowup = cert.blowup
+    if (cert.verdict == "full" and isinstance(blowup, tuple) and len(blowup) == 3
+            and all(isinstance(x, Integral) and not isinstance(x, bool) for x in blowup)):
+        d, seed, prime = blowup
         if prime != _P or not 1 <= d <= max(n - 1, 2):
             return False
         ints = _integer_parts(coeffs)
@@ -592,7 +595,7 @@ def ncrank(
         cross["border"] = border
     if (cert.verdict == "full") != (sub.rho == n):
         raise MethodDisagreement(
-            f"substitution says rho={sub.rho} of {n}, scaling says {cert.verdict}"
+            f"substitution says rho={sub.rho} of {n}, the exact engine says {cert.verdict}"
         )
     cross["scaling"] = cert.verdict
     cross["scaling_method"] = cert.method

@@ -23,8 +23,6 @@ import numpy as np
 from .errors import InputError
 from .ncpoly import Letter
 
-KINDS = ("gue", "haar", "ginibre", "custom")
-
 
 @dataclass(frozen=True)
 class TolerancePolicy:
@@ -61,14 +59,6 @@ class MatrixModel:
     def letter_value(self, letter: Letter) -> np.ndarray:
         m = self.matrices[letter.index - 1]
         return m.conj().T if letter.star else m
-
-    def adjoint_tuple(self) -> "MatrixModel":
-        return MatrixModel(
-            self.kind,
-            self.d,
-            tuple(m.conj().T for m in self.matrices),
-            self.seed,
-        )
 
 
 def sample(kind: str, d: int, n_vars: int, seed: int) -> MatrixModel:
@@ -135,11 +125,10 @@ def empirical_rank(
     """Numeric rank with an explicit gap report.
 
     The kernel dimension in the report refers to the right kernel, so
-    rank + kernel_dim equals the column count exactly.  The report is read
-    off the singular values as ``empirical_ranks`` reads each of a stack.
+    rank + kernel_dim equals the column count exactly.  The matrix is read
+    as a stack of one (``empirical_ranks``).
     """
-    m = np.asarray(matrix, dtype=complex)
-    return _rank_report(np.linalg.svd(m, compute_uv=False), m.shape, policy)
+    return empirical_ranks(np.asarray(matrix, dtype=complex)[None], policy)[0]
 
 
 def empirical_ranks(
@@ -172,7 +161,15 @@ def _rank_report(sigmas: np.ndarray, shape, policy: TolerancePolicy) -> RankRepo
 
 @dataclass
 class ESD:
-    """Empirical spectral distribution of one evaluated matrix."""
+    """Eigenvalues of an evaluated square polynomial matrix, block by block.
+
+    ``blocks`` lists each diagonal block (``NcMatrix.diagonal_blocks``) as
+    its 0-based rows and whether it was read from constants.  ``parts``
+    holds each block's value with its weight: an evaluated block with
+    weight 1, or the scalar matrix C of a constant block with weight d,
+    since the block evaluates to C (x) I_d.  ``eigenvalues`` is complex,
+    and sorted when the value is Hermitian.
+    """
 
     eigenvalues: np.ndarray
     d: int
@@ -180,6 +177,8 @@ class ESD:
     hermitian: bool
     kind: str
     seed: Optional[int]
+    blocks: Tuple[Tuple[Tuple[int, ...], bool], ...]
+    parts: Tuple[Tuple[np.ndarray, int], ...] = field(repr=False)
 
     def mass_near(self, center: complex, halfwidth: float) -> float:
         """Fraction of eigenvalues within halfwidth of center."""
@@ -204,26 +203,6 @@ class ESD:
             for z in self.eigenvalues:
                 writer.writerow([f"{z.real:.17g}", f"{z.imag:.17g}"])
 
-
-HERMITIAN_REL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class BlockSpectrum:
-    """Eigenvalues of an evaluated square polynomial matrix, block by block.
-
-    ``blocks`` lists each diagonal block (``NcMatrix.diagonal_blocks``) as
-    its 0-based rows and whether it was read from constants.  ``parts``
-    holds each block's value with its weight: an evaluated block with
-    weight 1, or the scalar matrix C of a constant block with weight d,
-    since the block evaluates to C (x) I_d.
-    """
-
-    eigenvalues: np.ndarray
-    hermitian: bool
-    blocks: Tuple[Tuple[Tuple[int, ...], bool], ...]
-    parts: Tuple[Tuple[np.ndarray, int], ...] = field(repr=False)
-
     def normal_defect(self) -> float:
         """|VV* - V*V| / |V|^2 in the Frobenius norm, V the whole value."""
         scale = _frobenius(self.parts, lambda v: v)
@@ -233,12 +212,15 @@ class BlockSpectrum:
         return gap / (scale * scale)
 
 
+HERMITIAN_REL_TOL = 1e-10
+
+
 def _frobenius(parts, f) -> float:
     """Frobenius norm of f applied to the whole value, summed over blocks."""
     return math.sqrt(sum(w * float(np.linalg.norm(f(v))) ** 2 for v, w in parts))
 
 
-def block_spectrum(poly_matrix, model: MatrixModel) -> BlockSpectrum:
+def esd(poly_matrix, model: MatrixModel) -> ESD:
     """Eigenvalues of poly_matrix at model, one diagonal block at a time.
 
     A block with a nonconstant entry is evaluated, with one word cache shared
@@ -275,23 +257,15 @@ def block_spectrum(poly_matrix, model: MatrixModel) -> BlockSpectrum:
     eigs = np.concatenate([np.repeat(e, w) for e, (_, w) in zip(solved, parts)])
     if hermitian:
         eigs = np.sort(eigs)
-    return BlockSpectrum(eigs, hermitian, tuple(blocks), tuple(parts))
-
-
-def esd(poly_matrix, model: MatrixModel) -> ESD:
-    """Eigenvalues of the evaluated matrix, Hermitian-aware.
-
-    The diagonal blocks are solved apart and constant blocks are read
-    exactly, without evaluation (``block_spectrum``).
-    """
-    spectrum = block_spectrum(poly_matrix, model)
     return ESD(
-        eigenvalues=spectrum.eigenvalues.astype(complex),
-        d=model.d,
+        eigenvalues=eigs.astype(complex),
+        d=d,
         block_size=poly_matrix.rows,
-        hermitian=spectrum.hermitian,
+        hermitian=hermitian,
         kind=model.kind,
         seed=model.seed,
+        blocks=tuple(blocks),
+        parts=tuple(parts),
     )
 
 
@@ -327,19 +301,21 @@ def rank_convergence(
     return rows
 
 
+FLAG_DISTANCE = 0.02
+
+
 def atiyah_integrality_scan(
     poly_matrices: Sequence,
     d: int,
     seed: int = 0,
     kind: str = "gue",
     policy: TolerancePolicy = DEFAULT_POLICY,
-    flag_distance: float = 0.02,
 ) -> dict:
     """Check how close normalized ranks sit to integers.
 
     Each input matrix is evaluated at its own derived seed; the report rows
     carry rank/d, the distance to the nearest integer, and a flag when the
-    distance exceeds ``flag_distance``.
+    distance exceeds FLAG_DISTANCE, which the report repeats.
     """
     rows = []
     for i, pm in enumerate(poly_matrices):
@@ -356,14 +332,14 @@ def atiyah_integrality_scan(
                 "rank_over_d": ratio,
                 "nearest_int": nearest,
                 "distance": distance,
-                "flagged": distance > flag_distance,
+                "flagged": distance > FLAG_DISTANCE,
                 "seed": seed + i,
             }
         )
     return {
         "kind": kind,
         "d": d,
-        "flag_distance": flag_distance,
+        "flag_distance": FLAG_DISTANCE,
         "rows": rows,
         "any_flagged": any(r["flagged"] for r in rows),
     }

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -191,9 +192,9 @@ class _Parser:
     def parse_literal(self, negate_first: bool) -> GaussianRational:
         kind, text, _ = self.advance()
         if kind == "imag":
-            value = GaussianRational(0, _fraction(text[:-1]))
+            value = GaussianRational(0, Fraction(text[:-1]))
             return -value if negate_first else value
-        value = GaussianRational(_fraction(text))
+        value = GaussianRational(Fraction(text))
         if negate_first:
             value = -value
         # lookahead for the imaginary tail of a mixed literal
@@ -203,14 +204,8 @@ class _Parser:
             if nk == "imag":
                 self.advance()
                 self.advance()
-                return value + GaussianRational(0, sign * _fraction(nt[:-1]))
+                return value + GaussianRational(0, sign * Fraction(nt[:-1]))
         return value
-
-
-def _fraction(text: str):
-    from fractions import Fraction
-
-    return Fraction(text)
 
 
 def parse(text: str, n_vars: Optional[int] = None) -> RatExpr:

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import OutOfDomain
-from .ncpoly import LinearPencil, NcMatrix, NcPoly, letter_slot, zero_matrix
+from .ncpoly import LinearPencil, NcMatrix, NcPoly, zero_matrix
 from .ncrank import linearize_matrix
 from .ratexpr import Add, Adjoint, Const, Inv, Mul, Neg, RatExpr, Var, is_polynomial, max_var_index
 from .scalars import GaussianRational
@@ -96,11 +96,9 @@ def _rep_poly(poly: NcPoly, n_vars: int) -> LinearRepresentation:
 
 def _rep_inv_affine(poly: NcPoly, n_vars: int) -> LinearRepresentation:
     """1x1 pencil [l] representing the inverse of an affine polynomial."""
-    slots = [zero_matrix(1, 1) for _ in range(1 + 2 * n_vars)]
-    for word, coeff in poly.terms():
-        slots[letter_slot(word[0], n_vars) if word else 0][0][0] = coeff
+    pencil = NcMatrix([[poly]], n_vars).to_pencil().widen_alphabet()
     one = GaussianRational(1)
-    return LinearRepresentation((one,), _pencil(slots, n_vars), (one,))
+    return LinearRepresentation((one,), pencil, (one,))
 
 
 def _rep_add(r1: LinearRepresentation, r2: LinearRepresentation) -> LinearRepresentation:

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .ncpoly import LinearPencil, NcMatrix
 from .ncrank import _decide_exactly, ncrank, rank_by_substitution
-from .randmat import DEFAULT_POLICY, TolerancePolicy, block_spectrum, sample
+from .randmat import DEFAULT_POLICY, TolerancePolicy, esd, sample
 from .scalars import (
     GaussianRational,
     charpoly_zi,
@@ -193,7 +193,7 @@ def central_eigs_polymatrix(
     ``d`` and ``kind`` are then unused.  With it off, one sample of the given
     kind and dimension d is evaluated and its spectrum is solved one
     diagonal block at a time, with constant blocks read from their scalar
-    matrices (``randmat.block_spectrum``).  Candidates are windows of width
+    matrices (``randmat.esd``).  Candidates are windows of width
     WINDOW_FACTOR/sqrt(d) holding at least COUNT_FACTOR*d/N eigenvalues, and
     they are listed as uncertified.  Both modes list the diagonal blocks in
     ``diagnostics["blocks"]``.
@@ -206,12 +206,12 @@ def central_eigs_polymatrix(
         _certify_candidates(report, matrix, seed, policy)
         _finalize(report)
         return report
-    spectrum = block_spectrum(matrix, sample(kind, d, matrix.n_vars, seed))
+    spectrum = esd(matrix, sample(kind, d, matrix.n_vars, seed))
     hermitian = spectrum.hermitian
     window = WINDOW_FACTOR / math.sqrt(d)
     min_count = COUNT_FACTOR * d / n
     if hermitian:
-        raw = _real_atom_clusters(spectrum.eigenvalues, window, min_count)
+        raw = _real_atom_clusters(spectrum.eigenvalues.real, window, min_count)
         candidates = [complex(x) for x in raw]
     else:
         # A Hermitian value v has |vv* - v*v| <= 2e-10 |v|^2 (the Hermitian

@@ -479,8 +479,10 @@ def test_verify_certificate_rejects_a_wrong_d_seed_or_prime():
     cert = fullness_scaling(pencil, seed=4)
     assert cert.blowup == (2, 4, _P) and verify_certificate(pencil, cert)
     # d above max(N - 1, 2), the last degree fullness_scaling reads, is
-    # rejected before any (N d) x (N d) matrix is built
-    for blowup in ((1, 4, _P), (0, 4, _P), (3, 4, _P), (10**9, 4, _P), (2, 4, _P - 2)):
+    # rejected before any (N d) x (N d) matrix is built, and a blow-up that
+    # is not three integers fails the check instead of raising
+    for blowup in ((1, 4, _P), (0, 4, _P), (3, 4, _P), (10**9, 4, _P), (2, 4, _P - 2),
+                   (1.5, 0, _P), (1, "x", _P), (True, 0, _P), (1, 0)):
         assert not verify_certificate(pencil, dataclasses.replace(cert, blowup=blowup))
     # x1 X1 + x2 X2 vanishes at the d = 1 draw of seed 7 when (x1, x2) is
     # (X2, -X1) of that draw; at seed 8 it is full

@@ -31,7 +31,6 @@ from ncfield import (
     sample,
     unparse,
 )
-from ncfield.cli import rep_from_json, rep_to_json
 from ncfield.errors import OutOfDomain
 from ncfield.ratexpr import is_polynomial
 
@@ -226,18 +225,6 @@ def test_domain_check_flags_singular_points():
         eval_rep(rep, scalar_point)
     with pytest.raises(OutOfDomain):
         eval_and_check(rep, scalar_point)
-
-
-def test_rep_json_round_trip():
-    rep = realize(parse("x2*inv(x1*x2)*x1"), 2)
-    packed = rep_to_json(rep)
-    unpacked = rep_from_json(packed)
-    assert unpacked.k == rep.k
-    model = sample("ginibre", 12, 2, seed=6)
-    a = eval_rep(rep, model)
-    b = eval_rep(unpacked, model)
-    assert np.linalg.norm(a - b) < 1e-12
-    assert np.linalg.norm(a - np.eye(12)) < 1e-9
 
 
 def test_constant_and_variable_representations():
