@@ -272,10 +272,8 @@ def _render_scalar_factor(c: GaussianRational) -> str:
     return text
 
 
-def evaluate_form(
-    words: Sequence[Word], coeffs: np.ndarray, models, shift: complex = 0, cache=None
-) -> np.ndarray:
-    """The (T, rows * d, cols * d) stack of sum_k coeffs[k] (x) words[k](X) - shift * I.
+def evaluate_form(words: Sequence[Word], coeffs: np.ndarray, models, cache=None) -> np.ndarray:
+    """The (T, rows * d, cols * d) stack of sum_k coeffs[k] (x) words[k](X).
 
     X runs over T models of one size d; each word's (T, d, d) value is kept
     in ``cache``.  Terms are added in word order into the output blocks, so
@@ -283,8 +281,6 @@ def evaluate_form(
     """
     t, d = len(models), models[0].d
     _, rows, cols = coeffs.shape
-    if shift != 0 and rows != cols:
-        raise NonSquareError("shift needs a square matrix")
     out = np.zeros((t, rows * d, cols * d), dtype=complex)
     blocks = out.reshape(t, rows, d, cols, d)
     cache = {} if cache is None else cache
@@ -298,8 +294,6 @@ def evaluate_form(
             part = c[None, i : i + step, None, :, None]
             if step >= rows or part.any():  # a single chunk is never all zero
                 blocks[:, i : i + step] += part * value
-    if shift != 0:
-        np.einsum("tii->ti", out)[...] -= shift
     return out
 
 

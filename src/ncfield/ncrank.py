@@ -110,7 +110,6 @@ def rank_by_substitution(
     trials: int = 2,
     seed: int = 0,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    shift: complex = 0,
 ) -> RankResult:
     """Inner rank via random matrix substitution, of a matrix or a pencil.
 
@@ -120,11 +119,13 @@ def rank_by_substitution(
     (``empirical_ranks``).  A pencil's float form is its matrix's, so both
     give the same estimates.  The models are Ginibre when an adjoint letter
     occurs and GUE otherwise.  All estimates must agree on round(rank/d)
-    and pass the singular value gap test.  At shift 0 each
-    row is first scaled by an exact power of two (``float_form``), so exact
-    coefficients outside the float range still reach the SVD; a row whose
-    own entries differ by more than the float range is out of reach and
-    may underflow.
+    and pass the singular value gap test.  Each row is first scaled by an
+    exact power of two (``float_form``), so exact coefficients outside the
+    float range still reach the SVD; a row whose own entries differ by more
+    than the float range is out of reach and may underflow.  The input is
+    exact: P - lambda is shifted before the call (``shift``, at a Gaussian
+    rational near an irrational lambda), so its diagonal is scaled with its
+    rows.
     """
     if dims is None:
         base = max(matrix.rows, matrix.cols) + 1
@@ -133,13 +134,13 @@ def rank_by_substitution(
         raise InputError("need at least one dimension")
     if trials < 1:
         raise InputError("need at least one trial")
-    words, coeffs = matrix.float_form(balance_rows=shift == 0)
+    words, coeffs = matrix.float_form(balance_rows=True)
     kind = "ginibre" if any(x.star for w in words for x in w) else "gue"
     estimates = []
     for k, d in enumerate(dims):
         seeds = range(seed + k * trials, seed + (k + 1) * trials)
         models = [sample(kind, d, matrix.n_vars, s) for s in seeds]
-        reports = empirical_ranks(evaluate_form(words, coeffs, models, shift), policy)
+        reports = empirical_ranks(evaluate_form(words, coeffs, models), policy)
         for t, (s, report) in enumerate(zip(seeds, reports)):
             ratio = report.rank / d
             estimates.append(

@@ -14,15 +14,16 @@ independent), stopping once the gcd is 1; the gcds run by the
 subresultant PRS (``scalars.gcd_zi``).  g is the first step of every
 certified spectrum, and g = 1 ends it: no atom, dimension 1, and no rank
 call.  When g has roots, an affine pencil's homogeneous part goes to
-``ncrank`` next, and a full one rules out every central eigenvalue.  A
-root of g that lies in Q(i) is found exactly, past float precision too,
+``ncrank`` next, and an exactly full one rules out every central
+eigenvalue.  The roots of g are then cut into exact factors f of g, once.
+A linear factor is a root in Q(i), found exactly past float precision too,
 and decided on the exactly shifted matrix, or for a pencil on the shifted
-pencil.  The other roots are decided through exact factors f of g: the
-companion blow-up P_f has Q(i) coefficients and rho(P_f) = sum of
-rho(P - mu) over the roots mu of f, so the exact fullness engine decides
-every candidate.  Each candidate is certified by an exact verdict next to
-the substitution rank, so a certified atom carries the exact mass
-(N - rho)/N and the certified spectrum yields the entropy dimension
+pencil.  A factor of higher degree is decided through the companion
+blow-up P_f, which has Q(i) coefficients and rho(P_f) = sum of rho(P - mu)
+over the roots mu of f, so the exact fullness engine decides every
+candidate.  Each candidate is certified by an exact verdict next to the
+substitution rank, so a certified atom carries the exact mass (N - rho)/N
+and the certified spectrum yields the entropy dimension
 1 - sum((N - rho)^2)/N^2.
 
 Without certification, a polynomial matrix's candidates are read off atom
@@ -73,7 +74,7 @@ COUNT_FACTOR = 0.6
 # candidates that certification would reject anyway.
 CANDIDATE_POINTS = 3
 POINT_BOUND = 8
-# Subsets of one substitution rank's numeric roots tried per factor size.
+# Subsets of the roots of g not yet cut off tried per factor size.
 FACTOR_SUBSETS = 1024
 # Bits beyond the binary point to which a product of refined roots is known.
 ROOT_GUARD_BITS = 64
@@ -135,17 +136,13 @@ def _dimension_from_atoms(size: int, atoms: Sequence[SpectralAtom]) -> Fraction:
 def _rho_of_shift(
     matrix: Union[NcMatrix, LinearPencil], lam, seed: int, policy: TolerancePolicy
 ) -> int:
-    """Rank of matrix - lam*1, for a matrix or a pencil; Inconclusive when undecided.
+    """Rank of matrix - lam*1 at an exact lam, for a matrix or a pencil.
 
-    An exact lam shifts the input itself, a pencil as a pencil, and
-    ``ncrank`` cross-checks the value with the exact fullness engine, whose
-    verdict is required: an inconclusive one leaves the rank undecided.  At
-    a numeric lam substitution alone reads the rank; the exact factor of g
-    that lam is a root of is decided afterwards (``_certify_factors``).
+    The input itself is shifted, a pencil as a pencil, and ``ncrank``
+    cross-checks the value with the exact fullness engine, whose verdict is
+    required: an inconclusive one, like no consensus, raises Inconclusive.
     """
     try:
-        if not isinstance(lam, (int, Fraction, GaussianRational)):
-            return rank_by_substitution(matrix, seed=seed, policy=policy, shift=complex(lam)).rho
         result = ncrank(matrix.shift(lam), seed=seed, policy=policy)
     except NoConsensus as exc:
         raise Inconclusive("no consensus") from exc
@@ -298,40 +295,6 @@ def _monic(g, scale: int) -> List[GaussianRational]:
     ]
 
 
-def _roots(g, scale: int):
-    """The roots t = s/scale of g by (re, im), and the cofactor of the exact ones.
-
-    Every root s of g is an eigenvalue of the Gaussian-integer matrix
-    scale*P(0), hence an algebraic integer.  So a root t in Q(i) has s in
-    Z[i]: rounding its float value finds it, or, where a float is too
-    coarse (|s| past 2^53), rounding its refined value (``_refined_roots``)
-    does; g(s) = 0 confirms it exactly.  The exact roots are divided out,
-    and the roots of the cofactor are the numeric ones.
-    """
-    zs = _float_roots(g, scale)
-    exact, coarse = set(), []
-    for z in zs:
-        w = (round(z.real * scale), round(z.imag * scale))
-        if w in exact or eval_zi(g, w) == (0, 0):
-            exact.add(w)
-        else:
-            coarse.append(z)
-    if coarse:
-        refined, bits = _refined_roots(g, scale, coarse)
-        half = 1 << bits - 1
-        for (re, im), _ in refined:
-            w = ((re + half) >> bits, (im + half) >> bits)
-            if w not in exact and eval_zi(g, w) == (0, 0):
-                exact.add(w)
-    if exact:
-        for re, im in exact:
-            g = pseudo_divmod_zi(g, [(1, 0), (-re, -im)])[0]
-        zs = _float_roots(g, scale)
-    out = [GaussianRational(Fraction(re, scale), Fraction(im, scale)) for re, im in exact]
-    out.extend(complex(z) for z in zs)
-    return sorted(out, key=lambda lam: (complex(lam).real, complex(lam).imag)), g
-
-
 def _float_roots(g, scale: int) -> np.ndarray:
     if len(g) < 2:
         return np.zeros(0, dtype=complex)
@@ -363,13 +326,19 @@ def _certify_candidates(report, matrix, seed, policy, pencil=None):
 
     g comes first: with no root it settles the spectrum, empty, with no
     rank call.  Given the matrix's ``pencil``, its homogeneous part goes to
-    ``ncrank`` next, and a full one rules out every root.  Exact roots are
-    then decided one by one on the shifted pencil, else the shifted matrix;
-    numeric roots are grouped by their substitution rank and decided
-    through exact factors of the cofactor of the exact ones.
+    ``ncrank`` next, and an exact "full" verdict rules out every root.  The
+    float roots of g are cut into exact factors once (``_exact_factors``).
+    The root of a linear factor is decided exactly on the shifted pencil,
+    else the shifted matrix; a factor of higher degree goes to the
+    companion route (``_certify_factor``).
     """
     g, scale, points, blocks = _candidate_polynomial(matrix, seed)
-    candidates, cofactor = _roots(g, scale)
+    factors, left = _exact_factors(g, scale, [complex(z) for z in _float_roots(g, scale)])
+    exact = [GaussianRational(Fraction(-f[1][0], scale), Fraction(-f[1][1], scale))
+             for f, _ in factors if len(f) == 2]
+    factors = [(f, members) for f, members in factors if len(f) > 2]
+    candidates = sorted(exact + [mu for _, members in factors for mu in members] + left,
+                        key=lambda lam: (complex(lam).real, complex(lam).imag))
     report.diagnostics.update(
         {
             "candidate_polynomial": _poly_text(_monic(g, scale)),
@@ -383,25 +352,25 @@ def _certify_candidates(report, matrix, seed, policy, pencil=None):
     if pencil is not None and candidates:
         hom = pencil.homogeneous_part()
         if not hom.is_zero():
-            rho = ncrank(hom, seed=seed + 1, policy=policy).rho
-            report.diagnostics["homogeneous_rho"] = rho
-            if rho == n:
+            result = ncrank(hom, seed=seed + 1, policy=policy)
+            report.diagnostics["homogeneous_rho"] = result.rho
+            if (result.cross or {}).get("scaling") == "full":
                 return
     source = matrix if pencil is None else pencil
-    numeric: dict = {}  # substitution rank -> the numeric roots that read it
     for k, lam in enumerate(candidates):
+        if not isinstance(lam, GaussianRational):
+            continue
         try:
             rho = _rho_of_shift(source, lam, seed + 100 + 7 * k, policy)
         except Inconclusive as exc:
             _uncertify(report, lam, str(exc))
             continue
-        if isinstance(lam, GaussianRational):
-            if rho < n:
-                report.atoms.append(SpectralAtom(lam, rho, Fraction(n - rho, n), True, True))
-        else:
-            numeric.setdefault(rho, []).append(lam)
-    for rho, roots in sorted(numeric.items()):
-        _certify_factors(report, matrix, cofactor, scale, rho, roots, seed)
+        if rho < n:
+            report.atoms.append(SpectralAtom(lam, rho, Fraction(n - rho, n), True, True))
+    for j, (f, members) in enumerate(factors, 1):
+        _certify_factor(report, matrix, source, f, members, scale, seed + 200 + 11 * j, policy)
+    for mu in left:
+        _uncertify(report, mu, "no exact factor")
     report.atoms.sort(key=lambda a: (complex(a.lam).real, complex(a.lam).imag))
 
 
@@ -410,64 +379,70 @@ def _uncertify(report, lam, reason: str):
     report.uncertified.append({"lambda": [z.real, z.imag], "reason": reason})
 
 
-def _certify_factors(report, matrix, h, scale: int, rho: int, roots: list, seed: int):
-    """Decide numeric roots of one substitution rank through exact factors of h.
+def _certify_factor(report, matrix, source, f, members: list, scale: int, seed: int, policy):
+    """Decide the roots of one exact factor f of g, in s = scale*t, at once.
 
-    h is g with its exact roots divided out.  Each monic factor f
-    (``_exact_factors``) gets the companion blow-up P_f, whose inner rank is
-    the sum of rho(P - mu) over the roots mu of f, and the exact route of
-    ``ncrank`` decides it, in u = s/nu for the nu among 1, the content of
-    scale*P(0) and scale that puts the roots of f nearest unit size: this
-    balances the companion coordinates, so the lifted Wong bases stay
+    Substitution reads rho once, on the source shifted exactly to its first
+    root read as a Gaussian rational.  The companion blow-up P_f, whose
+    inner rank is the sum of rho(P - mu) over the roots mu of f, gets the
+    exact route of ``ncrank``, in u = s/nu for the nu among 1, the content
+    of scale*P(0) and scale that puts the roots of f nearest unit size:
+    this balances the companion coordinates, so the lifted Wong bases stay
     short.  A full P_f proves that no root is an atom; a nonfull one proves
     every root an atom once ``irreducible_zi`` proves f irreducible, since
     Galois conjugates share rho, and otherwise its roots stay uncertified.
     A verdict against the substitution rank raises MethodDisagreement.
     """
     n = matrix.rows
+    text = _poly_text(_monic(f, scale))
+    entry = {"factor": text, "rho": None, "irreducible": irreducible_zi(f)}
+    report.diagnostics["factors"].append(entry)
+    shifted = source.shift(GaussianRational(Fraction(members[0].real), Fraction(members[0].imag)))
+    try:
+        rho = rank_by_substitution(shifted, seed=seed, policy=policy).rho
+    except NoConsensus:
+        entry.update(verdict="inconclusive", detail="no consensus")
+        for mu in members:
+            _uncertify(report, mu, "no consensus")
+        return
+    entry["rho"] = rho
     value = matrix.scaled_value([(0, 0)] * (2 * matrix.n_vars + 1), scale)
     content = math.gcd(*(part for row in value for z in row for part in z))
-    units = {1, scale, content} - {0}
-    factors, left = _exact_factors(h, scale, roots)
-    for f, members in factors:
-        text = _poly_text(_monic(f, scale))
-        entry = {"factor": text, "rho": rho, "irreducible": irreducible_zi(f)}
-        report.diagnostics["factors"].append(entry)
-        factor_seed = seed + 200 + 11 * len(report.diagnostics["factors"])
-        size = scale * max(abs(complex(mu)) for mu in members)
-        nu = min(sorted(units), key=lambda v: abs(math.log(size / v)))
-        companion = (matrix * Fraction(scale, nu)).companion(_monic(f, nu))
-        try:
-            cert, _ = _decide_exactly(companion, factor_seed)
-        except Inconclusive:
-            entry.update(verdict="inconclusive", detail="")
-            for mu in members:
-                _uncertify(report, mu, "companion blow-up inconclusive")
-            continue
-        entry.update(verdict=cert.verdict, detail=cert.detail)
-        if (cert.verdict == "full") != (rho == n):
-            raise MethodDisagreement(
-                f"substitution says rho={rho} of {n} at the roots of {text}, "
-                f"the companion blow-up is {cert.verdict}"
-            )
-        if cert.verdict == "full":
-            continue
+    size = scale * max(abs(complex(mu)) for mu in members)
+    nu = min(sorted({1, scale, content} - {0}), key=lambda v: abs(math.log(size / v)))
+    companion = (matrix * Fraction(scale, nu)).companion(_monic(f, nu))
+    try:
+        cert, _ = _decide_exactly(companion, seed)
+    except Inconclusive:
+        entry.update(verdict="inconclusive", detail="")
         for mu in members:
-            if entry["irreducible"]:
-                report.atoms.append(SpectralAtom(mu, rho, Fraction(n - rho, n), True, False))
-            else:
-                _uncertify(report, mu, "factor not proven irreducible")
-    for mu in left:
-        _uncertify(report, mu, "no exact factor")
+            _uncertify(report, mu, "companion blow-up inconclusive")
+        return
+    entry.update(verdict=cert.verdict, detail=cert.detail)
+    if (cert.verdict == "full") != (rho == n):
+        raise MethodDisagreement(
+            f"substitution says rho={rho} of {n} at the roots of {text}, "
+            f"the companion blow-up is {cert.verdict}"
+        )
+    if cert.verdict == "full":
+        return
+    for mu in members:
+        if entry["irreducible"]:
+            report.atoms.append(SpectralAtom(mu, rho, Fraction(n - rho, n), True, False))
+        else:
+            _uncertify(report, mu, "factor not proven irreducible")
 
 
 def _exact_factors(h, scale: int, roots: list):
-    """Cut numeric roots t into monic factors of h in s = scale*t, smallest first.
+    """Cut float roots t into monic factors of h in s = scale*t, smallest first.
 
     Returns ([(f, its roots)], the roots left over).  The product of
     s - scale*mu over a subset, from the refined roots (``_refined_roots``),
     is kept when it lies within 2^-(ROOT_GUARD_BITS/2) of its rounding f to
-    Z[i], so that f has the subset's roots, and f divides h.  A size with more than
+    Z[i], so that f has the subset's roots, and f divides h.  Every root s
+    of h is an eigenvalue of the Gaussian-integer matrix scale*P(0), hence
+    an algebraic integer, so a root t in Q(i) has s in Z[i] and is cut off
+    as a linear factor, past float precision too.  A size with more than
     FACTOR_SUBSETS subsets is skipped, which bounds the work.
     """
     found, size = [], 1

@@ -262,6 +262,20 @@ def test_atoms_hands_the_pencil_to_the_spectrum_as_it_is(capsys, tmp_path, monke
     assert any(w["atoms"] for w in wanted)
 
 
+def test_atoms_report_lists_the_exact_factors(capsys, tmp_path):
+    # G (+) x1, G = [[0, 1], [1, 1]]: both golden roots are decided through
+    # one factor of g, whose entry the JSON report carries
+    g_block = LinearPencil([[[0, 1], [1, 1]], [[0, 0], [0, 0]]], 1)
+    pencil = g_block.direct_sum(LinearPencil([[[0]], [[1]]], 1))
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(cli.pencil_to_json(pencil)))
+    code, out, _ = _run(capsys, ["atoms", "--pencil", str(path)])
+    assert code == 0
+    [factor] = json.loads(out)["diagnostics"]["factors"]
+    assert (factor["factor"], factor["verdict"], factor["irreducible"]) == ("t^2 - t - 1", "nonfull", True)
+    assert isinstance(factor["rho"], int)
+
+
 def test_dualcheck_passes_and_renders_csv(capsys):
     code, out, err = _run(capsys, ["dualcheck", "--n", "1", "--R", "3"])
     assert code == 0

@@ -317,8 +317,8 @@ def test_pencil_evaluate_matches_matrix_evaluate():
     a = pencil.evaluate(mats)
     b = pencil.to_matrix().evaluate(mats)
     assert np.array_equal(a, b)
-    # one kernel, one answer: a stack of models, single models, pencils and
-    # shifts all give the same bits, on starred, sparse and rectangular input
+    # one kernel, one answer: a stack of models, single models and pencils
+    # all give the same bits, on starred, sparse and rectangular input
     prng, nprng = random.Random(15), np.random.default_rng(15)
     pencils = 0
     for trial in range(60):
@@ -343,11 +343,6 @@ def test_pencil_evaluate_matches_matrix_evaluate():
             pencils += 1
             pencil = m.to_pencil()
             assert np.array_equal(pencil.evaluate(models[0]), pencil.to_matrix().evaluate(models[0]))
-        if rows == cols:
-            shift = complex(prng.randint(-3, 3), prng.randint(1, 3))
-            want = m.evaluate(models[1]) - shift * np.eye(rows * d)
-            shifted = evaluate_form(*m.float_form(), [models[1]], shift)[0]
-            assert np.array_equal(shifted, want), trial
     assert pencils > 20
 
 

@@ -28,6 +28,7 @@ from ncfield import (
     sample,
 )
 from ncfield.errors import Inconclusive, InputError, MethodDisagreement, NonSquareError
+from ncfield.ncrank import RankResult
 from ncfield.scalars import GaussianRational
 
 
@@ -233,6 +234,95 @@ def test_golden_roots_at_mixed_scales_are_certified(times, letter):
     assert report.dimension == Fraction(7, 9)
 
 
+def test_golden_roots_beside_a_large_exact_root_at_a_small_scale_are_certified():
+    # G/10^8 (+) 10^9 (+) x1: the shifted matrix's entries span 17 orders of
+    # magnitude, which only the row balancing of exact input brings into
+    # the float range of one substitution reading
+    x1 = NcPoly.var(1, 1)
+    matrix = _golden_beside([NcPoly.const(10**9, 1), x1], times=Fraction(1, 10**8))
+    root5 = math.sqrt(5)
+    for seed in range(4):
+        report = central_eigs_pencil(matrix.to_pencil(), seed=seed)
+        assert report.uncertified == [], seed
+        assert [(a.rho, a.certified, a.exact) for a in report.atoms] == [
+            (3, True, False), (3, True, False), (3, True, True)
+        ], seed
+        golden = [complex(a.lam).real * 10**8 for a in report.atoms[:2]]
+        assert np.allclose(golden, [(1 - root5) / 2, (1 + root5) / 2], rtol=0, atol=1e-9), seed
+        assert report.atoms[2].lam == GaussianRational(10**9), seed
+        assert report.dimension == Fraction(13, 16), seed
+
+
+def _constant_beside_x1(rows) -> NcMatrix:
+    """The integer matrix C (+) x1, in one letter."""
+    size = len(rows)
+    entries = [[NcPoly.const(x, 1) for x in row] + [NcPoly.zero(1)] for row in rows]
+    return NcMatrix(entries + [[NcPoly.zero(1)] * size + [NcPoly.var(1, 1)]])
+
+
+def test_every_eigenvalue_of_a_constant_block_is_a_certified_atom():
+    # C (+) x1 has an atom at each eigenvalue mu of C, with rho = N - the
+    # geometric multiplicity of mu.  Over Q, the roots of an irreducible
+    # factor f of det(t - C) share that multiplicity, so it is
+    # dim ker f(C) / deg f.
+    import sympy  # the oracle only; ncfield does not depend on it
+
+    rng, t = random.Random(25), sympy.Symbol("t")
+    factor_degrees = set()
+    for k in range(60):
+        size = 2 + k % 3
+        rows = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+        c = sympy.Matrix(rows)
+        want = []
+        for f, _ in sympy.Poly(c.charpoly(t).as_expr(), t).factor_list()[1]:
+            value = sum((a * c**j for j, a in enumerate(reversed(f.all_coeffs()))), sympy.zeros(size))
+            geometric = (size - value.rank()) // f.degree()
+            want += [(complex(mu), size + 1 - geometric) for mu in sympy.Poly(f, t).nroots()]
+        report = central_eigs_pencil(_constant_beside_x1(rows).to_pencil(), seed=k)
+        assert report.uncertified == [], k
+        assert len(report.atoms) == len(want), k
+        for mu, rho in want:
+            [atom] = [a for a in report.atoms if abs(complex(a.lam) - mu) < 1e-9]
+            assert (atom.rho, atom.certified) == (rho, True), k
+        factor_degrees |= {f["factor"].split()[0] for f in report.diagnostics["factors"]}
+    assert {"t^2", "t^3"} <= factor_degrees
+
+
+def test_a_factor_gets_one_substitution_reading(monkeypatch):
+    # both golden roots of G (+) x1 share the one reading of t^2 - t - 1
+    spectra = importlib.import_module("ncfield.spectra")
+    calls = []
+    read = spectra.rank_by_substitution
+    monkeypatch.setattr(
+        spectra, "rank_by_substitution", lambda matrix, **kw: calls.append(matrix) or read(matrix, **kw)
+    )
+    report = central_eigs_pencil(_golden_beside([NcPoly.var(1, 1)]).to_pencil(), seed=0)
+    assert [(a.rho, a.certified) for a in report.atoms] == [(2, True)] * 2
+    assert len(calls) == 1
+
+
+def test_homogeneous_part_rules_out_atoms_only_when_exactly_full():
+    # The 3x3 skew-symmetric pencil, row 0 scaled by 1/p for the prime p of
+    # the exact engine: substitution reads the homogeneous part full, but no
+    # exact verdict backs it, so candidate 0 is decided on its own, and is
+    # left uncertified as well.
+    p = 2147483629
+
+    def skew(i, j):
+        rows = [[GaussianRational(0)] * 3 for _ in range(3)]
+        rows[i][j], rows[j][i] = 1, -1
+        rows[0] = [x * Fraction(1, p) for x in rows[0]]
+        return rows
+
+    pencil = LinearPencil([[[0] * 3] * 3, skew(0, 1), skew(0, 2), skew(1, 2)], 3)
+    report = central_eigs_pencil(pencil, seed=0)
+    assert report.diagnostics["homogeneous_rho"] == 3
+    assert report.atoms == [] and report.dimension is None
+    assert report.uncertified == [{"lambda": [0.0, 0.0], "reason": "exact engine inconclusive"}]
+    with pytest.raises(Inconclusive):
+        entropy_dimension(pencil.to_matrix(), seed=0)
+
+
 def test_numeric_roots_are_cut_into_the_factors_they_are_roots_of():
     # h = (s^2 - 4s - 3)(s^2 - s - 1), roots -0.646, -0.618, 1.618, 4.646:
     # the first pair tried, {-0.646, 1.618}, has the product
@@ -250,9 +340,11 @@ def test_numeric_roots_are_cut_into_the_factors_they_are_roots_of():
 
 
 def test_companion_verdict_against_substitution_is_a_disagreement(monkeypatch):
-    # substitution made to read full at (1 +- sqrt 5)/2, where P_f is nonfull
+    # substitution made to read full at its one reading for t^2 - t - 1,
+    # where P_f is nonfull
     spectra = importlib.import_module("ncfield.spectra")
-    monkeypatch.setattr(spectra, "_rho_of_shift", lambda matrix, *args: matrix.rows)
+    full = lambda matrix, **kwargs: RankResult(matrix.rows, matrix.rows, matrix.cols, "substitution")  # noqa: E731
+    monkeypatch.setattr(spectra, "rank_by_substitution", full)
     z, one, x1 = NcPoly.zero(1), NcPoly.const(1, 1), NcPoly.var(1, 1)
     matrix = NcMatrix([[z, one, z], [one, one, z], [z, z, x1]])
     with pytest.raises(MethodDisagreement, match="t\\^2 - t - 1"):
