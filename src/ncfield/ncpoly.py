@@ -6,10 +6,13 @@ map.  A word is a tuple of letters, a letter is (variable index, star flag).
 Words are ordered by length first and then lexicographically, which fixes a
 canonical text form such as ``(3/2+1/2i)*x1*x2* + 1``.
 
-A linear pencil A0 + A1*x1 + ... holds one exact coefficient matrix per
-letter.  Pencils may live over the plain alphabet x1..xn or over the doubled
-alphabet x1..xn, x1*..xn*; the doubled form is what linear representations of
-rational expressions use.  Its coefficient order is that of the plain letters
+A linear pencil A0 + A1*x1 + ... keeps its nonzero exact cells, a map from
+(slot, row, column) to the coefficient of slot 0 (the constant) or of one
+letter; every pencil operation reads and writes cells, and ``coeffs`` is a
+dense view for callers that want the matrices.  Pencils may live over the
+plain alphabet x1..xn or over the doubled alphabet x1..xn, x1*..xn*; the
+doubled form is what linear representations of rational expressions use.
+Its coefficient order is that of the plain letters
 x1..x2n, with xi* in slot n + i (``letter_slot``), so the exact engine reads
 a doubled pencil as a plain one in 2n letters.  Evaluation substitutes
 concrete matrices for the letters, sends scalars to multiples of the
@@ -56,12 +59,6 @@ EMPTY_WORD: Word = ()
 
 # Balancing skips rows within 2^8 of 1: rows within 2^16 of each other clear the SVD threshold
 ROW_EXPONENT_SLACK = 8
-
-
-def zero_matrix(rows: int, cols: int) -> List[List[GaussianRational]]:
-    """A rows x cols matrix of exact zeros, as fresh lists to fill in."""
-    zero = GaussianRational(0)
-    return [[zero] * cols for _ in range(rows)]
 
 
 def letter_slot(letter: Letter, n_vars: int) -> int:
@@ -630,13 +627,10 @@ class NcMatrix:
         if self.degree > 1:
             raise DegreeTooHigh(f"degree {self.degree} matrix is not a pencil")
         n, star = self.n_vars, self.has_star()
-        slots = 1 + (2 * n if star else n)
-        coeffs = [zero_matrix(self.rows, self.cols) for _ in range(slots)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                for word, c in self.entries[i][j].terms():
-                    coeffs[letter_slot(word[0], n) if word else 0][i][j] = c
-        return LinearPencil(coeffs, n, star_letters=star)
+        cells = {(letter_slot(word[0], n) if word else 0, i, j): c
+                 for i, row in enumerate(self.entries) for j, p in enumerate(row)
+                 for word, c in p._terms.items()}
+        return LinearPencil.from_cells(cells, self.rows, self.cols, n, star_letters=star)
 
 
 def _float_form(cells, rows: int, cols: int, n_vars: int, balance_rows: bool):
@@ -727,34 +721,64 @@ def _zero_block(
 
 
 class LinearPencil:
-    """A0 + sum of Ai*xi with exact coefficient matrices.
+    """A0 + sum of Ai*xi, stored as its nonzero exact cells.
 
-    With ``star_letters`` set, the alphabet is doubled and the coefficient
-    list is A0, A1..An for x1..xn, then B1..Bn for x1*..xn*.
+    ``cells`` maps (slot, i, j) to the nonzero coefficient of entry (i, j)
+    in slot 0, the constant, or in the slot of a letter (``letter``).  With
+    ``star_letters`` set, the alphabet is doubled and the slots are A0,
+    A1..An for x1..xn, then B1..Bn for x1*..xn*.  Every operation reads and
+    writes the cells; ``coeffs`` is a dense view, built on each read.
     """
 
-    __slots__ = ("coeffs", "rows", "cols", "n_vars", "star_letters")
+    __slots__ = ("cells", "rows", "cols", "n_vars", "star_letters")
 
     def __init__(self, coeffs: Sequence, n_vars: int, star_letters: bool = False):
+        """The pencil of the dense coefficient matrices A0, A1, ..."""
         expected = 1 + (2 * n_vars if star_letters else n_vars)
         if len(coeffs) != expected:
             raise VariableMismatch(
                 f"expected {expected} coefficient matrices, got {len(coeffs)}"
             )
-        frozen = []
         rows = len(coeffs[0])
         cols = len(coeffs[0][0]) if rows else 0
-        for mat in coeffs:
+        cells = {}
+        for k, mat in enumerate(coeffs):
             if len(mat) != rows or any(len(r) != cols for r in mat):
                 raise ShapeMismatch("coefficient matrices differ in shape")
-            frozen.append(
-                tuple(tuple(GaussianRational.coerce(x) for x in row) for row in mat)
-            )
-        self.coeffs = tuple(frozen)
+            for i, row in enumerate(mat):
+                for j, x in enumerate(row):
+                    cells[k, i, j] = GaussianRational.coerce(x)
+        self._set(cells, rows, cols, n_vars, star_letters)
+
+    @classmethod
+    def from_cells(cls, cells: Dict[Tuple[int, int, int], GaussianRational], rows: int,
+                   cols: int, n_vars: int, star_letters: bool = False) -> "LinearPencil":
+        """The rows x cols pencil with these (slot, i, j) cells; zero cells are dropped."""
+        pencil = cls.__new__(cls)
+        pencil._set(cells, rows, cols, n_vars, star_letters)
+        return pencil
+
+    def _set(self, cells, rows, cols, n_vars, star_letters):
+        self.cells = {key: c for key, c in cells.items() if c}
         self.rows = rows
         self.cols = cols
         self.n_vars = n_vars
         self.star_letters = star_letters
+
+    def _reissue(self, cells, **changes) -> "LinearPencil":
+        """A pencil with these cells, and this one's shape and alphabet but for ``changes``."""
+        fields = dict(rows=self.rows, cols=self.cols, n_vars=self.n_vars,
+                      star_letters=self.star_letters)
+        return LinearPencil.from_cells(cells, **{**fields, **changes})
+
+    @property
+    def coeffs(self) -> Tuple[Tuple[Tuple[GaussianRational, ...], ...], ...]:
+        """The dense coefficient matrices A0, A1, ..., as tuples of rows."""
+        zero = GaussianRational(0)
+        grid = [[[zero] * self.cols for _ in range(self.rows)] for _ in range(1 + self.n_letters)]
+        for (k, i, j), c in self.cells.items():
+            grid[k][i][j] = c
+        return tuple(tuple(tuple(row) for row in a) for a in grid)
 
     @property
     def n_letters(self) -> int:
@@ -766,118 +790,79 @@ class LinearPencil:
             return Letter(pos, False)
         return Letter(pos - self.n_vars, True)
 
+    def _words(self) -> List[Word]:
+        """The word of each slot: the empty word, then one letter each."""
+        return [EMPTY_WORD] + [(self.letter(k),) for k in range(1, 1 + self.n_letters)]
+
     def plain(self) -> "LinearPencil":
         """The same pencil over the plain letters x1..x(n_letters)."""
-        return LinearPencil(self.coeffs, self.n_letters) if self.star_letters else self
+        if not self.star_letters:
+            return self
+        return self._reissue(self.cells, n_vars=self.n_letters, star_letters=False)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_homogeneous(self) -> bool:
-        return all(x.is_zero() for row in self.coeffs[0] for x in row)
+        return all(k for k, _, _ in self.cells)
 
     def is_zero(self) -> bool:
-        return all(
-            x.is_zero() for mat in self.coeffs for row in mat for x in row
-        )
+        return not self.cells
 
     def to_matrix(self) -> NcMatrix:
+        words = self._words()
+        grid: List[List[dict]] = [[{} for _ in range(self.cols)] for _ in range(self.rows)]
+        for (k, i, j), c in self.cells.items():
+            grid[i][j][words[k]] = c
         n = self.n_vars
-        grid = []
-        for i in range(self.rows):
-            row = []
-            for j in range(self.cols):
-                terms: Dict[Word, GaussianRational] = {}
-                c0 = self.coeffs[0][i][j]
-                if not c0.is_zero():
-                    terms[EMPTY_WORD] = c0
-                for pos in range(1, self.n_letters + 1):
-                    c = self.coeffs[pos][i][j]
-                    if not c.is_zero():
-                        terms[(self.letter(pos),)] = c
-                row.append(NcPoly(terms, n))
-            grid.append(row)
-        return NcMatrix(grid, n)
+        return NcMatrix([[NcPoly(terms, n) for terms in row] for row in grid], n)
 
     def adjoint(self) -> "LinearPencil":
-        """Entrywise adjoint; x and x* coefficient roles swap."""
-        def conj_t(mat):
-            return tuple(
-                tuple(mat[j][i].conjugate() for j in range(len(mat)))
-                for i in range(len(mat[0]))
-            )
-
-        if not self.star_letters:
-            widened = self.widen_alphabet()
-            return widened.adjoint()
+        """Entrywise adjoint over the doubled alphabet; x and x* coefficient roles swap."""
         n = self.n_vars
-        out = [conj_t(self.coeffs[0])]
-        out.extend(conj_t(self.coeffs[n + i]) for i in range(1, n + 1))
-        out.extend(conj_t(self.coeffs[i]) for i in range(1, n + 1))
-        return LinearPencil(out, n, star_letters=True)
+        cells = {((k + n if k <= n else k - n) if k else 0, j, i): c.conjugate()
+                 for (k, i, j), c in self.cells.items()}
+        return self._reissue(cells, rows=self.cols, cols=self.rows, star_letters=True)
 
     def widen_alphabet(self) -> "LinearPencil":
         """Reissue over the doubled alphabet with zero starred coefficients."""
-        if self.star_letters:
-            return self
-        zero = zero_matrix(self.rows, self.cols)
-        return LinearPencil(
-            list(self.coeffs) + [zero] * self.n_vars,
-            self.n_vars,
-            star_letters=True,
-        )
+        return self if self.star_letters else self._reissue(self.cells, star_letters=True)
 
     def homogeneous_part(self) -> "LinearPencil":
-        return LinearPencil(
-            [zero_matrix(self.rows, self.cols)] + list(self.coeffs[1:]),
-            self.n_vars,
-            self.star_letters,
-        )
+        return self._reissue({key: c for key, c in self.cells.items() if key[0]})
 
     def direct_sum(self, other: "LinearPencil") -> "LinearPencil":
         if self.n_vars != other.n_vars or self.star_letters != other.star_letters:
             raise VariableMismatch("pencil alphabets differ")
-        out = []
-        for a, b in zip(self.coeffs, other.coeffs):
-            block = zero_matrix(self.rows + other.rows, self.cols + other.cols)
-            for i, row in enumerate(a):
-                block[i][: self.cols] = row
-            for i, row in enumerate(b):
-                block[self.rows + i][self.cols :] = row
-            out.append(block)
-        return LinearPencil(out, self.n_vars, self.star_letters)
+        cells = dict(self.cells)
+        cells.update(((k, self.rows + i, self.cols + j), c) for (k, i, j), c in other.cells.items())
+        return self._reissue(cells, rows=self.rows + other.rows, cols=self.cols + other.cols)
 
     def narrow_alphabet(self) -> "LinearPencil":
         """Reissue over the plain alphabet when every starred coefficient is zero."""
-        n = self.n_vars
-        if self.star_letters and not any(x for a in self.coeffs[n + 1 :] for row in a for x in row):
-            return LinearPencil(self.coeffs[: n + 1], n)
+        if self.star_letters and all(k <= self.n_vars for k, _, _ in self.cells):
+            return self._reissue(self.cells, star_letters=False)
         return self
 
     def pad_to_square(self) -> "LinearPencil":
         """Pad with zero rows or columns; inner rank is unchanged."""
-        if self.rows == self.cols:
-            return self
         size = max(self.rows, self.cols)
-        pad = [GaussianRational(0)] * (size - self.cols)
-        coeffs = [[list(row) + pad for row in a] + zero_matrix(size - self.rows, size) for a in self.coeffs]
-        return LinearPencil(coeffs, self.n_vars, self.star_letters)
+        return self if self.rows == self.cols else self._reissue(self.cells, rows=size, cols=size)
 
     def shift(self, lam: Scalarish) -> "LinearPencil":
         """A0 - lam * I, the pencil of ``to_matrix().shift(lam)``."""
         if not self.is_square():
             raise NonSquareError("shift needs a square matrix")
-        lam = GaussianRational.coerce(lam)
-        a0 = [list(row) for row in self.coeffs[0]]
+        lam, zero = GaussianRational.coerce(lam), GaussianRational(0)
+        cells = dict(self.cells)
         for i in range(self.rows):
-            a0[i][i] = a0[i][i] - lam
-        return LinearPencil([a0, *self.coeffs[1:]], self.n_vars, self.star_letters)
+            cells[0, i, i] = cells.get((0, i, i), zero) - lam
+        return self._reissue(cells)
 
     def float_form(self, balance_rows: bool = False) -> Tuple[Tuple[Word, ...], np.ndarray]:
-        """The float form of the nonzero slots, ``to_matrix().float_form()`` (``_float_form``)."""
-        words = [EMPTY_WORD] + [(self.letter(k),) for k in range(1, len(self.coeffs))]
-        cells = [(words[k], i, j, x) for k, a in enumerate(self.coeffs)
-                 for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        """The float form of the cells, ``to_matrix().float_form()`` (``_float_form``)."""
+        words = self._words()
+        cells = [(words[k], i, j, c) for (k, i, j), c in self.cells.items()]
         return _float_form(cells, self.rows, self.cols, self.n_vars, balance_rows)
 
     def evaluate(self, model) -> np.ndarray:
@@ -888,9 +873,9 @@ class LinearPencil:
         if not isinstance(other, LinearPencil):
             return NotImplemented
         return (
-            self.n_vars == other.n_vars
-            and self.star_letters == other.star_letters
-            and self.coeffs == other.coeffs
+            (self.rows, self.cols, self.n_vars, self.star_letters)
+            == (other.rows, other.cols, other.n_vars, other.star_letters)
+            and self.cells == other.cells
         )
 
     def __repr__(self) -> str:
@@ -924,7 +909,7 @@ def random_pencil(
             tuple(scalar() for _ in range(size)) for _ in range(size)
         )
 
-    coeffs = [zero_matrix(size, size) if homogeneous else mat()]
+    coeffs = [[[0] * size] * size if homogeneous else mat()]
     coeffs.extend(mat() for _ in range(n_vars))
     return LinearPencil(coeffs, n_vars)
 

@@ -8,7 +8,7 @@ matrices use GUE tuples; matrices with adjoint letters use Ginibre tuples,
 whose limits generate the same free field in the doubled letters.
 
 The fullness engine decides whether a homogeneous square pencil over Q(i)
-is full, by exact certificates only.  The coefficients are read once, into
+is full, by exact certificates only.  The nonzero cells are read once, into
 Gaussian integers, every step reads those or their residues mod p, and no
 floating point runs.  A blow-up A1 (x) X1 + ... of full rank mod p proves
 fullness; it is read at d = 1 first, and at d = 2, 4, ..., N - 1 last.  In
@@ -49,7 +49,7 @@ from .errors import (
     NonSquareError,
     ZeroPencilError,
 )
-from .ncpoly import LinearPencil, NcMatrix, _zero_block, evaluate_form, letter_slot, zero_matrix
+from .ncpoly import LinearPencil, NcMatrix, _zero_block, evaluate_form, letter_slot
 from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_ranks, sample
 from .scalars import (
     _IOTA,
@@ -70,8 +70,9 @@ def homogenize(pencil: LinearPencil) -> LinearPencil:
     doubled alphabet) with the same inner rank, hence the same fullness.
     """
     pencil = pencil.plain()
-    zero = zero_matrix(pencil.rows, pencil.cols)
-    return LinearPencil([zero, *pencil.coeffs[1:], pencil.coeffs[0]], pencil.n_vars + 1)
+    fresh = pencil.n_vars + 1
+    cells = {(k or fresh, i, j): c for (k, i, j), c in pencil.cells.items()}
+    return LinearPencil.from_cells(cells, pencil.rows, pencil.cols, fresh)
 
 
 # substitution engine
@@ -208,9 +209,9 @@ def fullness_scaling(pencil: LinearPencil, seed: int = 0) -> FullnessCertificate
     one as ``blowup``, which ``verify_certificate`` re-checks.  A doubled
     pencil is read over its 2n plain letters.
     """
-    coeffs = _exact_tuple(pencil)
-    n = len(coeffs[0])
-    ints = _integer_parts(coeffs)
+    pencil = _exact_pencil(pencil)
+    n = pencil.rows
+    ints = _integer_parts(pencil)
     forms = _residue_forms(ints)
     if _confirm_full_exact(forms[0], seed, d=1):
         return _full_by_blowup(n, 1, seed)
@@ -239,8 +240,8 @@ def verify_certificate(pencil: LinearPencil, cert: FullnessCertificate) -> bool:
     degrees ``fullness_scaling`` reads, so a forged d builds no outsized
     matrix.  Anything else does not pass.
     """
-    coeffs = _exact_tuple(pencil)
-    n = len(coeffs[0])
+    pencil = _exact_pencil(pencil)
+    n = pencil.rows
     if cert.size != n:
         return False
     if cert.verdict == "nonfull":
@@ -251,7 +252,7 @@ def verify_certificate(pencil: LinearPencil, cert: FullnessCertificate) -> bool:
         d, seed, prime = blowup
         if prime != _P or not 1 <= d <= max(n - 1, 2):
             return False
-        ints = _integer_parts(coeffs)
+        ints = _integer_parts(pencil)
         return ints.denominator % _P != 0 and _confirm_full_exact(_residue_forms(ints)[0], seed, d)
     return False
 
@@ -265,19 +266,19 @@ def verify_nonfull_witness(pencil: LinearPencil, witness) -> bool:
     (``GaussianRational.coerce``); anything that is not two N-row lists of
     equal-width rows of such scalars does not pass.
     """
-    coeffs = _exact_tuple(pencil)
-    n = len(coeffs[0])
+    pencil = _exact_pencil(pencil)
+    n = pencil.rows
     try:
         u, v = ([[GaussianRational.coerce(x) for x in row] for row in basis] for basis in witness)
     except (TypeError, ValueError):
         return False
     if not all(len(b) == n and len({len(row) for row in b}) == 1 for b in (u, v)):
         return False
-    return _holds_exactly(_integer_parts(coeffs), u, v)
+    return _holds_exactly(_integer_parts(pencil), u, v)
 
 
-def _exact_tuple(pencil: LinearPencil) -> list:
-    """A1..Am of a homogeneous square pencil, read over its plain letters."""
+def _exact_pencil(pencil: LinearPencil) -> LinearPencil:
+    """The pencil over its plain letters, checked square, homogeneous and nonzero."""
     pencil = pencil.plain()
     if not pencil.is_square():
         raise NonSquareError("fullness is defined for square pencils")
@@ -285,7 +286,7 @@ def _exact_tuple(pencil: LinearPencil) -> list:
         raise InputError("fullness needs a homogeneous pencil; homogenize first")
     if pencil.is_zero():
         raise ZeroPencilError("the zero pencil is nowhere full")
-    return pencil.coeffs[1:]
+    return pencil
 
 
 def _coordinate_basis(n: int, index) -> list:
@@ -452,7 +453,7 @@ def _holds_exactly(ints, u, v) -> bool:
     n, k, l = len(u), len(u[0]), len(v[0])
     if min(k, l) == 0 or k + l <= n:
         return False
-    uu, vv = _gaussian_integers(u)[0], _gaussian_integers(v)[0]
+    uu, vv = _gaussian_integers(u), _gaussian_integers(v)
     for basis in (uu, vv):
         re, im = _mod(basis, _P)
         if rank_mod_p((re + _IOTA * im) % _P) != basis.shape[2]:
@@ -478,10 +479,10 @@ def _real_form(re, im, q: int) -> np.ndarray:
 
 
 class IntegerParts(NamedTuple):
-    """A1..Am times the lcm D of their denominators, read once.
+    """A1..Am times the lcm D of their denominators, read once from the cells.
 
-    ``parts`` is an object array of Python ints, real parts first (shape
-    2 x m x N x N), ``height`` its largest absolute value and
+    ``parts`` is a dense object array of Python ints, real parts first
+    (shape 2 x m x N x N), ``height`` its largest absolute value and
     ``denominator`` the lcm D.
     """
 
@@ -490,22 +491,31 @@ class IntegerParts(NamedTuple):
     denominator: int
 
 
-def _integer_parts(coeffs) -> IntegerParts:
-    n = len(coeffs[0])
-    parts, den = _gaussian_integers([row for a in coeffs for row in a])
-    return IntegerParts(parts.reshape(2, len(coeffs), n, n), _height(parts), den)
+def _integer_parts(pencil: LinearPencil) -> IntegerParts:
+    """The ``IntegerParts`` of a homogeneous plain pencil, from its nonzero cells alone.
+
+    Cell (k, i, j) of the pencil is entry (i, j) of A(k), at index k - 1.
+    """
+    n, cells = pencil.rows, pencil.cells
+    den = math.lcm(*{x.denominator for c in cells.values() for x in (c.re, c.im)})
+    parts = np.zeros((2, pencil.n_vars, n, n), dtype=object)  # Python int zeros
+    height = 0
+    for (k, i, j), c in cells.items():
+        for part, x in enumerate((c.re, c.im)):
+            parts[part, k - 1, i, j] = value = x.numerator * (den // x.denominator)
+            height = max(height, abs(value))
+    return IntegerParts(parts, height, den)
 
 
-def _gaussian_integers(rows):
-    """Real and imaginary parts of a Q(i) matrix times the lcm of its denominators.
+def _gaussian_integers(rows) -> np.ndarray:
+    """Real and imaginary parts of a dense Q(i) basis times the lcm of its denominators.
 
-    An object array of Python ints, real parts first (shape 2 x rows x
-    cols), and the lcm.
+    An object array of Python ints, real parts first (shape 2 x rows x cols).
     """
     parts = [x.re for row in rows for x in row] + [x.im for row in rows for x in row]
     scale = math.lcm(*{f.denominator for f in parts})
     ints = [f.numerator * (scale // f.denominator) for f in parts]
-    return np.array(ints, dtype=object).reshape(2, len(rows), len(rows[0])), scale
+    return np.array(ints, dtype=object).reshape(2, len(rows), len(rows[0]))
 
 
 def _height(parts) -> int:
@@ -542,19 +552,18 @@ def linearize_matrix(matrix: NcMatrix) -> Tuple[LinearPencil, int]:
                 for g in range(1, len(word)):
                     nodes.setdefault((i, word[:g]), len(nodes))
     border = len(nodes)
-    star = matrix.has_star()
-    coeffs = [zero_matrix(n + border, m + border) for _ in range(1 + (2 if star else 1) * n_vars)]
+    cells = {}
     one = GaussianRational(1)
     for (i, u), t in nodes.items():
         parent = i if len(u) == 1 else n + nodes[i, u[:-1]]
-        coeffs[letter_slot(u[-1], n_vars)][parent][m + t] = one
-        coeffs[0][n + t][m + t] = -one
+        cells[letter_slot(u[-1], n_vars), parent, m + t] = one
+        cells[0, n + t, m + t] = -one
     for i, row in enumerate(matrix.entries):
         for j, p in enumerate(row):
             for word, coeff in p.terms():
                 at = i if len(word) <= 1 else n + nodes[i, word[:-1]]
-                coeffs[letter_slot(word[-1], n_vars) if word else 0][at][j] = coeff
-    return LinearPencil(coeffs, n_vars, star_letters=star), border
+                cells[letter_slot(word[-1], n_vars) if word else 0, at, j] = coeff
+    return LinearPencil.from_cells(cells, n + border, m + border, n_vars, matrix.has_star()), border
 
 
 # orchestrated rank

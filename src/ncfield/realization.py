@@ -17,6 +17,9 @@ constructors below compose representations along the expression tree:
 * a general inverse borders the pencil so that the new Schur complement is
   -r, and the adjoint swaps u and v against the adjoint pencil.
 
+Each constructor writes pencil cells only: its blocks' cells at their
+offsets and the cells of its coupling (``LinearPencil.from_cells``).
+
 A polynomial subexpression comes from its expansion only while no product
 in it copies letters, so (x1 + x2)*(x1 + x2) is a product of two pencils of
 size 2, not the expansion of four words.  The expansion then has at most as
@@ -31,12 +34,12 @@ functions need not match entrywise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import OutOfDomain
-from .ncpoly import LinearPencil, NcMatrix, NcPoly, zero_matrix
+from .ncpoly import LinearPencil, NcMatrix, NcPoly
 from .ncrank import linearize_matrix
 from .ratexpr import Add, Adjoint, Const, Inv, Mul, Neg, RatExpr, Var, is_polynomial, max_var_index
 from .scalars import GaussianRational
@@ -62,12 +65,18 @@ class LinearRepresentation:
         return eval_rep(self, model, tol_factor)
 
 
-def _pencil(slots: List[List[List[GaussianRational]]], n_vars: int) -> LinearPencil:
-    return LinearPencil(slots, n_vars, star_letters=True)
-
-
 def _zeros(k: int) -> Row:
     return tuple(GaussianRational(0) for _ in range(k))
+
+
+def _offset(cells: dict, rows: int, cols: int) -> dict:
+    """The cells moved down by ``rows`` and right by ``cols``."""
+    return {(k, rows + i, cols + j): c for (k, i, j), c in cells.items()}
+
+
+def _square(cells: dict, k: int, n_vars: int) -> LinearPencil:
+    """The k x k pencil over the doubled alphabet with these cells."""
+    return LinearPencil.from_cells(cells, k, k, n_vars, star_letters=True)
 
 
 def _rep_poly(poly: NcPoly, n_vars: int) -> LinearRepresentation:
@@ -80,17 +89,12 @@ def _rep_poly(poly: NcPoly, n_vars: int) -> LinearRepresentation:
     """
     lin, border = linearize_matrix(NcMatrix([[poly]], n_vars))
     size = border + 2
-    slots = []
-    for pos, a in enumerate(lin.widen_alphabet().coeffs):
-        block = zero_matrix(size, size)
-        for i, row in enumerate(a):
-            block[i][1 : size - 1] = row[1:]
-            block[i][size - 1] = -row[0]
-        slots.append(block)
     one = GaussianRational(1)
-    slots[0][0][0] = slots[0][size - 1][size - 1] = one
+    # L's column 0, the column of p, moves to the last column, negated
+    cells = {(k, i, j or size - 1): c if j else -c for (k, i, j), c in lin.cells.items()}
+    cells[0, 0, 0] = cells[0, size - 1, size - 1] = one
     return LinearRepresentation(
-        (one,) + _zeros(size - 1), _pencil(slots, n_vars), _zeros(size - 1) + (one,)
+        (one,) + _zeros(size - 1), _square(cells, size, n_vars), _zeros(size - 1) + (one,)
     )
 
 
@@ -107,29 +111,16 @@ def _rep_add(r1: LinearRepresentation, r2: LinearRepresentation) -> LinearRepres
     )
 
 
-def _upper(a1, a2, coupling, n_vars: int) -> LinearPencil:
-    """[[A1, C], [0, A2]] from coefficient slots, with C = coupling(pos, i, j)."""
-    k1, k2 = len(a1[0]), len(a2[0])
-    slots = []
-    for pos, (c1, c2) in enumerate(zip(a1, a2)):
-        block = zero_matrix(k1 + k2, k1 + k2)
-        for i in range(k1):
-            block[i][:k1] = c1[i]
-            block[i][k1:] = [coupling(pos, i, j) for j in range(k2)]
-        for i in range(k2):
-            block[k1 + i][k1:] = c2[i]
-        slots.append(block)
-    return _pencil(slots, n_vars)
+def _upper(c1: dict, k1: int, c2: dict, k2: int, coupling: dict, n_vars: int) -> LinearPencil:
+    """[[A1, C], [0, A2]] from the cells of A1 (k1 x k1), A2 (k2 x k2) and C."""
+    return _square({**c1, **_offset(c2, k1, k1), **_offset(coupling, 0, k1)}, k1 + k2, n_vars)
 
 
 def _rep_mul(r1: LinearRepresentation, r2: LinearRepresentation) -> LinearRepresentation:
     """Couple the blocks through -v1 u2 in the constant slot."""
-    zero = GaussianRational(0)
-
-    def coupling(pos, i, j):
-        return -(r1.v[i] * r2.u[j]) if pos == 0 else zero
-
-    pencil = _upper(r1.pencil.coeffs, r2.pencil.coeffs, coupling, r1.n_vars)
+    coupling = {(0, i, j): -(a * b) for i, a in enumerate(r1.v) if a
+                for j, b in enumerate(r2.u) if b}
+    pencil = _upper(r1.pencil.cells, r1.k, r2.pencil.cells, r2.k, coupling, r1.n_vars)
     return LinearRepresentation(r1.u + _zeros(r2.k), pencil, _zeros(r1.k) + r2.v)
 
 
@@ -140,12 +131,11 @@ def _rep_mul_poly(r: LinearRepresentation, p: LinearRepresentation) -> LinearRep
     is otherwise zero; eliminating it couples v_r to the rest of p's first
     row instead.
     """
-    first = [[row[1:] for row in a[1:]] for a in p.pencil.coeffs]
-
-    def coupling(pos, i, j):
-        return r.v[i] * p.pencil.coeffs[pos][0][1 + j]
-
-    pencil = _upper(r.pencil.coeffs, first, coupling, r.n_vars)
+    cells = p.pencil.cells.items()
+    first = {(k, i - 1, j - 1): c for (k, i, j), c in cells if i and j}
+    coupling = {(k, a, j - 1): x * c for (k, i, j), c in cells if not i and j
+                for a, x in enumerate(r.v) if x}
+    pencil = _upper(r.pencil.cells, r.k, first, p.k - 1, coupling, r.n_vars)
     return LinearRepresentation(r.u + _zeros(p.k - 1), pencil, _zeros(r.k) + p.v[1:])
 
 
@@ -157,33 +147,22 @@ def _poly_mul_rep(p: LinearRepresentation, r: LinearRepresentation) -> LinearRep
     u_r instead.
     """
     last = p.k - 1
-    kept = [[row[:last] for row in a[:last]] for a in p.pencil.coeffs]
-
-    def coupling(pos, i, j):
-        return p.pencil.coeffs[pos][i][last] * r.u[j]
-
-    pencil = _upper(kept, r.pencil.coeffs, coupling, r.n_vars)
+    cells = p.pencil.cells.items()
+    kept = {key: c for key, c in cells if key[1] < last and key[2] < last}
+    coupling = {(k, i, b): c * x for (k, i, j), c in cells if i < last and j == last
+                for b, x in enumerate(r.u) if x}
+    pencil = _upper(kept, last, r.pencil.cells, r.k, coupling, r.n_vars)
     return LinearRepresentation(p.u[:last] + _zeros(r.k), pencil, _zeros(last) + r.v)
 
 
 def _rep_inv(r: LinearRepresentation) -> LinearRepresentation:
     """Border the pencil; the new (1,1) slot of the inverse is -1/r."""
-    k = r.k
-    n_vars = r.n_vars
-    slots = []
-    for pos, a in enumerate(r.pencil.coeffs):
-        block = zero_matrix(k + 1, k + 1)
-        for i in range(k):
-            for j in range(k):
-                block[1 + i][1 + j] = a[i][j]
-        if pos == 0:
-            for j in range(k):
-                block[0][1 + j] = r.u[j]
-            for i in range(k):
-                block[1 + i][0] = r.v[i]
-        slots.append(block)
+    cells = _offset(r.pencil.cells, 1, 1)
+    cells.update(((0, 0, 1 + j), x) for j, x in enumerate(r.u))
+    cells.update(((0, 1 + i, 0), x) for i, x in enumerate(r.v))
     one = GaussianRational(1)
-    return LinearRepresentation((one,) + _zeros(k), _pencil(slots, n_vars), (-one,) + _zeros(k))
+    pencil = _square(cells, r.k + 1, r.n_vars)
+    return LinearRepresentation((one,) + _zeros(r.k), pencil, (-one,) + _zeros(r.k))
 
 
 def _rep_adjoint(r: LinearRepresentation) -> LinearRepresentation:

@@ -305,9 +305,11 @@ def test_pencil_rejects_higher_degree():
 
 def test_homogeneous_part_drops_the_constant():
     pencil = random_pencil(2, 3, seed=14, homogeneous=False)
+    assert not pencil.is_homogeneous()
     hom = pencil.homogeneous_part()
     assert hom.is_homogeneous()
-    assert not pencil.is_homogeneous() or pencil.coeffs[0].is_zero()
+    assert not any(x for row in hom.coeffs[0] for x in row)
+    assert hom.coeffs[1:] == pencil.coeffs[1:]
 
 
 def test_pencil_evaluate_matches_matrix_evaluate():
@@ -392,14 +394,26 @@ def test_pencil_float_form_is_its_matrix_float_form():
 
 
 def test_pencil_shift_and_padding_are_the_matrix_ones():
+    # the pencil operations work on nonzero cells; each is pinned to the
+    # matrix operation it stands for, on starred, rectangular and sparse input
     for k, pencil in enumerate(_seeded_pencils()):
+        matrix = pencil.to_matrix()
         padded = pencil.pad_to_square()
-        assert padded.to_matrix() == pencil.to_matrix().pad_to_square(), k
+        assert padded.to_matrix() == matrix.pad_to_square(), k
         lam = GaussianRational(Fraction(k, 3), -1)
         assert padded.shift(lam).to_matrix() == padded.to_matrix().shift(lam), k
         if not pencil.is_square():
             with pytest.raises(NonSquareError):
                 pencil.shift(lam)
+        assert pencil.adjoint().to_matrix() == matrix.adjoint(), k
+        assert pencil.direct_sum(pencil).to_matrix() == matrix.direct_sum(matrix), k
+        wide = pencil.widen_alphabet()
+        assert wide.direct_sum(wide.adjoint()).to_matrix() == matrix.direct_sum(matrix.adjoint()), k
+        no_constants = [[p - p.constant_term() for p in row] for row in matrix.entries]
+        assert pencil.homogeneous_part().to_matrix() == NcMatrix(no_constants, matrix.n_vars), k
+        assert LinearPencil(pencil.coeffs, pencil.n_vars, pencil.star_letters) == pencil, k
+    # a shift that cancels the diagonal constants leaves no zero cell behind
+    assert LinearPencil([[[2, 0], [0, 2]], [[1, 1], [0, 1]]], 1).shift(2).is_homogeneous()
     plain = random_pencil(2, 3, seed=22)
     assert plain.widen_alphabet().narrow_alphabet() == plain
     starred = random_poly_matrix(2, 3, 3, degree=1, seed=13, allow_star=True).to_pencil()

@@ -31,14 +31,17 @@ from ncfield import (
     central_eigs_pencil,
     central_eigs_polymatrix,
     empirical_rank,
+    eval_and_check,
     fullness_scaling,
     homogenize,
     linearize_matrix,
     ncrank,
+    parse,
     poly_from_string,
     random_pencil,
     random_poly_matrix,
     rank_by_substitution,
+    realize,
     sample,
     verify_certificate,
     verify_nonfull_witness,
@@ -66,14 +69,20 @@ def _pencil(coeff_lists, n_vars):
     return LinearPencil(coeff_lists, n_vars)
 
 
+def _homogeneous(coeffs):
+    """The homogeneous plain pencil with letter coefficients A1..Am = coeffs."""
+    n = len(coeffs[0])
+    return LinearPencil([[[0] * n] * n, *coeffs], len(coeffs))
+
+
 def _hollow_block(coeffs, seed, transpose=False):
     """_exact_hollow_block on the residue and Gaussian-integer forms of coeffs."""
-    ints = _integer_parts(coeffs)
+    ints = _integer_parts(_homogeneous(coeffs))
     return _exact_hollow_block(_residue_forms(ints), ints, seed, transpose)
 
 
 def _holds(coeffs, u, v):
-    return _holds_exactly(_integer_parts(coeffs), u, v)
+    return _holds_exactly(_integer_parts(_homogeneous(coeffs)), u, v)
 
 
 def _pattern(m):
@@ -83,7 +92,34 @@ def _pattern(m):
 
 def _residues(pencil):
     """D A1..D Am of a plain pencil mod p at i = iota, D the lcm of the denominators."""
-    return _residue_forms(_integer_parts(pencil.coeffs[1:]))[0]
+    return _residue_forms(_integer_parts(pencil.homogeneous_part()))[0]
+
+
+def test_the_engines_never_build_the_dense_view(monkeypatch):
+    # every engine reads a pencil's nonzero cells; the dense ``coeffs`` view
+    # is only for pencil files and for callers that want the matrices
+    cubic = NcMatrix([[poly_from_string("1 + x1*x2*x1")]])
+    starred = random_poly_matrix(2, 3, 3, degree=1, seed=13, allow_star=True).to_pencil()
+    full = random_pencil(2, 3, seed=41, homogeneous=True)
+    hidden = conjugated_hollow_matrix(4, 2, seed=300).to_pencil()
+    planted = random_pencil(2, 2, seed=5).direct_sum(LinearPencil([[[3]], [[0]], [[0]]], 2))
+    model = sample("gue", 3, 2, 0)
+
+    def dense_view(self):
+        raise AssertionError("the dense coefficient view was built")
+
+    monkeypatch.setattr(LinearPencil, "coeffs", property(dense_view))
+    assert ncrank(cubic, seed=0).cross["scaling"] == "full"
+    assert ncrank(starred, seed=0).cross["scaling"] in ("full", "nonfull")
+    for pencil, verdict in ((full, "full"), (hidden, "nonfull")):
+        cert = fullness_scaling(pencil, seed=0)
+        assert cert.verdict == verdict
+        assert verify_certificate(pencil, cert)
+    report = central_eigs_pencil(planted, seed=0)
+    assert (3, True) in [(a.lam, a.certified) for a in report.atoms]
+    rep = realize(parse("x1*inv(x2)*x1 + inv(x1 + x2')*x2 - 2"))
+    report, value = eval_and_check(rep, model)
+    assert report.ok and value.shape == (3, 3)
 
 
 def test_scaling_rejects_single_nilpotent_coefficient():
@@ -293,23 +329,23 @@ def test_full_pencil_with_no_invertible_point_needs_the_large_blowup(monkeypatch
 
 def test_fullness_reduces_each_coefficient_once(monkeypatch):
     # d = 1, the zero pattern, Wong on the tuple and on its transpose, and
-    # d = 2 all read one conversion of A1, A2, A3 into Gaussian integers,
-    # real or Gaussian; the residue forms come from it by whole-array %.
-    # verify_certificate reads them once too.
+    # d = 2 all read one conversion of the cells of A1, A2, A3 into Gaussian
+    # integers, real or Gaussian; the residue forms come from it by
+    # whole-array %.  verify_certificate reads them once too.
     reads = []
-    convert = ncrank_module._gaussian_integers
+    convert = ncrank_module._integer_parts
     monkeypatch.setattr(
-        ncrank_module, "_gaussian_integers", lambda rows: reads.append(len(rows)) or convert(rows)
+        ncrank_module, "_integer_parts", lambda pencil: reads.append(pencil.n_vars) or convert(pencil)
     )
     gaussian = GaussianRational(Fraction(1, 2), 3)
     for scale in (GaussianRational(1), gaussian):
         reads.clear()
         cert = fullness_scaling(_skew_pencil(scale), seed=0)
         assert (cert.verdict, cert.detail) == ("full", "blow-up rank mod p at d = 2"), scale
-        assert reads == [3 * 3], scale  # the rows of A1, A2, A3, once
+        assert reads == [3], scale  # the letters A1, A2, A3, once
         reads.clear()
         assert verify_certificate(_skew_pencil(scale), cert), scale
-        assert reads == [3 * 3], scale
+        assert reads == [3], scale
 
 
 def test_blowup_draws_keep_the_per_letter_stream():
@@ -784,9 +820,10 @@ def _hidden_lower_golden() -> NcMatrix:
     return s @ base @ s_inv
 
 
-def test_numeric_shift_runs_both_engines():
-    # substitution reads rho 2 at each numeric root (1 +- sqrt 5)/2, and the
-    # exact engine decides both at once through the companion blow-up
+def test_golden_roots_are_certified_through_the_companion_route():
+    # the roots (1 +- sqrt 5)/2 form one factor t^2 - t - 1: substitution
+    # reads rho once for it, on the input shifted exactly near one root, and
+    # the exact engine decides both roots at once through the companion blow-up
     hidden = _hidden_lower_golden()
     x1 = NcPoly.var(1, 1)
     c = lambda k: NcPoly.const(k, 1)  # noqa: E731
