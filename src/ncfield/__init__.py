@@ -75,11 +75,9 @@ from .spectra import (
     entropy_dimension,
 )
 from .randmat import (
-    DEFAULT_POLICY,
     ESD,
     MatrixModel,
     RankReport,
-    TolerancePolicy,
     atiyah_integrality_scan,
     custom_model,
     empirical_rank,
@@ -171,8 +169,6 @@ __all__ = [
     "rank_convergence",
     "atiyah_integrality_scan",
     "ks_to_semicircle",
-    "TolerancePolicy",
-    "DEFAULT_POLICY",
     # free group dual system
     "GroupBall",
     "ball_size",

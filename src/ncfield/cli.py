@@ -45,8 +45,6 @@ from .freegroup import dual_system_report
 from .ncpoly import LinearPencil, NcMatrix, random_poly_matrix
 from .ncrank import ncrank
 from .randmat import (
-    DEFAULT_POLICY,
-    TolerancePolicy,
     atiyah_integrality_scan,
     rank_convergence,
     sample,
@@ -176,13 +174,6 @@ def load_json(path: str):
 # shared plumbing
 
 
-def _policy(args) -> TolerancePolicy:
-    return TolerancePolicy(
-        rank_factor=DEFAULT_POLICY.rank_factor * args.tol,
-        gap_min=DEFAULT_POLICY.gap_min,
-    )
-
-
 def _parse_dims(text: str) -> Tuple[int, ...]:
     try:
         dims = tuple(int(part) for part in text.split(","))
@@ -261,7 +252,7 @@ def cmd_rank(args) -> int:
         dims=dims,
         trials=args.trials,
         seed=args.seed,
-        policy=_policy(args),
+        tol_factor=args.tol,
     )
     report = _report_skeleton(args, "rank", dims=dims, trials=args.trials)
     report["input"] = label
@@ -275,7 +266,7 @@ def cmd_atoms(args) -> int:
     if not matrix.is_square():
         raise InputError("atoms need a square input")
     spectrum = _spectrum(
-        matrix, args.seed, _policy(args), certify=args.certify, d=args.d, kind=args.kind
+        matrix, args.seed, args.tol, certify=args.certify, d=args.d, kind=args.kind
     )
     report = _report_skeleton(
         args, "atoms", d=args.d, kind=args.kind, certify=args.certify
@@ -371,7 +362,6 @@ def cmd_dualcheck(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    policy = _policy(args)
     if args.what == "integrality":
         if args.size < 1 or args.n_vars < 1 or args.degree < 0:
             raise InputError(
@@ -389,7 +379,7 @@ def cmd_scan(args) -> int:
             for i in range(args.count)
         ]
         result = atiyah_integrality_scan(
-            corpus, d=args.d, seed=args.seed, kind=args.kind, policy=policy
+            corpus, d=args.d, seed=args.seed, kind=args.kind, tol_factor=args.tol
         )
         report = _report_skeleton(
             args,
@@ -432,7 +422,7 @@ def cmd_scan(args) -> int:
         raise InputError("convergence scan needs --dims, e.g. --dims 8,32,128")
     dims = _parse_dims(args.dims)
     table = rank_convergence(
-        matrix, dims, seed=args.seed, kind=args.kind, policy=policy
+        matrix, dims, seed=args.seed, kind=args.kind, tol_factor=args.tol
     )
     report = _report_skeleton(
         args, "scan", what="convergence", dims=list(dims), kind=args.kind

@@ -1,7 +1,8 @@
 """Inner rank of matrices over the free skew field, by two engines.
 
 The substitution engine evaluates a polynomial matrix at random matrix tuples
-of growing size and reads the rank off a thresholded SVD; the normalized rank
+of growing size and reads the rank off a thresholded SVD, whose threshold
+``tol_factor`` scales (``randmat.empirical_ranks``); the normalized rank
 rank/d stabilizes at the inner rank, and estimates across dimensions and
 trials must agree on one integer or the result is NoConsensus.  Star-free
 matrices use GUE tuples; matrices with adjoint letters use Ginibre tuples,
@@ -9,11 +10,13 @@ whose limits generate the same free field in the doubled letters.
 
 The fullness engine decides whether a homogeneous square pencil over Q(i)
 is full, by exact certificates only.  The nonzero cells are read once, into
-Gaussian integers, every step reads those or their residues mod p, and no
-floating point runs.  A blow-up A1 (x) X1 + ... of full rank mod p proves
-fullness; it is read at d = 1 first, and at d = 2, 4, ..., N - 1 last.  In
-between, a hollow zero pattern, then the exact second Wong sequence on the
-tuple and on its transpose, prove nonfullness by a pair (U, V) with
+the nonzero Gaussian integers of D A1..D Am (``IntegerParts``), D the lcm
+of the denominators; every step reads those, their zero pattern, or their
+dense residues mod p (``IntegerParts.mod``), and no floating point runs.
+A blow-up A1 (x) X1 + ... of full rank mod p proves fullness; it is read
+at d = 1 first, and at d = 2, 4, ..., N - 1 last.  In between, a hollow
+zero pattern, then the exact second Wong sequence on the tuple and on its
+transpose, prove nonfullness by a pair (U, V) with
 U^T Ai V = 0, checked exactly before the verdict is issued.  When none
 decides, the result is Inconclusive.  An exact certificate carries its
 data, the pair or the (d, seed, prime) of the blow-up, and
@@ -33,6 +36,7 @@ other and disagreement is a hard error.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -50,7 +54,7 @@ from .errors import (
     ZeroPencilError,
 )
 from .ncpoly import LinearPencil, NcMatrix, _zero_block, evaluate_form, letter_slot
-from .randmat import DEFAULT_POLICY, TolerancePolicy, empirical_ranks, sample
+from .randmat import empirical_ranks, sample
 from .scalars import (
     _IOTA,
     _P,
@@ -110,7 +114,7 @@ def rank_by_substitution(
     dims: Optional[Sequence[int]] = None,
     trials: int = 2,
     seed: int = 0,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol_factor: float = 1.0,
 ) -> RankResult:
     """Inner rank via random matrix substitution, of a matrix or a pencil.
 
@@ -141,7 +145,7 @@ def rank_by_substitution(
     for k, d in enumerate(dims):
         seeds = range(seed + k * trials, seed + (k + 1) * trials)
         models = [sample(kind, d, matrix.n_vars, s) for s in seeds]
-        reports = empirical_ranks(evaluate_form(words, coeffs, models), policy)
+        reports = empirical_ranks(evaluate_form(words, coeffs, models), tol_factor)
         for t, (s, report) in enumerate(zip(seeds, reports)):
             ratio = report.rank / d
             estimates.append(
@@ -215,7 +219,9 @@ def fullness_scaling(pencil: LinearPencil, seed: int = 0) -> FullnessCertificate
     forms = _residue_forms(ints)
     if _confirm_full_exact(forms[0], seed, d=1):
         return _full_by_blowup(n, 1, seed)
-    block = _zero_block((ints.parts != 0).any(axis=(0, 1)).tolist())
+    pattern = np.zeros((n, n), dtype=bool)
+    pattern[ints.index[1:]] = True
+    block = _zero_block(pattern.tolist())
     if block is not None:
         pair = tuple(_coordinate_basis(n, index) for index in block)
         return FullnessCertificate("nonfull", "hollow", n, detail="zero pattern", witness=pair)
@@ -303,8 +309,8 @@ def _residue_forms(ints: IntegerParts) -> List[np.ndarray]:
     when p divides their lcm D.
     """
     if ints.denominator % _P == 0:
-        raise Inconclusive("p divides a denominator", {"size": ints.parts.shape[-1], "prime": _P})
-    re, im = _mod(ints.parts, _P)
+        raise Inconclusive("p divides a denominator", {"size": ints.shape[-1], "prime": _P})
+    re, im = ints.mod(_P)
     if not im.any():
         return [re]
     # each product of residues is below 2^62, so adding one residue fits int64
@@ -453,16 +459,18 @@ def _holds_exactly(ints, u, v) -> bool:
     n, k, l = len(u), len(u[0]), len(v[0])
     if min(k, l) == 0 or k + l <= n:
         return False
-    uu, vv = _gaussian_integers(u), _gaussian_integers(v)
+    uu, vv = _basis_integers(u), _basis_integers(v)
     for basis in (uu, vv):
-        re, im = _mod(basis, _P)
+        re, im = basis.mod(_P)[:, 0]
         if rank_mod_p((re + _IOTA * im) % _P) != basis.shape[2]:
             return False
-    parts, height = ints.parts, ints.height
-    if k > l:  # V^T Ai^T U = 0 says the same
-        uu, vv, parts, k = vv, uu, parts.swapaxes(2, 3), l
-    for q in moduli_above(8 * n * n * height * _height(uu) * _height(vv)):
-        (ar, ai), (ur, ui), (vr, vi) = _mod(parts, q), _mod(uu, q), _mod(vv, q)
+    transpose = k > l
+    if transpose:  # V^T Ai^T U = 0 says the same
+        uu, vv, k = vv, uu, l
+    for q in moduli_above(8 * n * n * ints.height * uu.height * vv.height):
+        parts = ints.mod(q)
+        ar, ai = parts.swapaxes(2, 3) if transpose else parts
+        (ur, ui), (vr, vi) = uu.mod(q)[:, 0], vv.mod(q)[:, 0]
         # U^T Ai stacked as [re; im], then U^T Ai V as [re; im] from its real form
         left = matmul_mod_p(_real_form(ur.T, ui.T, q), np.concatenate([ar, ai], -2), q)
         right = np.concatenate([vr, vi])
@@ -479,16 +487,36 @@ def _real_form(re, im, q: int) -> np.ndarray:
 
 
 class IntegerParts(NamedTuple):
-    """A1..Am times the lcm D of their denominators, read once from the cells.
+    """The nonzero entries of a stack of m Q(i) matrices times the lcm D of their denominators.
 
-    ``parts`` is a dense object array of Python ints, real parts first
-    (shape 2 x m x N x N), ``height`` its largest absolute value and
-    ``denominator`` the lcm D.
+    ``index`` holds their positions (k, i, j) as three int64 arrays,
+    ``values`` their real and imaginary parts as Python ints (shape
+    2 x nnz), ``shape`` the stack's (m, rows, cols), ``height`` the largest
+    absolute part and ``denominator`` the lcm D.
     """
 
-    parts: np.ndarray
+    index: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    values: np.ndarray
+    shape: Tuple[int, int, int]
     height: int
     denominator: int
+
+    def mod(self, q: int) -> np.ndarray:
+        """The parts reduced mod q, real parts first: dense int64, 2 x m x rows x cols."""
+        out = np.zeros((2,) + self.shape, dtype=np.int64)
+        out[(slice(None),) + self.index] = self.values % q
+        return out
+
+
+def _read_integers(cells: dict, shape: Tuple[int, int, int]) -> IntegerParts:
+    """The ``IntegerParts`` of a stack of ``shape`` with nonzero cells[k, i, j] in Q(i)."""
+    parts = [x for c in cells.values() for x in (c.re, c.im)]
+    den = math.lcm(*{x.denominator for x in parts})
+    flat = [x.numerator * (den // x.denominator) for x in parts]
+    index = np.fromiter(itertools.chain.from_iterable(cells), np.int64, 3 * len(cells))
+    values = np.array(flat, dtype=object).reshape(-1, 2).T
+    height = max(map(abs, flat), default=0)
+    return IntegerParts(tuple(index.reshape(-1, 3).T), values, shape, height, den)
 
 
 def _integer_parts(pencil: LinearPencil) -> IntegerParts:
@@ -496,36 +524,14 @@ def _integer_parts(pencil: LinearPencil) -> IntegerParts:
 
     Cell (k, i, j) of the pencil is entry (i, j) of A(k), at index k - 1.
     """
-    n, cells = pencil.rows, pencil.cells
-    den = math.lcm(*{x.denominator for c in cells.values() for x in (c.re, c.im)})
-    parts = np.zeros((2, pencil.n_vars, n, n), dtype=object)  # Python int zeros
-    height = 0
-    for (k, i, j), c in cells.items():
-        for part, x in enumerate((c.re, c.im)):
-            parts[part, k - 1, i, j] = value = x.numerator * (den // x.denominator)
-            height = max(height, abs(value))
-    return IntegerParts(parts, height, den)
+    cells = {(k - 1, i, j): c for (k, i, j), c in pencil.cells.items()}
+    return _read_integers(cells, (pencil.n_vars, pencil.rows, pencil.cols))
 
 
-def _gaussian_integers(rows) -> np.ndarray:
-    """Real and imaginary parts of a dense Q(i) basis times the lcm of its denominators.
-
-    An object array of Python ints, real parts first (shape 2 x rows x cols).
-    """
-    parts = [x.re for row in rows for x in row] + [x.im for row in rows for x in row]
-    scale = math.lcm(*{f.denominator for f in parts})
-    ints = [f.numerator * (scale // f.denominator) for f in parts]
-    return np.array(ints, dtype=object).reshape(2, len(rows), len(rows[0]))
-
-
-def _height(parts) -> int:
-    """The largest absolute value of an array of Python ints."""
-    return int(np.abs(parts).max(initial=0))
-
-
-def _mod(parts, q: int) -> np.ndarray:
-    """An array of Python ints reduced mod q, as int64."""
-    return (parts % q).astype(np.int64)
+def _basis_integers(rows) -> IntegerParts:
+    """The ``IntegerParts`` of a dense Q(i) basis, given as its rows, as a stack of one."""
+    cells = {(0, i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+    return _read_integers(cells, (1, len(rows), len(rows[0])))
 
 
 # degree reduction
@@ -574,7 +580,7 @@ def ncrank(
     dims: Optional[Sequence[int]] = None,
     trials: int = 2,
     seed: int = 0,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol_factor: float = 1.0,
 ) -> RankResult:
     """Inner rank of a matrix or a pencil, cross-validated between the engines.
 
@@ -592,7 +598,7 @@ def ncrank(
     n = matrix.rows
     if matrix.is_zero():
         return RankResult(0, n, n, method="trivial", kind="none", seed=seed)
-    sub = rank_by_substitution(matrix, dims=dims, trials=trials, seed=seed, policy=policy)
+    sub = rank_by_substitution(matrix, dims, trials, seed, tol_factor)
     cross: dict = {}
     try:
         cert, border = _decide_exactly(matrix, seed)

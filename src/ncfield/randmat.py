@@ -7,8 +7,12 @@ with the phases of the R diagonal absorbed; a Ginibre sample has independent
 complex Gaussian entries of variance 1/d.  All sampling goes through
 ``numpy.random.default_rng``, so one seed reproduces one model exactly.
 
-Numeric rank uses a relative singular value threshold together with a gap
-report, so that callers can tell a clean rank decision from a murky one.
+Numeric rank keeps the singular values above
+RANK_FACTOR * tol_factor * size * sigma_max, with size the larger side of
+the matrix, and reports the gap between the last kept and the first dropped
+value, so that callers can tell a clean rank decision (a gap of at least
+GAP_MIN) from a murky one.  ``tol_factor`` (the CLI's ``--tol``) is the one
+setting; every function that reads a rank takes it, with default 1.
 """
 
 from __future__ import annotations
@@ -24,23 +28,8 @@ from .errors import InputError
 from .ncpoly import Letter
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Thresholds for numeric rank decisions.
-
-    An evaluated matrix of size m keeps singular values above
-    ``rank_factor * m * sigma_max``; a decision is trusted only when the last
-    kept value exceeds the first dropped one by ``gap_min``.
-    """
-
-    rank_factor: float = 1e-11
-    gap_min: float = 1e3
-
-    def threshold(self, size: int, sigma_max: float) -> float:
-        return self.rank_factor * size * sigma_max
-
-
-DEFAULT_POLICY = TolerancePolicy()
+RANK_FACTOR = 1e-11
+GAP_MIN = 1e3
 
 
 @dataclass(frozen=True)
@@ -119,33 +108,29 @@ class RankReport:
         return self.size - self.rank
 
 
-def empirical_rank(
-    matrix: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY
-) -> RankReport:
+def empirical_rank(matrix: np.ndarray, tol_factor: float = 1.0) -> RankReport:
     """Numeric rank with an explicit gap report.
 
     The kernel dimension in the report refers to the right kernel, so
     rank + kernel_dim equals the column count exactly.  The matrix is read
     as a stack of one (``empirical_ranks``).
     """
-    return empirical_ranks(np.asarray(matrix, dtype=complex)[None], policy)[0]
+    return empirical_ranks(np.asarray(matrix, dtype=complex)[None], tol_factor)[0]
 
 
-def empirical_ranks(
-    stack: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY
-) -> List[RankReport]:
+def empirical_ranks(stack: np.ndarray, tol_factor: float = 1.0) -> List[RankReport]:
     """``empirical_rank`` of each matrix of a (T, rows, cols) stack, from one SVD call."""
     sigmas = np.linalg.svd(stack, compute_uv=False)
-    return [_rank_report(s, stack.shape[1:], policy) for s in sigmas]
+    return [_rank_report(s, stack.shape[1:], tol_factor) for s in sigmas]
 
 
-def _rank_report(sigmas: np.ndarray, shape, policy: TolerancePolicy) -> RankReport:
+def _rank_report(sigmas: np.ndarray, shape, tol_factor: float) -> RankReport:
     """The rank report of a matrix of this shape from its descending singular values."""
     size = max(shape)
     sigma_max = float(sigmas[0]) if len(sigmas) else 0.0
     if sigma_max == 0.0:
         return RankReport(0, shape[1], 0.0, 0.0, 0.0, 0.0, math.inf, True)
-    thr = policy.threshold(size, sigma_max)
+    thr = RANK_FACTOR * tol_factor * size * sigma_max
     rank = int(np.count_nonzero(sigmas > thr))
     last_kept = float(sigmas[rank - 1]) if rank > 0 else 0.0
     first_dropped = float(sigmas[rank]) if rank < len(sigmas) else 0.0
@@ -153,7 +138,7 @@ def _rank_report(sigmas: np.ndarray, shape, policy: TolerancePolicy) -> RankRepo
         gap = math.inf
     else:
         gap = last_kept / first_dropped
-    clean = gap >= policy.gap_min
+    clean = gap >= GAP_MIN
     return RankReport(
         rank, shape[1], sigma_max, thr, last_kept, first_dropped, gap, clean
     )
@@ -274,7 +259,7 @@ def rank_convergence(
     dims: Sequence[int],
     seed: int = 0,
     kind: str = "gue",
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol_factor: float = 1.0,
 ) -> List[dict]:
     """Normalized rank rank/d along a ladder of dimensions.
 
@@ -288,7 +273,7 @@ def rank_convergence(
             value = poly_matrix.evaluate(model)
         except OverflowError:
             raise InputError("a coefficient lies beyond the float range") from None
-        report = empirical_rank(value, policy)
+        report = empirical_rank(value, tol_factor)
         rows.append(
             {
                 "d": d,
@@ -309,7 +294,7 @@ def atiyah_integrality_scan(
     d: int,
     seed: int = 0,
     kind: str = "gue",
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol_factor: float = 1.0,
 ) -> dict:
     """Check how close normalized ranks sit to integers.
 
@@ -320,7 +305,7 @@ def atiyah_integrality_scan(
     rows = []
     for i, pm in enumerate(poly_matrices):
         model = sample(kind, d, pm.n_vars, seed + i)
-        report = empirical_rank(pm.evaluate(model), policy)
+        report = empirical_rank(pm.evaluate(model), tol_factor)
         ratio = report.rank / d
         nearest = round(ratio)
         distance = abs(ratio - nearest)

@@ -61,9 +61,6 @@ class LinearRepresentation:
     def n_vars(self) -> int:
         return self.pencil.n_vars
 
-    def evaluate(self, model, tol_factor: float = 1.0) -> np.ndarray:
-        return eval_rep(self, model, tol_factor)
-
 
 def _zeros(k: int) -> Row:
     return tuple(GaussianRational(0) for _ in range(k))

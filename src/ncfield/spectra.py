@@ -53,7 +53,7 @@ from .errors import (
 )
 from .ncpoly import LinearPencil, NcMatrix
 from .ncrank import _decide_exactly, ncrank, rank_by_substitution
-from .randmat import DEFAULT_POLICY, TolerancePolicy, esd, sample
+from .randmat import esd, sample
 from .scalars import (
     GaussianRational,
     charpoly_zi,
@@ -134,7 +134,7 @@ def _dimension_from_atoms(size: int, atoms: Sequence[SpectralAtom]) -> Fraction:
 
 
 def _rho_of_shift(
-    matrix: Union[NcMatrix, LinearPencil], lam, seed: int, policy: TolerancePolicy
+    matrix: Union[NcMatrix, LinearPencil], lam, seed: int, tol_factor: float
 ) -> int:
     """Rank of matrix - lam*1 at an exact lam, for a matrix or a pencil.
 
@@ -143,7 +143,7 @@ def _rho_of_shift(
     required: an inconclusive one, like no consensus, raises Inconclusive.
     """
     try:
-        result = ncrank(matrix.shift(lam), seed=seed, policy=policy)
+        result = ncrank(matrix.shift(lam), seed=seed, tol_factor=tol_factor)
     except NoConsensus as exc:
         raise Inconclusive("no consensus") from exc
     if (result.cross or {}).get("scaling") == "inconclusive":
@@ -154,7 +154,7 @@ def _rho_of_shift(
 def central_eigs_pencil(
     pencil: LinearPencil,
     seed: int = 0,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol_factor: float = 1.0,
 ) -> SpectrumReport:
     """Central eigenvalues of an affine pencil.
 
@@ -170,7 +170,7 @@ def central_eigs_pencil(
     if not pencil.is_square():
         raise NonSquareError("central eigenvalues need a square pencil")
     report = SpectrumReport(size=pencil.rows)
-    _certify_candidates(report, pencil.to_matrix(), seed, policy, pencil)
+    _certify_candidates(report, pencil.to_matrix(), seed, tol_factor, pencil)
     _finalize(report)
     return report
 
@@ -180,7 +180,7 @@ def central_eigs_polymatrix(
     d: int = 500,
     seed: int = 0,
     kind: str = "gue",
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol_factor: float = 1.0,
     certify: bool = True,
 ) -> SpectrumReport:
     """Central eigenvalues of a polynomial matrix.
@@ -200,7 +200,7 @@ def central_eigs_polymatrix(
     n = matrix.rows
     if certify:
         report = SpectrumReport(size=n)
-        _certify_candidates(report, matrix, seed, policy)
+        _certify_candidates(report, matrix, seed, tol_factor)
         _finalize(report)
         return report
     spectrum = esd(matrix, sample(kind, d, matrix.n_vars, seed))
@@ -321,7 +321,7 @@ def _poly_text(coeffs: Sequence[GaussianRational]) -> str:
     return " ".join(chunks)
 
 
-def _certify_candidates(report, matrix, seed, policy, pencil=None):
+def _certify_candidates(report, matrix, seed, tol_factor, pencil=None):
     """Certify every root of the candidate polynomial g on the shifted matrix.
 
     g comes first: with no root it settles the spectrum, empty, with no
@@ -352,7 +352,7 @@ def _certify_candidates(report, matrix, seed, policy, pencil=None):
     if pencil is not None and candidates:
         hom = pencil.homogeneous_part()
         if not hom.is_zero():
-            result = ncrank(hom, seed=seed + 1, policy=policy)
+            result = ncrank(hom, seed=seed + 1, tol_factor=tol_factor)
             report.diagnostics["homogeneous_rho"] = result.rho
             if (result.cross or {}).get("scaling") == "full":
                 return
@@ -361,14 +361,14 @@ def _certify_candidates(report, matrix, seed, policy, pencil=None):
         if not isinstance(lam, GaussianRational):
             continue
         try:
-            rho = _rho_of_shift(source, lam, seed + 100 + 7 * k, policy)
+            rho = _rho_of_shift(source, lam, seed + 100 + 7 * k, tol_factor)
         except Inconclusive as exc:
             _uncertify(report, lam, str(exc))
             continue
         if rho < n:
             report.atoms.append(SpectralAtom(lam, rho, Fraction(n - rho, n), True, True))
     for j, (f, members) in enumerate(factors, 1):
-        _certify_factor(report, matrix, source, f, members, scale, seed + 200 + 11 * j, policy)
+        _certify_factor(report, matrix, source, f, members, scale, seed + 200 + 11 * j, tol_factor)
     for mu in left:
         _uncertify(report, mu, "no exact factor")
     report.atoms.sort(key=lambda a: (complex(a.lam).real, complex(a.lam).imag))
@@ -379,7 +379,7 @@ def _uncertify(report, lam, reason: str):
     report.uncertified.append({"lambda": [z.real, z.imag], "reason": reason})
 
 
-def _certify_factor(report, matrix, source, f, members: list, scale: int, seed: int, policy):
+def _certify_factor(report, matrix, source, f, members: list, scale: int, seed: int, tol_factor):
     """Decide the roots of one exact factor f of g, in s = scale*t, at once.
 
     Substitution reads rho once, on the source shifted exactly to its first
@@ -399,7 +399,7 @@ def _certify_factor(report, matrix, source, f, members: list, scale: int, seed: 
     report.diagnostics["factors"].append(entry)
     shifted = source.shift(GaussianRational(Fraction(members[0].real), Fraction(members[0].imag)))
     try:
-        rho = rank_by_substitution(shifted, seed=seed, policy=policy).rho
+        rho = rank_by_substitution(shifted, seed=seed, tol_factor=tol_factor).rho
     except NoConsensus:
         entry.update(verdict="inconclusive", detail="no consensus")
         for mu in members:
@@ -567,7 +567,7 @@ def atom_masses(
     matrix: NcMatrix,
     lambdas: Sequence[LambdaLike],
     seed: int = 0,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol_factor: float = 1.0,
 ) -> List[Fraction]:
     """Exact masses (N - rho(P - lambda))/N for exact shift values."""
     if not matrix.is_square():
@@ -577,14 +577,14 @@ def atom_masses(
     for k, lam in enumerate(lambdas):
         if not isinstance(lam, (int, Fraction, GaussianRational)):
             raise InputError("atom_masses needs exact Gaussian rational points")
-        out.append(Fraction(n - _rho_of_shift(matrix, lam, seed + 31 * k, policy), n))
+        out.append(Fraction(n - _rho_of_shift(matrix, lam, seed + 31 * k, tol_factor), n))
     return out
 
 
 def _spectrum(
     matrix: Union[NcMatrix, LinearPencil],
     seed: int,
-    policy: TolerancePolicy,
+    tol_factor: float,
     certify: bool = True,
     d: int = 500,
     kind: str = "gue",
@@ -598,20 +598,20 @@ def _spectrum(
         matrix = matrix.to_pencil()
     if isinstance(matrix, LinearPencil):
         if certify:
-            return central_eigs_pencil(matrix, seed=seed, policy=policy)
+            return central_eigs_pencil(matrix, seed=seed, tol_factor=tol_factor)
         matrix = matrix.to_matrix()
     return central_eigs_polymatrix(
-        matrix, d=d, seed=seed, kind=kind, policy=policy, certify=certify
+        matrix, d=d, seed=seed, kind=kind, tol_factor=tol_factor, certify=certify
     )
 
 
 def entropy_dimension(
     matrix: NcMatrix,
     seed: int = 0,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    tol_factor: float = 1.0,
 ) -> Fraction:
     """1 - sum((N - rho)^2)/N^2 over the certified central eigenvalues."""
-    report = _spectrum(matrix, seed, policy)
+    report = _spectrum(matrix, seed, tol_factor)
     if report.uncertified:
         raise Inconclusive(
             "uncertified atom candidates remain", {"uncertified": report.uncertified}

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import time
 
 import numpy as np
 import pytest
 
-from ncfield import cli, freegroup
+from ncfield import cli, freegroup, randmat
 from ncfield.ncpoly import LinearPencil, NcMatrix, random_pencil
 from ncfield.spectra import central_eigs_pencil
 
@@ -408,6 +409,29 @@ def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
     code, out, err = _run(capsys, [*argv, "--tol", tol])
     assert code == 1 and out == ""
     assert "--tol" in err and "finite and positive" in err
+
+
+def test_tolerance_reaches_every_rank_reading(capsys, tmp_path, monkeypatch):
+    # --tol is handed on as tol_factor to every thresholded SVD that rank,
+    # atoms and the convergence scan read
+    seen = []
+    read = randmat.empirical_ranks
+
+    def spy(stack, tol_factor=1.0):
+        seen.append(tol_factor)
+        return read(stack, tol_factor)
+
+    monkeypatch.setattr(randmat, "empirical_ranks", spy)
+    monkeypatch.setattr(importlib.import_module("ncfield.ncrank"), "empirical_ranks", spy)
+    path = _write_projection_pencil(tmp_path)
+    for argv in (
+        ["rank", "--expr", "x1*x2 - x2*x1"],
+        ["atoms", "--pencil", path],
+        ["scan", "convergence", "--expr", "x1", "--dims", "6,12"],
+    ):
+        seen.clear()
+        code, _, _ = _run(capsys, [*argv, "--tol", "10"])
+        assert code == 0 and seen and set(seen) == {10.0}, argv
 
 
 def test_bad_flag_exits_one_not_two(capsys):

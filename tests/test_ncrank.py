@@ -49,6 +49,7 @@ from ncfield import (
 from ncfield.ncpoly import Letter, _zero_block
 from ncfield.errors import Inconclusive, InputError, NoConsensus, NonSquareError
 from ncfield.ncrank import (
+    _basis_integers,
     _blowup_draws,
     _blowup_mod_p,
     _confirm_full_exact,
@@ -59,7 +60,7 @@ from ncfield.ncrank import (
     _point_mod_p,
     _residue_forms,
 )
-from ncfield.scalars import _P, GaussianRational, residues_mod_p
+from ncfield.scalars import _IOTA, _P, GaussianRational, residues_mod_p
 
 # the package exports the function ncrank under the module's name
 ncrank_module = importlib.import_module("ncfield.ncrank")
@@ -327,11 +328,61 @@ def test_full_pencil_with_no_invertible_point_needs_the_large_blowup(monkeypatch
         assert len(calls) == 2, seed  # once on the tuple, once on its transpose
 
 
+def _gaussian_fraction(prng):
+    """A Q(i) scalar with small denominators, zero four times in ten."""
+    if prng.random() < 0.4:
+        return GaussianRational(0)
+    return GaussianRational(
+        Fraction(prng.randint(-9, 9), prng.randint(1, 12)),
+        Fraction(prng.randint(-9, 9), prng.randint(1, 12)),
+    )
+
+
+def test_integer_reader_matches_the_residue_oracle():
+    # IntegerParts keeps only the nonzero entries of D A1..D Am, or of a
+    # witness basis times its lcm D; mod(p) at i = iota is residues_mod_p of
+    # each scaled matrix, at i = -iota that of its conjugate
+    def check(ints, mats):
+        d, dense = ints.denominator, ints.mod(_P)
+        cells = {(k, i, j) for k, a in enumerate(mats) for i, row in enumerate(a)
+                 for j, x in enumerate(row) if x}
+        assert set(zip(*(axis.tolist() for axis in ints.index))) == cells
+        assert ints.values.shape == (2, len(cells))
+        assert dense.shape == (2, len(mats), len(mats[0]), len(mats[0][0]))
+        scaled = [[[x * d for x in row] for row in a] for a in mats]
+        assert ints.height == max(
+            (abs(p) for a in scaled for row in a for x in row for p in (x.re, x.im)), default=0
+        )
+        for (re, im), a in zip(dense.swapaxes(0, 1), scaled):
+            conj = [[x.conjugate() for x in row] for row in a]
+            assert np.array_equal((re + _IOTA * im) % _P, residues_mod_p(a))
+            assert np.array_equal((re + (_P - _IOTA) * im) % _P, residues_mod_p(conj))
+
+    prng = random.Random(29)
+    pencils = [random_pencil(2, 3, seed=s, homogeneous=s % 2 == 0) for s in range(3)]
+    pencils += [random_pencil(3, 4, seed=s, complex_coeffs=True) for s in range(3)]
+    pencils += [
+        LinearPencil([[[_gaussian_fraction(prng) for _ in range(cols)] for _ in range(rows)]
+                      for _ in range(3)], 2)
+        for rows, cols in ((1, 1), (3, 3), (2, 4), (4, 3))
+    ]
+    # a doubled alphabet whose starred slots are all zero
+    pencils.append(random_pencil(2, 3, seed=22, complex_coeffs=True).widen_alphabet().plain())
+    for pencil in pencils:
+        hom = pencil.homogeneous_part()
+        check(_integer_parts(hom), hom.coeffs[1:])
+    for rows, cols in ((1, 1), (3, 2), (2, 5), (4, 4)):
+        basis = [[_gaussian_fraction(prng) for _ in range(cols)] for _ in range(rows)]
+        check(_basis_integers(basis), [basis])
+        zeroed = [row[:-1] + [GaussianRational(0)] for row in basis]  # a zero last column
+        check(_basis_integers(zeroed), [zeroed])
+
+
 def test_fullness_reduces_each_coefficient_once(monkeypatch):
     # d = 1, the zero pattern, Wong on the tuple and on its transpose, and
     # d = 2 all read one conversion of the cells of A1, A2, A3 into Gaussian
-    # integers, real or Gaussian; the residue forms come from it by
-    # whole-array %.  verify_certificate reads them once too.
+    # integers, real or Gaussian; the residue forms come from its nonzero
+    # entries (``IntegerParts.mod``).  verify_certificate reads them once too.
     reads = []
     convert = ncrank_module._integer_parts
     monkeypatch.setattr(

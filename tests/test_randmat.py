@@ -11,7 +11,6 @@ import pytest
 from ncfield import (
     NcMatrix,
     NcPoly,
-    TolerancePolicy,
     atiyah_integrality_scan,
     custom_model,
     empirical_rank,
@@ -149,9 +148,17 @@ def test_rank_invariant_under_well_conditioned_factors():
         assert empirical_rank(factor @ base).rank == want
 
 
-def test_tolerance_policy_threshold_formula():
-    policy = TolerancePolicy(rank_factor=1e-10, gap_min=100.0)
-    assert policy.threshold(50, 3.0) == 1e-10 * 50 * 3.0
+def test_rank_threshold_formula():
+    # the threshold is 1e-11 * tol_factor * size * sigma_max, size the larger
+    # side, so a singular value between the thresholds at tol_factor 1 and 10
+    # is kept at 1 and dropped at 10, each time with a clean gap
+    m = np.zeros((40, 50))
+    m[0, 0], m[1, 1] = 3.0, 5e-9
+    for tol_factor, rank in ((1.0, 2), (10.0, 1)):
+        report = empirical_rank(m, tol_factor)
+        assert report.threshold == 1e-11 * tol_factor * 50 * report.sigma_max
+        assert (report.rank, report.clean) == (rank, True), tol_factor
+    assert empirical_rank(m) == empirical_rank(m, 1.0)
 
 
 def test_semicircle_cdf_anchors():
