@@ -18,14 +18,13 @@ a doubled pencil as a plain one in 2n letters.  Evaluation substitutes
 concrete matrices for the letters, sends scalars to multiples of the
 identity, and returns a complex numpy block matrix; every ``evaluate``
 calls the one kernel ``evaluate_form`` on a float form.  Matrices and
-pencils list their nonzero cells to one builder (``_float_form``), so a
-pencil's float form is its matrix's and a pencil need not become a matrix
-to be evaluated or ranked.
+pencils list their nonzero terms (word, i, j, c) the same way (``terms``),
+to one builder (``_float_form``), so a pencil's float form is its matrix's
+and a pencil need not become a matrix to be evaluated or ranked.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -39,7 +38,7 @@ from .errors import (
     ShapeMismatch,
     VariableMismatch,
 )
-from .scalars import GaussianRational, GaussInt, Scalarish
+from .scalars import GaussianRational, Scalarish
 
 
 class Letter(NamedTuple):
@@ -535,48 +534,14 @@ class NcMatrix:
         """
         return evaluate_form(*self.float_form(), [model], cache=cache)[0]
 
+    def terms(self) -> List[Tuple[Word, int, int, GaussianRational]]:
+        """The nonzero cells (word, i, j, c): c is the coefficient of word in entry (i, j)."""
+        return [(w, i, j, c) for i, row in enumerate(self.entries)
+                for j, p in enumerate(row) for w, c in p._terms.items()]
+
     def float_form(self, balance_rows: bool = False) -> Tuple[Tuple[Word, ...], np.ndarray]:
         """The float form of the entries' terms (``_float_form``)."""
-        cells = [(w, i, j, c) for i, row in enumerate(self.entries)
-                 for j, p in enumerate(row) for w, c in p._terms.items()]
-        return _float_form(cells, self.rows, self.cols, self.n_vars, balance_rows)
-
-    def denominator(self) -> int:
-        """The lcm of the denominators of every coefficient's two parts."""
-        den = 1
-        for row in self.entries:
-            for p in row:
-                for c in p.coefficients():
-                    den = math.lcm(den, c.re.denominator, c.im.denominator)
-        return den
-
-    def scaled_value(
-        self, point: Sequence[GaussInt], scale: int
-    ) -> List[List[GaussInt]]:
-        """scale times the value at a scalar point, as Gaussian-integer pairs.
-
-        ``point[s]`` is the Gaussian integer (re, im) taken by the letter in
-        plain slot s >= 1 (``letter_slot``), so xi and xi* are independent.
-        ``scale`` must be a multiple of ``denominator()``; then every entry
-        of scale * P(point) is a Gaussian integer, computed exactly.
-        """
-        n = self.n_vars
-        out = []
-        for row in self.entries:
-            out_row = []
-            for p in row:
-                re = im = 0
-                for word, c in p._terms.items():
-                    a = c.re.numerator * (scale // c.re.denominator)
-                    b = c.im.numerator * (scale // c.im.denominator)
-                    for letter in word:
-                        x, y = point[letter_slot(letter, n)]
-                        a, b = a * x - b * y, a * y + b * x
-                    re += a
-                    im += b
-                out_row.append((re, im))
-            out.append(out_row)
-        return out
+        return _float_form(self.terms(), self.rows, self.cols, self.n_vars, balance_rows)
 
     def principal(self, indices: Sequence[int]) -> "NcMatrix":
         """The principal submatrix on the given 0-based indices, in that order."""
@@ -587,36 +552,16 @@ class NcMatrix:
     def diagonal_blocks(self) -> List[Tuple[int, ...]]:
         """0-based index sets of the diagonal blocks, ordered by least index.
 
-        The blocks are the connected components of the symmetric nonzero
-        pattern: i and j are joined when entry (i, j) or (j, i) is nonzero.
-        Every entry outside the blocks is zero, so the matrix is, up to one
-        simultaneous row and column permutation, the direct sum of the
-        principal submatrices on the blocks.
+        The blocks are the connected components (``components``) of the
+        symmetric nonzero pattern: i and j are joined when entry (i, j) or
+        (j, i) is nonzero.  Every entry outside the blocks is zero, so the
+        matrix is, up to one simultaneous row and column permutation, the
+        direct sum of the principal submatrices on the blocks.
         """
         if not self.is_square():
             raise NonSquareError("diagonal blocks are defined for square matrices")
-        n = self.rows
-        adj: List[List[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not (self.entries[i][j].is_zero() and self.entries[j][i].is_zero()):
-                    adj[i].append(j)
-                    adj[j].append(i)
-        seen = [False] * n
-        blocks = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            block, queue = [start], [start]
-            while queue:
-                for j in adj[queue.pop()]:
-                    if not seen[j]:
-                        seen[j] = True
-                        block.append(j)
-                        queue.append(j)
-            blocks.append(tuple(sorted(block)))
-        return blocks
+        return components(self.rows, [(i, j) for i, row in enumerate(self.entries)
+                                      for j, p in enumerate(row) if not p.is_zero()])
 
     def to_pencil(self) -> "LinearPencil":
         """Coefficient extraction for matrices of degree at most one.
@@ -628,8 +573,7 @@ class NcMatrix:
             raise DegreeTooHigh(f"degree {self.degree} matrix is not a pencil")
         n, star = self.n_vars, self.has_star()
         cells = {(letter_slot(word[0], n) if word else 0, i, j): c
-                 for i, row in enumerate(self.entries) for j, p in enumerate(row)
-                 for word, c in p._terms.items()}
+                 for word, i, j, c in self.terms()}
         return LinearPencil.from_cells(cells, self.rows, self.cols, n, star_letters=star)
 
 
@@ -656,6 +600,32 @@ def _float_form(cells, rows: int, cols: int, n_vars: int, balance_rows: bool):
         e = exponents[i]
         coeffs[position[w], i, j] = complex(c * Fraction(2) ** e if e else c)
     return tuple(words), coeffs
+
+
+def components(n: int, pairs: Iterable[Tuple[int, int]]) -> List[Tuple[int, ...]]:
+    """Connected components of the graph on 0..n-1 whose edges are ``pairs``.
+
+    Each component is a sorted tuple, and they are ordered by least index.
+    """
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, queue = [start], [start]
+        while queue:
+            for j in adj[queue.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+                    queue.append(j)
+        blocks.append(tuple(sorted(block)))
+    return blocks
 
 
 def _balance_exponent(scalars) -> int:
@@ -859,11 +829,14 @@ class LinearPencil:
             cells[0, i, i] = cells.get((0, i, i), zero) - lam
         return self._reissue(cells)
 
+    def terms(self) -> List[Tuple[Word, int, int, GaussianRational]]:
+        """The cells as (word, i, j, c), the terms of ``to_matrix()`` (``NcMatrix.terms``)."""
+        words = self._words()
+        return [(words[k], i, j, c) for (k, i, j), c in self.cells.items()]
+
     def float_form(self, balance_rows: bool = False) -> Tuple[Tuple[Word, ...], np.ndarray]:
         """The float form of the cells, ``to_matrix().float_form()`` (``_float_form``)."""
-        words = self._words()
-        cells = [(words[k], i, j, c) for (k, i, j), c in self.cells.items()]
-        return _float_form(cells, self.rows, self.cols, self.n_vars, balance_rows)
+        return _float_form(self.terms(), self.rows, self.cols, self.n_vars, balance_rows)
 
     def evaluate(self, model) -> np.ndarray:
         """Value at a matrix tuple, by the kernel ``evaluate_form`` on ``float_form``."""

@@ -465,12 +465,12 @@ def mul_zi(a: List[GaussInt], b: List[GaussInt]) -> List[GaussInt]:
     """The product of two polynomials."""
     if not a or not b:
         return []
-    out = [(0, 0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            re, im = _gdot([x], [y])
-            out[i + j] = (out[i + j][0] + re, out[i + j][1] + im)
-    return out
+    re, im = [0] * (len(a) + len(b) - 1), [0] * (len(a) + len(b) - 1)
+    for i, (x, y) in enumerate(a):
+        for k, (u, v) in enumerate(b, i):
+            re[k] += x * u - y * v
+            im[k] += x * v + y * u
+    return list(zip(re, im))
 
 
 def squarefree_zi(f: List[GaussInt]) -> List[GaussInt]:

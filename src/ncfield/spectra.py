@@ -7,7 +7,9 @@ singular at every scalar point a, so every central eigenvalue is a root of
     g(t) = gcd over scalar points a of det(t - P(a)),
 
 a polynomial over Q(i) of degree at most N.  The certified entry points
-compute g exactly, one diagonal block at a time: a constant block gives the
+compute g exactly from one list of the input's terms in Python ints, read
+once, a pencil through its cells: its diagonal blocks are the connected
+components of their (i, j) pairs, a constant block gives the
 characteristic polynomial of its scalar matrix, and a nonconstant block the
 gcd over a = 0 and a few seeded Gaussian-integer points (xi and xi*
 independent), stopping once the gcd is 1; the gcds run by the
@@ -19,7 +21,8 @@ eigenvalue.  The roots of g are then cut into exact factors f of g, once.
 A linear factor is a root in Q(i), found exactly past float precision too,
 and decided on the exactly shifted matrix, or for a pencil on the shifted
 pencil.  A factor of higher degree is decided through the companion
-blow-up P_f, which has Q(i) coefficients and rho(P_f) = sum of rho(P - mu)
+blow-up P_f of the input's matrix, the one place where a pencil becomes a
+matrix, which has Q(i) coefficients and rho(P_f) = sum of rho(P - mu)
 over the roots mu of f, so the exact fullness engine decides every
 candidate.  Each candidate is certified by an exact verdict next to the
 substitution rank, so a certified atom carries the exact mass (N - rho)/N
@@ -51,11 +54,12 @@ from .errors import (
     NoConsensus,
     NonSquareError,
 )
-from .ncpoly import LinearPencil, NcMatrix
+from .ncpoly import LinearPencil, NcMatrix, components, letter_slot
 from .ncrank import _decide_exactly, ncrank, rank_by_substitution
 from .randmat import esd, sample
 from .scalars import (
     GaussianRational,
+    GaussInt,
     charpoly_zi,
     eval_zi,
     gcd_zi,
@@ -164,13 +168,14 @@ def central_eigs_pencil(
     rank call.  Only when g has roots does the homogeneous part go to
     ``ncrank``; a full one ends the spectrum, empty, and its rank is
     reported as ``diagnostics["homogeneous_rho"]``.  The homogeneous part
-    and each exactly shifted pencil go to ``ncrank`` as pencils; the
-    pencil's matrix is built once, for g and the companion route.
+    and each exactly shifted pencil go to ``ncrank`` as pencils, and g is
+    read from the pencil's cells; the pencil's matrix is built only for the
+    companion route, once, when g has a factor of degree two or more.
     """
     if not pencil.is_square():
         raise NonSquareError("central eigenvalues need a square pencil")
     report = SpectrumReport(size=pencil.rows)
-    _certify_candidates(report, pencil.to_matrix(), seed, tol_factor, pencil)
+    _certify_candidates(report, pencil, seed, tol_factor)
     _finalize(report)
     return report
 
@@ -242,25 +247,34 @@ def central_eigs_polymatrix(
     return report
 
 
-def _candidate_polynomial(matrix: NcMatrix, seed: int):
+def _candidate_polynomial(source: Union[NcMatrix, LinearPencil], seed: int):
     """g in the variable s = scale*t, with the scale and the diagnostics.
 
     Returns (g, scale, points, blocks): g has Gaussian-integer coefficients
-    and is squarefree, scale = ``matrix.denominator()``, points counts the
-    scalar points evaluated, and blocks lists each diagonal block.  Working
-    with scale*P(a), a Gaussian-integer matrix, keeps every characteristic
-    polynomial over Z[i].  Each block draws its points from a fresh
-    Random(seed), so g does not depend on the order of the blocks.
+    and is squarefree, scale is the lcm of the coefficient denominators,
+    points counts the scalar points evaluated, and blocks lists each
+    diagonal block, a connected component of the nonzero (i, j) pairs.  A
+    pencil is read as it is, through its cells.  Working with scale*P(a), a
+    Gaussian-integer matrix (``_scaled_value`` on ``_integer_terms``),
+    keeps every characteristic polynomial over Z[i].  Each block draws its
+    points from a fresh Random(seed), so g does not depend on the order of
+    the blocks.
     """
-    scale = matrix.denominator()
-    slots = 2 * matrix.n_vars + 1
+    terms, scale = _integer_terms(source)
+    slots = 2 * source.n_vars + 1
     origin = [(0, 0)] * slots
+    rows_of = components(source.rows, [(i, j) for _, i, j, _, _ in terms])
+    where = {i: (b, k) for b, rows in enumerate(rows_of) for k, i in enumerate(rows)}
+    local: List[list] = [[] for _ in rows_of]
+    for letters, i, j, re, im in terms:
+        b, k = where[i]
+        local[b].append((letters, k, where[j][1], re, im))
     g, points, blocks = [(1, 0)], 0, []
-    for rows in matrix.diagonal_blocks():
-        sub = matrix.principal(rows)
-        constant = sub.degree <= 0
+    for rows, sub in zip(rows_of, local):
+        size = len(rows)
+        constant = not any(letters for letters, *_ in sub)
         blocks.append({"rows": list(rows), "constant": constant})
-        factor = charpoly_zi(sub.scaled_value(origin, scale))
+        factor = charpoly_zi(_scaled_value(sub, size, origin))
         if not constant:
             rng = random.Random(seed)
             points += 1
@@ -272,10 +286,50 @@ def _candidate_polynomial(matrix: NcMatrix, seed: int):
                      rng.randint(-POINT_BOUND, POINT_BOUND))
                     for _ in range(slots)
                 ]
-                factor = gcd_zi(factor, charpoly_zi(sub.scaled_value(point, scale)))
+                factor = gcd_zi(factor, charpoly_zi(_scaled_value(sub, size, point)))
                 points += 1
         g = mul_zi(g, squarefree_zi(factor))
     return squarefree_zi(g), scale, points, blocks
+
+
+def _integer_terms(source: Union[NcMatrix, LinearPencil]):
+    """The terms of source as Python ints, with the lcm of their denominators.
+
+    Returns ([(letters, i, j, re, im)], scale): one entry per nonzero term
+    c*w of entry (i, j), where letters lists the plain slot of each letter
+    of w (``letter_slot``, so xi and xi* are independent) and re + im*i =
+    scale*c is a Gaussian integer.
+    """
+    cells = source.terms()
+    scale = 1
+    for _, _, _, c in cells:
+        scale = math.lcm(scale, c.re.denominator, c.im.denominator)
+    n = source.n_vars
+    letters = {w: tuple(letter_slot(x, n) for x in w) for w in {cell[0] for cell in cells}}
+    return [
+        (letters[w], i, j,
+         c.re.numerator * (scale // c.re.denominator),
+         c.im.numerator * (scale // c.im.denominator))
+        for w, i, j, c in cells
+    ], scale
+
+
+def _scaled_value(terms, size: int, point: Sequence[GaussInt]) -> List[List[GaussInt]]:
+    """The size x size Gaussian-integer matrix sum of the terms at a scalar point.
+
+    ``terms`` are (letters, i, j, re, im) as ``_integer_terms`` gives them,
+    and ``point[s]`` is the Gaussian integer (re, im) taken by the letter
+    in slot s >= 1, so the value is scale*P(point), computed exactly.
+    """
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
+    for letters, i, j, a, b in terms:
+        for s in letters:
+            x, y = point[s]
+            a, b = a * x - b * y, a * y + b * x
+        re[i][j] += a
+        im[i][j] += b
+    return [list(zip(r, m)) for r, m in zip(re, im)]
 
 
 def _monic(g, scale: int) -> List[GaussianRational]:
@@ -321,18 +375,18 @@ def _poly_text(coeffs: Sequence[GaussianRational]) -> str:
     return " ".join(chunks)
 
 
-def _certify_candidates(report, matrix, seed, tol_factor, pencil=None):
-    """Certify every root of the candidate polynomial g on the shifted matrix.
+def _certify_candidates(report, source, seed, tol_factor):
+    """Certify every root of the candidate polynomial g on the shifted input.
 
     g comes first: with no root it settles the spectrum, empty, with no
-    rank call.  Given the matrix's ``pencil``, its homogeneous part goes to
+    rank call.  For a pencil source, its homogeneous part goes to
     ``ncrank`` next, and an exact "full" verdict rules out every root.  The
     float roots of g are cut into exact factors once (``_exact_factors``).
-    The root of a linear factor is decided exactly on the shifted pencil,
-    else the shifted matrix; a factor of higher degree goes to the
-    companion route (``_certify_factor``).
+    The root of a linear factor is decided exactly on the shifted source, a
+    pencil or a matrix; a factor of higher degree goes to the companion
+    route (``_certify_factor``), which needs the matrix of a pencil.
     """
-    g, scale, points, blocks = _candidate_polynomial(matrix, seed)
+    g, scale, points, blocks = _candidate_polynomial(source, seed)
     factors, left = _exact_factors(g, scale, [complex(z) for z in _float_roots(g, scale)])
     exact = [GaussianRational(Fraction(-f[1][0], scale), Fraction(-f[1][1], scale))
              for f, _ in factors if len(f) == 2]
@@ -348,15 +402,14 @@ def _certify_candidates(report, matrix, seed, tol_factor, pencil=None):
             "factors": [],
         }
     )
-    n = matrix.rows
-    if pencil is not None and candidates:
-        hom = pencil.homogeneous_part()
+    n = source.rows
+    if isinstance(source, LinearPencil) and candidates:
+        hom = source.homogeneous_part()
         if not hom.is_zero():
             result = ncrank(hom, seed=seed + 1, tol_factor=tol_factor)
             report.diagnostics["homogeneous_rho"] = result.rho
             if (result.cross or {}).get("scaling") == "full":
                 return
-    source = matrix if pencil is None else pencil
     for k, lam in enumerate(candidates):
         if not isinstance(lam, GaussianRational):
             continue
@@ -367,8 +420,14 @@ def _certify_candidates(report, matrix, seed, tol_factor, pencil=None):
             continue
         if rho < n:
             report.atoms.append(SpectralAtom(lam, rho, Fraction(n - rho, n), True, True))
-    for j, (f, members) in enumerate(factors, 1):
-        _certify_factor(report, matrix, source, f, members, scale, seed + 200 + 11 * j, tol_factor)
+    if factors:
+        matrix = source.to_matrix() if isinstance(source, LinearPencil) else source
+        # the content of scale*P(0): each entry has at most one constant term
+        content = math.gcd(*(part for letters, _, _, re, im in _integer_terms(source)[0]
+                             if not letters for part in (re, im)))
+        for j, (f, members) in enumerate(factors, 1):
+            _certify_factor(report, matrix, source, content, f, members, scale,
+                            seed + 200 + 11 * j, tol_factor)
     for mu in left:
         _uncertify(report, mu, "no exact factor")
     report.atoms.sort(key=lambda a: (complex(a.lam).real, complex(a.lam).imag))
@@ -379,16 +438,17 @@ def _uncertify(report, lam, reason: str):
     report.uncertified.append({"lambda": [z.real, z.imag], "reason": reason})
 
 
-def _certify_factor(report, matrix, source, f, members: list, scale: int, seed: int, tol_factor):
+def _certify_factor(report, matrix, source, content: int, f, members: list, scale: int,
+                    seed: int, tol_factor):
     """Decide the roots of one exact factor f of g, in s = scale*t, at once.
 
     Substitution reads rho once, on the source shifted exactly to its first
-    root read as a Gaussian rational.  The companion blow-up P_f, whose
-    inner rank is the sum of rho(P - mu) over the roots mu of f, gets the
-    exact route of ``ncrank``, in u = s/nu for the nu among 1, the content
-    of scale*P(0) and scale that puts the roots of f nearest unit size:
-    this balances the companion coordinates, so the lifted Wong bases stay
-    short.  A full P_f proves that no root is an atom; a nonfull one proves
+    root read as a Gaussian rational.  The companion blow-up P_f of the
+    source's ``matrix``, whose inner rank is the sum of rho(P - mu) over the
+    roots mu of f, gets the exact route of ``ncrank``, in u = s/nu for the
+    nu among 1, the ``content`` of scale*P(0) and scale that puts the roots
+    of f nearest unit size: this balances the companion coordinates, so the
+    lifted Wong bases stay short.  A full P_f proves that no root is an atom; a nonfull one proves
     every root an atom once ``irreducible_zi`` proves f irreducible, since
     Galois conjugates share rho, and otherwise its roots stay uncertified.
     A verdict against the substitution rank raises MethodDisagreement.
@@ -406,8 +466,6 @@ def _certify_factor(report, matrix, source, f, members: list, scale: int, seed: 
             _uncertify(report, mu, "no consensus")
         return
     entry["rho"] = rho
-    value = matrix.scaled_value([(0, 0)] * (2 * matrix.n_vars + 1), scale)
-    content = math.gcd(*(part for row in value for z in row for part in z))
     size = scale * max(abs(complex(mu)) for mu in members)
     nu = min(sorted({1, scale, content} - {0}), key=lambda v: abs(math.log(size / v)))
     companion = (matrix * Fraction(scale, nu)).companion(_monic(f, nu))

@@ -238,19 +238,30 @@ def test_atoms_hands_the_pencil_to_the_spectrum_as_it_is(capsys, tmp_path, monke
         [[[1, 0], [0, 2]], [[1, 0], [0, 0]], [[0, 0], [0, 0]]], 1, star_letters=True
     )
     planted = random_pencil(2, 2, seed=5).direct_sum(LinearPencil([[[3]], [[0]], [[0]]], 2))
-    pencils = [starred, planted, random_pencil(2, 3, seed=11, complex_coeffs=True)]
+    # G (+) x1, G = [[0, 1], [1, 1]]: t^2 - t - 1 goes to the companion route
+    golden = LinearPencil([[[0, 1], [1, 1]], [[0, 0], [0, 0]]], 1).direct_sum(
+        LinearPencil([[[0]], [[1]]], 1)
+    )
+    pencils = [starred, planted, random_pencil(2, 3, seed=11, complex_coeffs=True), golden]
+    # g reads the cells, so only the companion route builds the matrix, and
+    # the one pencil read back is the 6 x 6 blow-up, for the exact engine
+    built = [[], [], [], [("to_matrix", 3), ("to_pencil", 6)]]
     wanted = [
         central_eigs_pencil(p.to_matrix().to_pencil(), seed=4).to_dict() for p in pencils
     ]
     conversions = []
     to_matrix, to_pencil = LinearPencil.to_matrix, NcMatrix.to_pencil
     monkeypatch.setattr(
-        LinearPencil, "to_matrix", lambda self: conversions.append("to_matrix") or to_matrix(self)
+        LinearPencil,
+        "to_matrix",
+        lambda self: conversions.append(("to_matrix", self.rows)) or to_matrix(self),
     )
     monkeypatch.setattr(
-        NcMatrix, "to_pencil", lambda self: conversions.append("to_pencil") or to_pencil(self)
+        NcMatrix,
+        "to_pencil",
+        lambda self: conversions.append(("to_pencil", self.rows)) or to_pencil(self),
     )
-    for k, (pencil, want) in enumerate(zip(pencils, wanted)):
+    for k, (pencil, want, expected) in enumerate(zip(pencils, wanted, built)):
         path = tmp_path / f"pencil{k}.json"
         path.write_text(json.dumps(cli.pencil_to_json(pencil)))
         conversions.clear()
@@ -258,9 +269,9 @@ def test_atoms_hands_the_pencil_to_the_spectrum_as_it_is(capsys, tmp_path, monke
         assert code == 0
         report = json.loads(out)
         assert {key: report[key] for key in want} == json.loads(json.dumps(want)), k
-        # one matrix, for the candidate polynomial, and no matrix read back
-        assert conversions == ["to_matrix"], k
+        assert conversions == expected, k
     assert any(w["atoms"] for w in wanted)
+    assert wanted[3]["diagnostics"]["factors"][0]["factor"] == "t^2 - t - 1"
 
 
 def test_atoms_report_lists_the_exact_factors(capsys, tmp_path):

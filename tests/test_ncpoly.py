@@ -22,6 +22,7 @@ from ncfield import (
 )
 from ncfield.errors import NonSquareError, ShapeMismatch, VariableMismatch
 from ncfield.ncpoly import _zero_block, evaluate_form
+from ncfield.spectra import _candidate_polynomial, _integer_terms, _scaled_value
 
 
 def _random_poly(rng: random.Random, n_vars: int, max_deg: int = 3, star: bool = False) -> NcPoly:
@@ -249,6 +250,17 @@ def test_diagonal_blocks_against_transitive_closure():
             idx = [3 * i + t for i in block for t in range(3)]
             sub = m.principal(block).evaluate(mats, cache=cache)
             assert np.array_equal(sub, value[np.ix_(idx, idx)])
+        # a pencil on the same pattern: g's reader finds the same blocks in
+        # its cells, constant exactly where no cell has a letter
+        draw = random.Random(trial)
+        cells = {(draw.randint(0, 4), i, j): GaussianRational(draw.choice([-2, -1, 1, 2]))
+                 for i in range(size) for j in range(size) if not m[i, j].is_zero()}
+        pencil = LinearPencil.from_cells(cells, size, size, 2, star_letters=True)
+        read = _candidate_polynomial(pencil, trial)[3]
+        assert [tuple(b["rows"]) for b in read] == expected, f"trial {trial}"
+        assert pencil.to_matrix().diagonal_blocks() == expected
+        for b in read:
+            assert b["constant"] == all(k == 0 for k, i, _ in cells if i in b["rows"])
     assert split > 10
     with pytest.raises(NonSquareError):
         random_poly_matrix(1, 2, 3, degree=1, seed=0).diagonal_blocks()
@@ -435,15 +447,18 @@ def test_random_generators_are_deterministic():
 def test_scaled_value_is_exact_evaluation_at_a_scalar_point():
     rng = random.Random(43)
     for seed in range(10):
-        m = random_poly_matrix(2, 2, 3, degree=2, seed=seed, complex_coeffs=True)
+        m = random_poly_matrix(2, 3, 3, degree=2, seed=seed, complex_coeffs=True)
         m = m * GaussianRational(Fraction(1, 6), Fraction(1, 4))
-        scale = m.denominator()
+        terms, scale = _integer_terms(m)
         assert scale == 12
         point = [(0, 0)] + [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)]
-        got = m.scaled_value(point, scale)
+        got = _scaled_value(terms, 3, point)
         model = custom_model([np.array([[complex(*point[i])]]) for i in (1, 2)])
         want = scale * m.evaluate(model)
         assert np.abs(np.array([[complex(*x) for x in row] for row in got]) - want).max() < 1e-9
-    # x1 and x1* take independent values, from slots 1 and 2
+    # x1 and x1* take independent values, from slots 1 and 2, in a matrix
+    # and in a pencil over the doubled alphabet
     star = NcMatrix([[poly_from_string("x1*x1' + 2", 1)]])
-    assert star.scaled_value([(0, 0), (1, 2), (3, -1)], 1) == [[(7, 5)]]
+    assert _scaled_value(_integer_terms(star)[0], 1, [(0, 0), (1, 2), (3, -1)]) == [[(7, 5)]]
+    pencil = LinearPencil([[[2]], [[1]], [[GaussianRational(0, 1)]]], 1, star_letters=True)
+    assert _scaled_value(_integer_terms(pencil)[0], 1, [(0, 0), (1, 2), (3, -1)]) == [[(4, 5)]]

@@ -19,6 +19,7 @@ from ncfield.errors import InputError
 from ncfield.scalars import (
     _IOTA,
     _P,
+    _gdot,
     I,
     ONE,
     ZERO,
@@ -336,13 +337,41 @@ def test_gcd_of_planted_characteristic_polynomials_is_the_planted_factor():
     assert gcd_zi(planted(), planted()) == factor
 
 
-def _qq_i(f):
-    """f as a sympy polynomial over Q(i), monic, for comparison up to a scalar."""
+def _poly_i(f):
+    """f as a sympy polynomial over Q(i)."""
     import sympy  # the oracle only; ncfield does not depend on it
 
     t = sympy.Symbol("t")
     expr = sum((re + im * sympy.I) * t ** (len(f) - 1 - k) for k, (re, im) in enumerate(f))
-    return sympy.Poly(expr, t, domain="QQ_I").monic()
+    return sympy.Poly(expr, t, domain="QQ_I")
+
+
+def _qq_i(f):
+    """f as a sympy polynomial over Q(i), monic, for comparison up to a scalar."""
+    return _poly_i(f).monic()
+
+
+def test_mul_zi_is_the_schoolbook_product():
+    rng = random.Random(30)
+
+    def poly(n, bits):
+        return [(rng.randint(-(1 << bits), 1 << bits), rng.randint(-(1 << bits), 1 << bits))
+                for _ in range(n)]
+
+    cases = [([], []), ([], [(1, 2)]), ([(3, -1)], []), ([(2, 3)], [(-1, 4)]),
+             ([(0, 0)], [(5, 7), (1, 0)])]
+    cases += [(poly(rng.randint(1, 7), bits), poly(rng.randint(1, 7), bits))
+              for bits in (3, 80) for _ in range(25)]
+    for a, b in cases:
+        want = [
+            _gdot([a[i] for i in range(len(a)) if 0 <= k - i < len(b)],
+                  [b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)])
+            for k in range(len(a) + len(b) - 1)
+        ] if a and b else []
+        assert mul_zi(a, b) == want
+    # and sympy's product over Q(i)
+    for a, b in cases[5:15]:
+        assert _poly_i(mul_zi(a, b)) == _poly_i(a) * _poly_i(b)
 
 
 def test_gcd_and_squarefree_part_agree_with_sympy_over_the_gaussian_rationals():

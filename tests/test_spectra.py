@@ -29,7 +29,9 @@ from ncfield import (
 )
 from ncfield.errors import Inconclusive, InputError, MethodDisagreement, NonSquareError
 from ncfield.ncrank import RankResult
-from ncfield.scalars import GaussianRational
+from ncfield.ncpoly import letter_slot, random_poly_matrix
+from ncfield.scalars import GaussianRational, charpoly_zi, gcd_zi, mul_zi, squarefree_zi
+from ncfield.spectra import CANDIDATE_POINTS, POINT_BOUND, _candidate_polynomial
 
 
 def _diag_x1_zero() -> NcMatrix:
@@ -465,6 +467,101 @@ def test_candidate_polynomial_one_settles_a_pencil_with_no_rank_call(monkeypatch
     assert "homogeneous_rho" not in report.diagnostics
     assert report.atoms == [] and report.uncertified == []
     assert report.dimension == Fraction(1)
+
+
+def _reference_candidate_polynomial(matrix: NcMatrix, seed: int, drawn: list):
+    """g as four values, from principal submatrices evaluated in exact rationals.
+
+    Every scalar point evaluated is appended to ``drawn``, in order.
+    """
+    scale = math.lcm(*(x.denominator for _, _, _, c in matrix.terms() for x in (c.re, c.im)))
+    slots = 2 * matrix.n_vars + 1
+
+    def value(sub, point):
+        drawn.append(list(point))
+        out = []
+        for row in sub.entries:
+            out.append([])
+            for p in row:
+                total = GaussianRational(0)
+                for word, c in p.terms():
+                    for letter in word:
+                        c = c * GaussianRational(*point[letter_slot(letter, matrix.n_vars)])
+                    total = total + c * scale
+                assert total.re.denominator == total.im.denominator == 1
+                out[-1].append((total.re.numerator, total.im.numerator))
+        return out
+
+    g, points, blocks = [(1, 0)], 0, []
+    for rows in matrix.diagonal_blocks():
+        sub = matrix.principal(rows)
+        blocks.append({"rows": list(rows), "constant": sub.degree <= 0})
+        factor = charpoly_zi(value(sub, [(0, 0)] * slots))
+        if sub.degree > 0:
+            rng = random.Random(seed)
+            points += 1
+            for _ in range(CANDIDATE_POINTS - 1):
+                if len(factor) == 1:
+                    break
+                point = [(rng.randint(-POINT_BOUND, POINT_BOUND),
+                          rng.randint(-POINT_BOUND, POINT_BOUND))
+                         for _ in range(slots)]
+                factor = gcd_zi(factor, charpoly_zi(value(sub, point)))
+                points += 1
+        g = mul_zi(g, squarefree_zi(factor))
+    return squarefree_zi(g), scale, points, blocks
+
+
+def test_candidate_polynomial_reads_a_pencil_as_its_matrix(monkeypatch):
+    # g from the pencil's cells is g from its matrix, and both are g from
+    # the principal submatrices evaluated exactly: the same draws, the same
+    # scale, points and blocks
+    spectra = importlib.import_module("ncfield.spectra")
+    drawn: list = []
+    scaled_value = spectra._scaled_value
+    monkeypatch.setattr(spectra, "_scaled_value",
+                        lambda terms, size, point: drawn.append(list(point))
+                        or scaled_value(terms, size, point))
+
+    def same_as_reference(source, matrix, seed):
+        want, points = _reference_candidate_polynomial(matrix, seed, drawn), list(drawn)
+        drawn.clear()
+        assert _candidate_polynomial(source, seed) == want
+        assert drawn == points
+        drawn.clear()
+        return want
+
+    g = GaussianRational
+    shrink = g(Fraction(1, 6), Fraction(1, 4))
+    corner = LinearPencil([[[3, 1], [1, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]], 2)
+    empty = LinearPencil([[[0]], [[0]], [[0]]], 2)
+    cases = []
+    for seed in range(4):
+        real = random_pencil(2, 4, seed=seed)
+        gauss = random_pencil(2, 3, seed=seed, complex_coeffs=True)
+        fractional = LinearPencil.from_cells(
+            {key: c * shrink for key, c in gauss.cells.items()}, 3, 3, 2)
+        other = random_pencil(2, 3, seed=seed + 50, complex_coeffs=True)
+        starred = LinearPencil.from_cells(
+            {**real.widen_alphabet().cells, **random_pencil(2, 4, seed=seed + 9).adjoint().cells},
+            4, 4, 2, star_letters=True)
+        cases += [real, gauss, fractional, fractional.shift(g(0, Fraction(1, 7))), starred,
+                  real.direct_sum(corner), gauss.direct_sum(empty).direct_sum(other)]
+    nontrivial = split = 0
+    for k, pencil in enumerate(cases):
+        want = same_as_reference(pencil, pencil.to_matrix(), k)
+        assert same_as_reference(pencil.to_matrix(), pencil.to_matrix(), k) == want
+        nontrivial += len(want[0]) > 1
+        split += len(want[3]) > 1
+    assert nontrivial >= 8 and split >= 8
+    # polynomial matrices: products of degree 2 and 3, one beside a constant block
+    for seed in range(6):
+        left = random_poly_matrix(2, 3, 2, degree=1 + seed % 2, seed=seed, complex_coeffs=True)
+        right = random_poly_matrix(2, 2, 3, degree=1, seed=seed + 20)
+        product = (left * right) * shrink
+        if seed % 3 == 0:
+            product = product.direct_sum(corner.to_matrix())
+        same_as_reference(product, product, seed)
 
 
 def test_candidate_polynomial_is_bounded_work_on_a_singular_coefficient():
